@@ -14,7 +14,9 @@ from repro.bench import run_benchmarks
 
 pytestmark = pytest.mark.slow
 
-PIPELINE_BENCHES = ("raster_chunked", "sort_batched", "order_metrics", "render_sequence")
+PIPELINE_BENCHES = (
+    "raster_chunked", "sort_batched", "order_metrics", "render_sequence", "neo_sort"
+)
 
 
 def test_pipeline_benches_identity_and_floor():

@@ -284,6 +284,61 @@ def bench_render_sequence(quick: bool) -> BenchRecord:
     )
 
 
+def _replay_neo(strategy, frames) -> list:
+    """Drive a Neo sorter through recorded ``(assignment, raster)`` frames.
+
+    Returns each frame's sorted tiles and stats; the recorded raster
+    feedback fits because both sorters render the same lists.
+    """
+    out = []
+    for i, (assignment, raster) in enumerate(frames):
+        sorted_tiles = strategy.sort_frame(assignment, i)
+        strategy.observe_raster(i, sorted_tiles, raster)
+        out.append((sorted_tiles, strategy.frame_stats[-1]))
+    return out
+
+
+@register_bench(
+    "neo_sort",
+    "Neo's reuse-and-update sorter on the table stream vs the per-tile loop",
+)
+def bench_neo_sort(quick: bool) -> BenchRecord:
+    from ..core import reference as core_ref
+    from ..core.reuse_update import ReuseUpdateSorter
+
+    gaussians, frames_n, w, h = (4000, 12, 320, 180) if quick else (4000, 48, 320, 180)
+    scene = load_scene(BENCH_SCENE, num_gaussians=gaussians)
+    cameras = default_trajectory(BENCH_SCENE, num_frames=frames_n, width=w, height=h)
+    records = Renderer(scene, strategy=ReuseUpdateSorter()).render_sequence(cameras)
+    frames = [(r.assignment, r.raster) for r in records]
+
+    base_s, base_out = _best_of(lambda: _replay_neo(core_ref.ReuseUpdateSorter(), frames), 3)
+    opt_s, opt_out = _best_of(lambda: _replay_neo(ReuseUpdateSorter(), frames), 3)
+    identical = all(
+        np.array_equal(x.stream.offsets, y.stream.offsets)
+        and np.array_equal(x.stream.values, y.stream.values)
+        and np.array_equal(x.ids, y.ids)
+        and np.array_equal(x.depths, y.depths)
+        and x_stats == y_stats
+        for (x, x_stats), (y, y_stats) in zip(opt_out, base_out)
+    )
+    return BenchRecord(
+        quick=quick,
+        baseline_ms=base_s * 1e3,
+        optimized_ms=opt_s * 1e3,
+        speedup=base_s / opt_s if opt_s else float("inf"),
+        floor=3.0,
+        identical=identical,
+        detail={
+            "gaussians": gaussians,
+            "frames": frames_n,
+            "resolution": [w, h],
+            "baseline_ms_per_frame": base_s * 1e3 / frames_n,
+            "optimized_ms_per_frame": opt_s * 1e3 / frames_n,
+        },
+    )
+
+
 @register_bench(
     "hw_system",
     "vectorized system-model sequence core vs the per-frame scalar loop (neo)",

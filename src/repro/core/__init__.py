@@ -11,15 +11,17 @@ from .bitonic import (
 from .dynamic_partial_sort import (
     DEFAULT_CHUNK_SIZE,
     PartialSortStats,
+    chunk_ids,
     chunk_ranges,
     dynamic_partial_sort,
     full_sort,
     max_displacement,
+    segmented_partial_sort,
     sortedness,
 )
 from .gaussian_table import TABLE_ENTRY_BYTES, GaussianTable
 from .merge_unit import MergeStats, merge_runs, merge_sorted
-from .reuse_update import FrameSortStats, ReuseUpdateSorter, SortTraffic
+from .reuse_update import FrameSortStats, ReuseUpdateSorter, SortTraffic, TableStream
 from .strategies import (
     BackgroundSortStrategy,
     FullResortStrategy,
@@ -46,8 +48,10 @@ __all__ = [
     "ReuseUpdateSorter",
     "SortTraffic",
     "TABLE_ENTRY_BYTES",
+    "TableStream",
     "bitonic_sort_16",
     "bsu_sort_chunk",
+    "chunk_ids",
     "chunk_ranges",
     "dynamic_partial_sort",
     "full_sort",
@@ -56,5 +60,6 @@ __all__ = [
     "merge_runs",
     "merge_sorted",
     "network_stages",
+    "segmented_partial_sort",
     "sortedness",
 ]

@@ -8,7 +8,9 @@ migrate across chunk edges over consecutive frames (Figure 9b).
 
 Each chunk is read from DRAM once and written back once — a single off-chip
 pass — which is the source of Neo's bandwidth savings over multi-pass global
-sorts.
+sorts.  :func:`dynamic_partial_sort` sorts one table; its segmented form,
+:func:`segmented_partial_sort`, runs the same passes over every table of a
+flat tile stream at once.
 
 Note on the pseudocode: Algorithm 1 advances ``range.start`` by ``C`` after
 every chunk, which on even iterations (first chunk of size ``C/2``) would
@@ -97,6 +99,24 @@ def chunk_ranges(length: int, chunk_size: int, iteration: int) -> list[tuple[int
     return ranges
 
 
+def chunk_ids(positions: np.ndarray, chunk_size: int, iteration: int) -> np.ndarray:
+    """Chunk index of each table position under :func:`chunk_ranges`' grid.
+
+    The vectorized form of :func:`chunk_ranges`: ``positions`` are offsets
+    into a table, so for a flat stream of tables it labels every entry with
+    its chunk inside its own table.
+
+    >>> chunk_ids(np.arange(10), 4, iteration=2).tolist()
+    [0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
+    """
+    if chunk_size < 2:
+        raise ValueError("chunk_size must be >= 2")
+    if iteration % 2 == 1:
+        return positions // chunk_size
+    half = chunk_size // 2
+    return np.where(positions < half, 0, (positions - half) // chunk_size + 1)
+
+
 def _sort_chunk_in_place(
     keys: np.ndarray,
     values: np.ndarray,
@@ -173,6 +193,57 @@ def dynamic_partial_sort(
             stats.entries_read += end - start
             stats.entries_written += end - start
             _sort_chunk_in_place(keys, values, start, end, use_hardware_units, stats)
+    return keys, values, stats
+
+
+def segmented_partial_sort(
+    keys: np.ndarray,
+    values: np.ndarray,
+    offsets: np.ndarray,
+    iteration: int,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    passes: int = 1,
+    use_hardware_units: bool = False,
+    stats: PartialSortStats | None = None,
+) -> tuple[np.ndarray, np.ndarray, PartialSortStats]:
+    """:func:`dynamic_partial_sort` of every table of a flat stream at once.
+
+    ``offsets`` delimits the tables (the ``TileStream`` layout); each is
+    partially sorted exactly as :func:`dynamic_partial_sort` would sort it
+    alone.  A pass is one stable sort on ``(table, chunk, key)``: keys are
+    ranked to integers once, so the pass sorts the integer
+    ``chunk_segment * span + rank``.  With ``use_hardware_units`` every chunk
+    still goes through the BSU/MSU+ models one by one, since their
+    comparator counts are the point.
+    """
+    if passes < 1:
+        raise ValueError("passes must be >= 1")
+    keys = np.asarray(keys, dtype=np.float64).copy()
+    values = np.asarray(values).copy()
+    if keys.shape != values.shape:
+        raise ValueError("keys and values must align")
+    if stats is None:
+        stats = PartialSortStats()
+    n = keys.shape[0]
+    positions = np.arange(n, dtype=np.int64) - np.repeat(offsets[:-1], np.diff(offsets))
+    _, rank = np.unique(keys, return_inverse=True)
+    span = np.int64(n)
+
+    for pass_index in range(passes):
+        chunk = chunk_ids(positions, chunk_size, iteration + pass_index)
+        starts = (positions == 0) | (chunk != np.roll(chunk, 1))
+        stats.chunks += int(np.count_nonzero(starts))
+        stats.entries_read += n
+        stats.entries_written += n
+        if use_hardware_units:
+            bounds = np.append(np.flatnonzero(starts), n).tolist()
+            for start, end in zip(bounds[:-1], bounds[1:]):
+                _sort_chunk_in_place(keys, values, start, end, True, stats)
+        else:
+            order = np.argsort(np.cumsum(starts) * span + rank, kind="stable")
+            keys = keys[order]
+            values = values[order]
+            rank = rank[order]
     return keys, values, stats
 
 

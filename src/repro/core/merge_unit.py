@@ -58,7 +58,8 @@ def merge_sorted(
     Parameters
     ----------
     keys_a, keys_b:
-        Non-decreasing key arrays (depths).
+        Key arrays (depths).  ``keys_b`` must be non-decreasing; ``keys_a``
+        may be only partially sorted, and is merged as a stream.
     values_a, values_b:
         Payloads (Gaussian IDs) aligned with the keys.
     valid_a, valid_b:
@@ -97,11 +98,15 @@ def merge_sorted(
         keys_b, values_b = keys_b[valid_b], values_b[valid_b]
 
     # Stable two-way merge (a-side wins ties), vectorized with searchsorted:
-    # position of each b element among a's elements, then scatter.
+    # position of each b element among a's elements, then scatter.  The
+    # streaming MSU+ emits b_j just before the first a element greater than
+    # it, so the search runs against a's running maximum: identical to a
+    # plain search when a is sorted, and still the streamed order when a is
+    # only chunk-sorted (single-pass Dynamic Partial Sorting leaves it so).
     out_n = keys_a.shape[0] + keys_b.shape[0]
     out_keys = np.empty(out_n, dtype=np.float64)
     out_vals = np.empty(out_n, dtype=values_a.dtype if values_a.size else values_b.dtype)
-    insert_at = np.searchsorted(keys_a, keys_b, side="right")
+    insert_at = np.searchsorted(np.maximum.accumulate(keys_a), keys_b, side="right")
     b_positions = insert_at + np.arange(keys_b.shape[0])
     mask = np.ones(out_n, dtype=bool)
     mask[b_positions] = False

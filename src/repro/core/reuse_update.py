@@ -1,6 +1,8 @@
 """Reuse-and-update sorting across frames (paper section 4, Figure 8).
 
-Per tile and per frame, instead of sorting from scratch:
+Instead of sorting every tile from scratch, Neo carries each tile's
+Gaussian table — ``(ID, depth, valid)`` entries in approximate depth
+order — from frame to frame and updates it:
 
 1. **Reordering** — Dynamic Partial Sorting of the previous frame's table
    (with depths refreshed by the previous rasterization pass).
@@ -13,6 +15,31 @@ Per tile and per frame, instead of sorting from scratch:
    overwritten with the values the rasterizer already fetched, so the next
    frame sorts on one-frame-stale depths instead of paying a second memory
    pass.
+
+**State layout.**  All tables live in one :class:`TableStream`: a
+:class:`~repro.pipeline.tiling.TileStream` of Gaussian IDs (per-tile CSR
+segments) with aligned flat ``depths`` and ``valid`` arrays.  Each step runs
+once per frame over every tile as a segmented array program, not as a loop
+over tiles:
+
+* a tile seen for the first time (or whose table emptied) is initialised
+  by one stable sort of its pairs on ``(tile, depth)``;
+* reordering is one stable sort on ``(tile, chunk, depth)``, with each
+  tile's alternating half-chunk grid from
+  :func:`~repro.core.dynamic_partial_sort.chunk_ids`;
+* incoming pairs are those missing from a per-tile
+  :meth:`~repro.pipeline.tiling.TileStream.segment_intersect` with the valid
+  table entries;
+* the MSU+ merge inserts each incoming entry after every table entry whose
+  *running maximum* depth within the tile does not exceed it — a streaming
+  merge of a table that reordering left only chunk-sorted;
+* valid bits come from one ``segment_intersect`` with the rendered, still
+  intersecting IDs, and the deferred depth update is one ``searchsorted``.
+
+Tiles past the current frame's grid (after a resolution change) keep their
+tables untouched until a grid covers them again.
+:mod:`repro.core.reference` keeps the per-tile loop this replaced as the
+bit-identity pin.
 
 The :class:`ReuseUpdateSorter` implements the pipeline's
 :class:`~repro.pipeline.renderer.SortStrategy` protocol and accounts sorting
@@ -27,15 +54,14 @@ import numpy as np
 
 from ..pipeline.rasterizer import RasterResult
 from ..pipeline.sorting import SortedTiles
-from ..pipeline.tiling import TileAssignment
+from ..pipeline.tiling import TileAssignment, TileStream
 from .dynamic_partial_sort import (
     DEFAULT_CHUNK_SIZE,
     PartialSortStats,
-    dynamic_partial_sort,
-    full_sort,
+    segmented_partial_sort,
 )
-from .gaussian_table import TABLE_ENTRY_BYTES, GaussianTable
-from .merge_unit import MergeStats, merge_sorted
+from .gaussian_table import TABLE_ENTRY_BYTES
+from .merge_unit import MergeStats
 
 
 @dataclass
@@ -105,6 +131,87 @@ class FrameSortStats:
         return max(0.0, 1.0 - self.incoming_entries / total)
 
 
+def full_sort_traffic(counts: np.ndarray, chunk_size: int) -> SortTraffic:
+    """Traffic of conventionally sorting tables of ``counts`` entries.
+
+    The closed form of :func:`~repro.core.dynamic_partial_sort.full_sort`'s
+    accounting, vectorized over tables: a table of ``n`` entries streams
+    ``n * (1 + ceil(log2(ceil(n / C))))`` entries each way.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    counts = counts[counts > 0]
+    chunks = -(-counts // chunk_size)
+    merge_levels = np.maximum(np.ceil(np.log2(chunks)), 0).astype(np.int64)
+    nbytes = int((counts * (1 + merge_levels)).sum()) * TABLE_ENTRY_BYTES
+    return SortTraffic(table_read=nbytes, table_write=nbytes)
+
+
+def lookup_rows(projected_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Row of each of ``ids`` in a frame's projected arrays; -1 if not projected."""
+    if projected_ids.shape[0] == 0:
+        return np.full(ids.shape[0], -1, dtype=np.int64)
+    order = np.argsort(projected_ids, kind="stable")
+    pos = np.minimum(np.searchsorted(projected_ids[order], ids), order.shape[0] - 1)
+    rows = order[pos]
+    return np.where(projected_ids[rows] == ids, rows, -1)
+
+
+@dataclass(frozen=True)
+class TableStream:
+    """Every tile's Gaussian table in one flat tile-stream layout.
+
+    Attributes
+    ----------
+    stream:
+        :class:`TileStream` of global Gaussian IDs, tile ``t``'s table in
+        (approximate) depth order at ``offsets[t]:offsets[t + 1]``.
+    depths:
+        Depth keys aligned with the IDs; may be one frame stale under the
+        deferred depth update.
+    valid:
+        Valid bits aligned with the IDs; ``False`` marks entries the next
+        merge drops (lazy deletion).
+    """
+
+    stream: TileStream
+    depths: np.ndarray
+    valid: np.ndarray
+
+    @classmethod
+    def empty(cls) -> "TableStream":
+        """No tables at all (a sorter that has seen no frame)."""
+        return cls(
+            stream=TileStream.empty(0),
+            depths=np.empty(0, dtype=np.float64),
+            valid=np.empty(0, dtype=bool),
+        )
+
+    def __len__(self) -> int:
+        return self.stream.num_pairs
+
+    @property
+    def num_tiles(self) -> int:
+        """Tiles holding a table (the largest grid seen so far)."""
+        return self.stream.num_tiles
+
+    @property
+    def ids(self) -> np.ndarray:
+        """Flat Gaussian IDs of every table."""
+        return self.stream.values
+
+    def ids_for(self, tile: int) -> np.ndarray:
+        """Tile ``tile``'s table IDs (zero-copy view)."""
+        return self.stream.rows_for(tile)
+
+    def depths_for(self, tile: int) -> np.ndarray:
+        """Tile ``tile``'s table depths (zero-copy view)."""
+        return self.depths[self.stream.offsets[tile] : self.stream.offsets[tile + 1]]
+
+    def valid_for(self, tile: int) -> np.ndarray:
+        """Tile ``tile``'s valid bits (zero-copy view)."""
+        return self.valid[self.stream.offsets[tile] : self.stream.offsets[tile + 1]]
+
+
 class ReuseUpdateSorter:
     """Stateful reuse-and-update sorting strategy (Neo's algorithm).
 
@@ -139,182 +246,145 @@ class ReuseUpdateSorter:
         self.passes = passes
         self.defer_depth_update = defer_depth_update
         self.use_hardware_units = use_hardware_units
-        self.tables: dict[int, GaussianTable] = {}
+        self.table = TableStream.empty()
         self.frame_stats: list[FrameSortStats] = []
-        self._last_assignment: TileAssignment | None = None
+        self._projected_depths: np.ndarray | None = None
+        self._rows: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # SortStrategy protocol
     # ------------------------------------------------------------------
     def sort_frame(self, assignment: TileAssignment, frame_index: int) -> SortedTiles:
-        """Run reordering + insertion + deletion for every tile."""
+        """Run reordering + insertion + deletion for every tile at once."""
         stats = FrameSortStats(frame_index=frame_index)
         proj = assignment.projected
-        # Map global Gaussian ID -> row in this frame's projected arrays.
-        id_to_row = _build_id_index(proj.ids)
+        num_tiles = assignment.num_tiles
+        pairs = assignment.stream
+        pair_ids = proj.ids[pairs.values]
+        pair_depths = np.asarray(proj.depths, dtype=np.float64)[pairs.values]
 
-        tile_rows: list[np.ndarray] = []
-        tile_ids: list[np.ndarray] = []
-        tile_depths: list[np.ndarray] = []
-
-        for tile in range(assignment.num_tiles):
-            rows = assignment.rows_for(tile)
-            current_ids = proj.ids[rows]
-            current_depths = proj.depths[rows]
-            table = self.tables.get(tile)
-
-            if table is None or len(table) == 0:
-                table = self._initialize_tile(current_ids, current_depths, stats)
-            else:
-                table = self._update_tile(
-                    table, current_ids, current_depths, frame_index, stats
-                )
-            self.tables[tile] = table
-
-            rows_out, ids_out, depths_out = _table_to_render_list(table, id_to_row)
-            tile_rows.append(rows_out)
-            tile_ids.append(ids_out)
-            tile_depths.append(depths_out)
-            stats.table_entries_after += len(table)
-
-        self.frame_stats.append(stats)
-        self._last_assignment = assignment
-        return SortedTiles.from_tile_lists(tile_rows, tile_ids, tile_depths)
-
-    def observe_raster(
-        self, frame_index: int, sorted_tiles: SortedTiles, raster: RasterResult
-    ) -> None:
-        """Apply rasterization feedback: valid bits and the deferred depth update."""
-        assignment = self._last_assignment
-        if assignment is None:
-            return
-        proj = assignment.projected
-        stats = self.frame_stats[-1] if self.frame_stats else None
-
-        for tile, table in self.tables.items():
-            if len(table) == 0:
-                continue
-            rendered_ids = (
-                sorted_tiles.ids_for(tile)
-                if tile < sorted_tiles.num_tiles
-                else np.empty(0, dtype=np.int64)
-            )
-            raster_valid = raster.valid_bits.get(tile)
-
-            # Valid bits: an entry stays valid only if it was rendered this
-            # frame AND intersected at least one subtile (cumulative-OR of
-            # the ITU bitmaps).  Entries with no current projection (culled)
-            # are invalid by construction.
-            surviving: set[int] = set()
-            if raster_valid is not None and rendered_ids.shape[0] == raster_valid.shape[0]:
-                surviving = {int(g) for g in rendered_ids[raster_valid]}
-            elif rendered_ids.shape[0]:
-                surviving = {int(g) for g in rendered_ids}
-            new_valid = np.fromiter(
-                (int(g) in surviving for g in table.ids), dtype=bool, count=len(table)
-            )
-            table.set_valid_bits(new_valid)
-
-        # Deferred depth update: rasterization fetched every rendered
-        # Gaussian's features, so refreshed depths are free (traffic-wise).
-        if self.defer_depth_update:
-            refreshed = self._refresh_depths(proj)
-            if stats is not None:
-                stats.depth_updates += refreshed
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _initialize_tile(
-        self, ids: np.ndarray, depths: np.ndarray, stats: FrameSortStats
-    ) -> GaussianTable:
-        """First sight of a tile: conventional from-scratch sort."""
-        stats.tiles_initialized += 1
-        sort_stats = PartialSortStats()
-        keys, values, sort_stats = full_sort(
-            depths, ids, chunk_size=self.chunk_size, stats=sort_stats
-        )
-        stats.traffic.table_read += sort_stats.bytes_read
-        stats.traffic.table_write += sort_stats.bytes_written
-        return GaussianTable.from_sorted(values, keys)
-
-    def _update_tile(
-        self,
-        table: GaussianTable,
-        current_ids: np.ndarray,
-        current_depths: np.ndarray,
-        frame_index: int,
-        stats: FrameSortStats,
-    ) -> GaussianTable:
-        """Steps 1-3 of Figure 8 for one tile."""
-        stats.tiles_reused += 1
+        # The tables of this frame's tiles; any past its grid ride along.
+        old = self.table
+        head = old.stream.resized(num_tiles)
+        n_table = head.num_pairs
+        depths = old.depths[:n_table].copy()
+        reused = head.counts() > 0
+        stats.tiles_reused = int(np.count_nonzero(reused))
+        stats.tiles_initialized = num_tiles - stats.tiles_reused
 
         if not self.defer_depth_update:
             # Ablation: explicit depth refresh costs an extra table pass.
-            refreshed = table.update_depths(ids=current_ids, depths=current_depths)
-            stats.depth_updates += refreshed
-            stats.traffic.depth_refresh += 2 * len(table) * TABLE_ENTRY_BYTES
+            fresh = head.segment_intersect(head.values, pairs, pair_ids)
+            depths[fresh.self_indices] = pair_depths[fresh.other_indices]
+            stats.depth_updates += fresh.num_shared
+            stats.traffic.depth_refresh += 2 * n_table * TABLE_ENTRY_BYTES
 
         # (1) Reordering via Dynamic Partial Sorting.  The permutation is
-        # tracked through an index payload so valid bits travel with their
-        # entries, exactly as the hardware moves (ID|valid, depth) pairs.
-        perm_payload = np.arange(len(table), dtype=np.int64)
-        sorted_depths, perm, _ = dynamic_partial_sort(
-            table.depths,
-            perm_payload,
+        # tracked through an index payload so IDs and valid bits travel with
+        # their depths, as the hardware moves (ID|valid, depth) pairs.
+        depths, perm, _ = segmented_partial_sort(
+            depths,
+            np.arange(n_table, dtype=np.int64),
+            head.offsets,
             iteration=frame_index,
             chunk_size=self.chunk_size,
             passes=self.passes,
             use_hardware_units=self.use_hardware_units,
             stats=stats.reorder,
         )
-        sorted_ids = table.ids[perm]
-        sorted_valid = table.valid[perm]
-        stats.entries_reordered += len(table)
-        stats.traffic.table_read += len(table) * TABLE_ENTRY_BYTES
+        valid = old.valid[:n_table][perm]
+        valid_table = head.with_values(head.values[perm]).compress(valid)
+        stats.entries_reordered += n_table
+        stats.traffic.table_read += n_table * TABLE_ENTRY_BYTES
 
-        # (2) Insertion: incoming = Gaussians in the tile now but absent
-        # from the table (the duplication unit's verification step).
-        # Entries whose valid bit was cleared count as absent: the merge is
-        # about to drop them, so a Gaussian re-entering after invalidation
-        # must come back through the incoming path or it would vanish for
-        # a frame.
-        member = np.isin(current_ids, table.ids[table.valid])
-        incoming_ids = current_ids[~member]
-        incoming_depths = current_depths[~member]
-        stats.incoming_entries += incoming_ids.shape[0]
-        if incoming_ids.shape[0]:
-            order = np.lexsort((incoming_ids, incoming_depths))
-            incoming_ids = incoming_ids[order]
-            incoming_depths = incoming_depths[order]
-            incoming_bytes = incoming_ids.shape[0] * TABLE_ENTRY_BYTES
-            stats.traffic.incoming_write += incoming_bytes
-            stats.traffic.incoming_read += incoming_bytes
+        # (2) Insertion: incoming = pairs in a tile now but absent from its
+        # valid table entries (the duplication unit's verification step).
+        # Invalidated entries count as absent: the merge is about to drop
+        # them, so a Gaussian re-entering after invalidation must come back
+        # through the incoming path or it would vanish for a frame.  In a
+        # tile without a table every pair is new and initialises it.
+        new = np.ones(pairs.num_pairs, dtype=bool)
+        new[pairs.segment_intersect(pair_ids, valid_table, valid_table.values).self_indices] = False
+        new_at = np.flatnonzero(new)
+        new_tiles = pairs.tile_of()[new_at]
+        incoming = reused[new_tiles]
+        n_incoming = int(np.count_nonzero(incoming))
+        stats.incoming_entries += n_incoming
+        stats.traffic.incoming_write += n_incoming * TABLE_ENTRY_BYTES
+        stats.traffic.incoming_read += n_incoming * TABLE_ENTRY_BYTES
+        stats.traffic.add(full_sort_traffic(pairs.counts()[~reused], self.chunk_size))
+        # Incoming entries sort on (depth, ID); an initialised tile's
+        # conventional sort is stable on (depth, arrival order).
+        tie = np.where(incoming, pair_ids[new_at], new_at)
+        order = np.lexsort((tie, pair_depths[new_at], new_tiles))
+        new_at = new_at[order]
 
         # (3) Deletion folded into the merge: the MSU+ drops invalid table
-        # entries while splicing the incoming stream in.  The merged table
-        # is written back as part of the single off-chip pass.
-        before_invalid = len(table) - int(np.count_nonzero(sorted_valid))
-        merged_depths, merged_ids = merge_sorted(
-            sorted_depths,
-            sorted_ids,
-            incoming_depths,
-            incoming_ids,
-            valid_a=sorted_valid,
-            stats=stats.merge,
+        # entries while splicing the new stream in.  The merged table is
+        # written back as part of the single off-chip pass.
+        n_valid = valid_table.num_pairs
+        stats.deleted_entries += n_table - n_valid
+        stats.merge.merges += stats.tiles_reused
+        stats.merge.elements_in += n_table + n_incoming
+        stats.merge.invalid_dropped += n_table - n_valid
+        stats.merge.elements_out += n_valid + n_incoming
+        stats.traffic.table_write += (n_valid + n_incoming) * TABLE_ENTRY_BYTES
+        merged, merged_depths = _merge_tables(
+            valid_table, depths[valid], new_tiles[order], pair_ids[new_at], pair_depths[new_at]
         )
-        stats.deleted_entries += before_invalid
-        stats.traffic.table_write += merged_ids.shape[0] * TABLE_ENTRY_BYTES
+        stats.table_entries_after += merged.num_pairs
 
-        return GaussianTable.from_sorted(merged_ids, merged_depths)
+        self.table = _with_tail(merged, merged_depths, old)
+        self._projected_depths = proj.depths
+        self._rows = lookup_rows(proj.ids, self.table.ids)
+        self.frame_stats.append(stats)
 
-    def _refresh_depths(self, proj) -> int:
-        """Overwrite table depths with the values rasterization fetched."""
-        refreshed = 0
-        for table in self.tables.values():
-            if len(table):
-                refreshed += table.update_depths(ids=proj.ids, depths=proj.depths)
-        return refreshed
+        # Render list: entries without a projection this frame (culled
+        # Gaussians awaiting lazy deletion) are skipped — the hardware
+        # analogue is the ITU immediately finding no intersection for them.
+        rows = self._rows[: merged.num_pairs]
+        found = rows >= 0
+        rendered = merged.compress(found)
+        return SortedTiles(
+            stream=rendered.with_values(rows[found]),
+            ids=rendered.values,
+            depths=merged_depths[found],
+        )
+
+    def observe_raster(
+        self, frame_index: int, sorted_tiles: SortedTiles, raster: RasterResult
+    ) -> None:
+        """Apply rasterization feedback: valid bits and the deferred depth update."""
+        if self._rows is None:
+            return
+        table = self.table
+
+        # Valid bits: an entry stays valid only if it was rendered this
+        # frame AND intersected at least one subtile (cumulative-OR of the
+        # ITU bitmaps).  Entries with no current projection (culled) are
+        # invalid by construction.
+        survived = np.ones(sorted_tiles.num_pairs, dtype=bool)
+        offsets = sorted_tiles.stream.offsets.tolist()
+        for tile, bits in raster.valid_bits.items():
+            if tile < len(offsets) - 1 and bits.shape[0] == offsets[tile + 1] - offsets[tile]:
+                survived[offsets[tile] : offsets[tile + 1]] = bits
+        rendered = (
+            sorted_tiles.stream.with_values(sorted_tiles.ids)
+            .compress(survived)
+            .resized(table.num_tiles)
+        )
+        survivors = table.stream.segment_intersect(table.ids, rendered, rendered.values)
+        valid = np.zeros(len(table), dtype=bool)
+        valid[survivors.self_indices] = True
+
+        # Deferred depth update: rasterization fetched every rendered
+        # Gaussian's features, so refreshed depths are free (traffic-wise).
+        depths = table.depths
+        if self.defer_depth_update:
+            found = self._rows >= 0
+            depths[found] = self._projected_depths[self._rows[found]]
+            self.frame_stats[-1].depth_updates += int(np.count_nonzero(found))
+        self.table = TableStream(stream=table.stream, depths=depths, valid=valid)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -328,35 +398,65 @@ class ReuseUpdateSorter:
 
     def reset(self) -> None:
         """Drop all cross-frame state (tables and statistics)."""
-        self.tables.clear()
+        self.table = TableStream.empty()
         self.frame_stats.clear()
-        self._last_assignment = None
+        self._projected_depths = None
+        self._rows = None
 
 
-def _build_id_index(ids: np.ndarray) -> dict[int, int]:
-    """Map global Gaussian ID -> row index in the projected arrays."""
-    return {int(g): i for i, g in enumerate(ids)}
+def _merge_tables(
+    table: TileStream,
+    table_depths: np.ndarray,
+    new_tiles: np.ndarray,
+    new_ids: np.ndarray,
+    new_depths: np.ndarray,
+) -> tuple[TileStream, np.ndarray]:
+    """MSU+ merge of every tile's valid table entries with its new entries.
 
-
-def _table_to_render_list(
-    table: GaussianTable, id_to_row: dict[int, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Convert a table to the row list the rasterizer consumes.
-
-    Entries without a projection this frame (culled Gaussians awaiting lazy
-    deletion) are skipped — the hardware analogue is the ITU immediately
-    finding no intersection for them.
+    The new entries arrive sorted on ``(tile, depth)``.  A streaming merge
+    emits each one just before the first table entry deeper than it, i.e.
+    after every entry whose running-maximum depth within its tile does not
+    exceed it (table entries win ties).  Depths are ranked to integers so
+    that one ``maximum.accumulate`` over ``tile * span + rank`` is the
+    running maximum of every tile at once: a tile's keys all exceed the
+    previous tile's, so each tile's maximum restarts at its own entries.
     """
-    rows: list[int] = []
-    keep: list[int] = []
-    for i, gid in enumerate(table.ids):
-        row = id_to_row.get(int(gid))
-        if row is not None:
-            rows.append(row)
-            keep.append(i)
-    keep_idx = np.asarray(keep, dtype=np.int64)
-    return (
-        np.asarray(rows, dtype=np.int64),
-        table.ids[keep_idx] if keep_idx.size else np.empty(0, dtype=np.int64),
-        table.depths[keep_idx] if keep_idx.size else np.empty(0, dtype=np.float64),
+    n_table = table.num_pairs
+    _, rank = np.unique(np.concatenate([table_depths, new_depths]), return_inverse=True)
+    span = np.int64(rank.max() + 1) if rank.size else np.int64(1)
+    keys = np.concatenate([table.tile_of(), new_tiles]) * span + rank
+    table_keys = np.maximum.accumulate(keys[:n_table])
+    new_at = np.searchsorted(table_keys, keys[n_table:], side="right")
+    new_at += np.arange(new_at.shape[0])
+    from_table = np.ones(keys.shape[0], dtype=bool)
+    from_table[new_at] = False
+
+    ids = np.empty(keys.shape[0], dtype=np.int64)
+    ids[from_table] = table.values
+    ids[new_at] = new_ids
+    depths = np.empty(keys.shape[0], dtype=np.float64)
+    depths[from_table] = table_depths
+    depths[new_at] = new_depths
+    counts = table.counts() + np.bincount(new_tiles, minlength=table.num_tiles)
+    offsets = np.zeros(table.num_tiles + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return TileStream(num_tiles=table.num_tiles, values=ids, offsets=offsets), depths
+
+
+def _with_tail(merged: TileStream, depths: np.ndarray, old: TableStream) -> TableStream:
+    """The merged tables, then ``old``'s tables of tiles past the merged grid."""
+    valid = np.ones(merged.num_pairs, dtype=bool)
+    if old.num_tiles <= merged.num_tiles:
+        return TableStream(stream=merged, depths=depths, valid=valid)
+    start = old.stream.offsets[merged.num_tiles]
+    tail = old.stream.offsets[merged.num_tiles + 1 :] - start + merged.num_pairs
+    stream = TileStream(
+        num_tiles=old.num_tiles,
+        values=np.concatenate([merged.values, old.ids[start:]]),
+        offsets=np.concatenate([merged.offsets, tail]),
+    )
+    return TableStream(
+        stream=stream,
+        depths=np.concatenate([depths, old.depths[start:]]),
+        valid=np.concatenate([valid, old.valid[start:]]),
     )

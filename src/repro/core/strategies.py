@@ -27,9 +27,9 @@ import numpy as np
 from ..pipeline.rasterizer import RasterResult
 from ..pipeline.sorting import SortedTiles, sort_tiles
 from ..pipeline.tiling import TileAssignment
-from .dynamic_partial_sort import DEFAULT_CHUNK_SIZE, PartialSortStats, full_sort
+from .dynamic_partial_sort import DEFAULT_CHUNK_SIZE
 from .gaussian_table import TABLE_ENTRY_BYTES
-from .reuse_update import ReuseUpdateSorter, SortTraffic
+from .reuse_update import ReuseUpdateSorter, SortTraffic, full_sort_traffic, lookup_rows
 
 __all__ = [
     "FullResortStrategy",
@@ -44,20 +44,6 @@ __all__ = [
 NeoSortStrategy = ReuseUpdateSorter
 
 
-def _full_sort_traffic(assignment: TileAssignment, chunk_size: int) -> SortTraffic:
-    """Traffic of a conventional global sort of every tile's list."""
-    traffic = SortTraffic()
-    for n in assignment.occupancy():
-        n = int(n)
-        if n == 0:
-            continue
-        stats = PartialSortStats()
-        full_sort(np.zeros(n), np.zeros(n, dtype=np.int64), chunk_size=chunk_size, stats=stats)
-        traffic.table_read += stats.bytes_read
-        traffic.table_write += stats.bytes_written
-    return traffic
-
-
 class FullResortStrategy:
     """Conventional baseline: exact global sort from scratch every frame."""
 
@@ -68,7 +54,7 @@ class FullResortStrategy:
         self.frame_traffic: list[SortTraffic] = []
 
     def sort_frame(self, assignment: TileAssignment, frame_index: int) -> SortedTiles:
-        self.frame_traffic.append(_full_sort_traffic(assignment, self.chunk_size))
+        self.frame_traffic.append(full_sort_traffic(assignment.occupancy(), self.chunk_size))
         return sort_tiles(assignment)
 
     def observe_raster(
@@ -107,7 +93,7 @@ class PeriodicSortStrategy:
     def sort_frame(self, assignment: TileAssignment, frame_index: int) -> SortedTiles:
         refresh = frame_index % self.period == 0 or self._cached is None
         if refresh:
-            self.frame_traffic.append(_full_sort_traffic(assignment, self.chunk_size))
+            self.frame_traffic.append(full_sort_traffic(assignment.occupancy(), self.chunk_size))
             exact = sort_tiles(assignment)
             self._cached = exact
             return exact
@@ -152,7 +138,7 @@ class BackgroundSortStrategy:
     def sort_frame(self, assignment: TileAssignment, frame_index: int) -> SortedTiles:
         # Launch this frame's background sort (traffic charged now, results
         # usable `lag` frames later).
-        self.frame_traffic.append(_full_sort_traffic(assignment, self.chunk_size))
+        self.frame_traffic.append(full_sort_traffic(assignment.occupancy(), self.chunk_size))
         self._pending.append(sort_tiles(assignment))
 
         if len(self._pending) > self.lag:
@@ -255,30 +241,15 @@ def _replay_cached_order(assignment: TileAssignment, cached: SortedTiles) -> Sor
     be rasterized); Gaussians new to a tile are absent (the quality cost of
     stale membership).
     """
-    proj = assignment.projected
-    id_to_row = {int(g): i for i, g in enumerate(proj.ids)}
-    tile_rows: list[np.ndarray] = []
-    tile_ids: list[np.ndarray] = []
-    tile_depths: list[np.ndarray] = []
-    for tile in range(assignment.num_tiles):
-        if tile < cached.num_tiles:
-            ids = cached.ids_for(tile)
-            depths = cached.depths_for(tile)
-        else:
-            ids = np.empty(0, dtype=np.int64)
-            depths = np.empty(0, dtype=np.float64)
-        rows = []
-        keep = []
-        for i, gid in enumerate(ids):
-            row = id_to_row.get(int(gid))
-            if row is not None:
-                rows.append(row)
-                keep.append(i)
-        keep_idx = np.asarray(keep, dtype=np.int64)
-        tile_rows.append(np.asarray(rows, dtype=np.int64))
-        tile_ids.append(ids[keep_idx] if keep_idx.size else np.empty(0, dtype=np.int64))
-        tile_depths.append(depths[keep_idx] if keep_idx.size else np.empty(0, dtype=np.float64))
-    return SortedTiles.from_tile_lists(tile_rows, tile_ids, tile_depths)
+    stale = cached.stream.with_values(cached.ids).resized(assignment.num_tiles)
+    rows = lookup_rows(assignment.projected.ids, stale.values)
+    found = rows >= 0
+    kept = stale.compress(found)
+    return SortedTiles(
+        stream=kept.with_values(rows[found]),
+        ids=kept.values,
+        depths=cached.depths[: stale.num_pairs][found],
+    )
 
 
 def make_strategy(name: str, **kwargs) -> object:

@@ -102,9 +102,11 @@ class FrameStats:
 class StageTimings:
     """Wall-clock seconds each pipeline stage spent on one frame.
 
-    Collected unconditionally — five ``perf_counter`` reads per frame are
+    Collected unconditionally — six ``perf_counter`` reads per frame are
     noise next to any stage — and consumed by ``repro bench``, which needs
-    a per-stage attribution of where a sequence's time went.
+    a per-stage attribution of where a sequence's time went.  ``feedback_s``
+    is the sorting strategy's post-raster step (Neo's valid bits and
+    deferred depth update).
     """
 
     cull_s: float = 0.0
@@ -112,11 +114,19 @@ class StageTimings:
     tile_s: float = 0.0
     sort_s: float = 0.0
     raster_s: float = 0.0
+    feedback_s: float = 0.0
 
     @property
     def total_s(self) -> float:
         """Sum over the instrumented stages."""
-        return self.cull_s + self.project_s + self.tile_s + self.sort_s + self.raster_s
+        return (
+            self.cull_s
+            + self.project_s
+            + self.tile_s
+            + self.sort_s
+            + self.raster_s
+            + self.feedback_s
+        )
 
     def merge(self, other: "StageTimings") -> None:
         """Accumulate another frame's stage times into this total."""
@@ -125,6 +135,7 @@ class StageTimings:
         self.tile_s += other.tile_s
         self.sort_s += other.sort_s
         self.raster_s += other.raster_s
+        self.feedback_s += other.feedback_s
 
     def as_dict(self) -> dict[str, float]:
         """Stage-name -> seconds mapping (JSON-friendly)."""
@@ -134,6 +145,7 @@ class StageTimings:
             "tile_s": self.tile_s,
             "sort_s": self.sort_s,
             "raster_s": self.raster_s,
+            "feedback_s": self.feedback_s,
             "total_s": self.total_s,
         }
 
@@ -209,14 +221,16 @@ class Renderer:
             subtile_size=self.subtile_size,
         )
         t5 = time.perf_counter()
+        self.strategy.observe_raster(frame_index, sorted_tiles, raster)
+        t6 = time.perf_counter()
         timings = StageTimings(
             cull_s=t1 - t0,
             project_s=t2 - t1,
             tile_s=t3 - t2,
             sort_s=t4 - t3,
             raster_s=t5 - t4,
+            feedback_s=t6 - t5,
         )
-        self.strategy.observe_raster(frame_index, sorted_tiles, raster)
         stats = FrameStats(
             frame_index=frame_index,
             num_gaussians=len(self.scene),

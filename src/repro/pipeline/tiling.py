@@ -258,6 +258,25 @@ class TileStream:
             raise ValueError("replacement values must align with the stream")
         return TileStream(num_tiles=self.num_tiles, values=values, offsets=self.offsets)
 
+    def resized(self, num_tiles: int) -> "TileStream":
+        """The first ``num_tiles`` segments, padded with empty ones if short."""
+        if num_tiles <= self.num_tiles:
+            offsets = self.offsets[: num_tiles + 1]
+        else:
+            pad = np.full(num_tiles - self.num_tiles, self.offsets[-1], dtype=np.int64)
+            offsets = np.concatenate([self.offsets, pad])
+        return TileStream(
+            num_tiles=num_tiles, values=self.values[: offsets[-1]], offsets=offsets
+        )
+
+    def compress(self, mask: np.ndarray) -> "TileStream":
+        """The entries where ``mask`` holds, each left in its own tile."""
+        kept = np.zeros(self.values.shape[0] + 1, dtype=np.int64)
+        np.cumsum(mask, out=kept[1:])
+        return TileStream(
+            num_tiles=self.num_tiles, values=self.values[mask], offsets=kept[self.offsets]
+        )
+
     # ------------------------------------------------------------------
     # Segmented algorithms
     # ------------------------------------------------------------------

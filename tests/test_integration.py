@@ -41,7 +41,7 @@ class TestNeoEndToEnd:
         last = records[-1]
         for tile in last.assignment.nonempty_tiles():
             assigned = set(last.assignment.tile_ids(tile).tolist())
-            table = neo.tables[tile].membership()
+            table = set(neo.table.ids_for(tile)[neo.table.valid_for(tile)].tolist())
             # The table may lag by one frame of churn, but overlap must be
             # high once the sequence warms up.
             overlap = len(assigned & table) / max(len(assigned), 1)

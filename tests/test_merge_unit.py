@@ -33,6 +33,18 @@ class TestMergeSorted:
         assert np.array_equal(keys, [1.0, 2.0, 2.0])
         assert np.array_equal(vals, [100, 200, 999])
 
+    def test_chunk_sorted_a_merges_as_a_stream(self):
+        # Single-pass Dynamic Partial Sorting leaves a table only
+        # chunk-sorted.  A streaming MSU+ emits 4.5 as soon as the a-side
+        # head (5) exceeds it, i.e. at position 1 — not where a binary
+        # search over the unsorted a-side would put it.
+        keys, vals = merge_sorted(
+            np.array([1.0, 5.0, 2.0, 3.0, 4.0, 6.0, 7.0]), np.arange(7),
+            np.array([4.5]), np.array([99]),
+        )
+        assert np.array_equal(keys, [1.0, 4.5, 5.0, 2.0, 3.0, 4.0, 6.0, 7.0])
+        assert np.array_equal(vals, [0, 99, 1, 2, 3, 4, 5, 6])
+
     def test_invalid_filter_a(self):
         keys, vals = merge_sorted(
             np.array([1.0, 2.0, 3.0]), np.array([1, 2, 3]),

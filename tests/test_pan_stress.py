@@ -51,7 +51,7 @@ class TestPanStress:
 
     def test_tables_never_accumulate_garbage(self, pan_run):
         neo, records, _ = pan_run
-        total_table = sum(len(t) for t in neo.tables.values())
+        total_table = len(neo.table)
         current_pairs = records[-1].stats.num_pairs
         # Lazy deletion lags one frame, so the tables may exceed the live
         # pair count slightly, but must not grow unboundedly.

@@ -59,8 +59,18 @@ class TestStageTimings:
             assert record.timings.total_s == (
                 record.timings.cull_s + record.timings.project_s
                 + record.timings.tile_s + record.timings.sort_s
-                + record.timings.raster_s
+                + record.timings.raster_s + record.timings.feedback_s
             )
+
+    def test_strategy_feedback_is_timed(self, small_scene, camera_path):
+        from repro.core import NeoSortStrategy
+
+        records = Renderer(small_scene, strategy=NeoSortStrategy()).render_sequence(
+            camera_path
+        )
+        for record in records:
+            assert record.timings.feedback_s > 0.0
+            assert record.timings.as_dict()["feedback_s"] == record.timings.feedback_s
 
     def test_aggregate_timings_sums_frames(self, small_scene, camera_path):
         from repro.pipeline.renderer import aggregate_timings

@@ -48,10 +48,10 @@ class TestReuseUpdate:
     def test_tables_match_rendered_tiles(self, neo_run):
         strategy, records, _ = neo_run
         last = records[-1]
-        for tile, table in strategy.tables.items():
+        for tile in range(strategy.table.num_tiles):
             rendered = last.sorted_tiles.ids_for(tile)
             # Everything rendered for a tile came from its table.
-            assert set(rendered.tolist()).issubset(set(table.ids.tolist()))
+            assert set(rendered.tolist()).issubset(set(strategy.table.ids_for(tile).tolist()))
 
     def test_churn_is_small(self, neo_run):
         strategy, _, _ = neo_run
@@ -75,7 +75,7 @@ class TestReuseUpdate:
         strategy = ReuseUpdateSorter()
         Renderer(small_scene, strategy=strategy).render(camera)
         strategy.reset()
-        assert not strategy.tables
+        assert len(strategy.table) == 0
         assert not strategy.frame_stats
 
 

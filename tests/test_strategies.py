@@ -127,3 +127,57 @@ class TestHierarchical:
             > 1.5 * neo.total_traffic().table_read
             + neo.total_traffic().table_write
         )
+
+
+class TestSharedHelpers:
+    """The closed-form traffic and the id->row replay, pinned to their loops."""
+
+    def test_full_sort_traffic_matches_full_sort(self, rng):
+        from repro.core.dynamic_partial_sort import PartialSortStats, full_sort
+        from repro.core.reuse_update import full_sort_traffic
+
+        occupancy = np.concatenate([[0, 1, 2, 3, 4, 5, 8, 9, 255, 256, 257, 1024, 1025],
+                                    rng.integers(0, 3000, 40)])
+        for chunk_size in (2, 3, 16, 256):
+            stats = PartialSortStats()
+            for n in occupancy:
+                full_sort(np.zeros(n), np.zeros(n, dtype=np.int64), chunk_size, stats)
+            traffic = full_sort_traffic(occupancy, chunk_size)
+            assert traffic.table_read == stats.bytes_read
+            assert traffic.table_write == stats.bytes_written
+            assert traffic.total_bytes == stats.bytes_read + stats.bytes_written
+
+    @staticmethod
+    def _assert_replay_matches_lookup(assignment, cached):
+        from repro.core.strategies import _replay_cached_order
+
+        got = _replay_cached_order(assignment, cached)
+        assert got.num_tiles == assignment.num_tiles
+        id_to_row = {int(g): i for i, g in enumerate(assignment.projected.ids)}
+        for tile in range(assignment.num_tiles):
+            if tile >= cached.num_tiles:
+                assert got.rows_for(tile).shape[0] == 0
+                continue
+            ids = cached.ids_for(tile)
+            keep = [i for i, g in enumerate(ids) if int(g) in id_to_row]
+            assert got.rows_for(tile).tolist() == [id_to_row[int(ids[i])] for i in keep]
+            assert np.array_equal(got.ids_for(tile), ids[keep])
+            assert np.array_equal(got.depths_for(tile), cached.depths_for(tile)[keep])
+
+    @pytest.mark.parametrize("lag", [1, 2])
+    def test_replay_matches_per_entry_lookup(self, small_scene, camera_path, lag):
+        records = Renderer(small_scene).render_sequence(camera_path)
+        for old, new in zip(records, records[lag:]):
+            self._assert_replay_matches_lookup(new.assignment, old.sorted_tiles)
+
+    def test_replay_across_a_grid_change(self, small_scene, camera_path):
+        from repro.scene import Camera
+
+        big = camera_path[0]
+        small = Camera.from_fov(width=96, height=54, fov_y_degrees=60.0,
+                                world_to_camera=big.world_to_camera, far=big.far)
+        renderer = Renderer(small_scene)
+        wide, narrow = renderer.render(big), renderer.render(small)
+        assert narrow.assignment.num_tiles < wide.assignment.num_tiles
+        self._assert_replay_matches_lookup(narrow.assignment, wide.sorted_tiles)
+        self._assert_replay_matches_lookup(wide.assignment, narrow.sorted_tiles)

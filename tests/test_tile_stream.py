@@ -156,6 +156,30 @@ class TestTileStreamGolden:
         with pytest.raises(ValueError):
             stream.with_values(np.zeros(5))
 
+    @pytest.mark.parametrize("shape,num_tiles,num_pairs", WORKLOADS)
+    @pytest.mark.parametrize("grow", [-3, 0, 4])
+    def test_resized_truncates_or_pads(self, shape, num_tiles, num_pairs, grow):
+        rng = np.random.default_rng(hash((shape, num_tiles, num_pairs)) % 2**32)
+        stream = TileStream.from_pairs(*_random_pairs(rng, num_tiles, num_pairs, shape),
+                                       num_tiles)
+        size = max(num_tiles + grow, 0)
+        resized = stream.resized(size)
+        assert resized.num_tiles == size
+        for tile in range(size):
+            want = stream.rows_for(tile) if tile < num_tiles else []
+            np.testing.assert_array_equal(resized.rows_for(tile), want)
+
+    @pytest.mark.parametrize("shape,num_tiles,num_pairs", WORKLOADS)
+    def test_compress_keeps_each_entry_in_its_tile(self, shape, num_tiles, num_pairs):
+        rng = np.random.default_rng(hash((shape, num_tiles, num_pairs)) % 2**32)
+        stream = TileStream.from_pairs(*_random_pairs(rng, num_tiles, num_pairs, shape),
+                                       num_tiles)
+        mask = rng.random(num_pairs) < 0.6
+        kept = stream.compress(mask)
+        for tile in range(num_tiles):
+            lo, hi = stream.offsets[tile], stream.offsets[tile + 1]
+            np.testing.assert_array_equal(kept.rows_for(tile), stream.values[lo:hi][mask[lo:hi]])
+
     def test_offset_validation(self):
         with pytest.raises(ValueError):
             TileStream(
