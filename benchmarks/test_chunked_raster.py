@@ -15,7 +15,8 @@ from repro.bench import run_benchmarks
 pytestmark = pytest.mark.slow
 
 PIPELINE_BENCHES = (
-    "raster_chunked", "sort_batched", "order_metrics", "render_sequence", "neo_sort"
+    "raster_chunked", "sort_batched", "order_metrics", "render_sequence", "neo_sort",
+    "workload_extract",
 )
 
 

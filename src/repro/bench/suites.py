@@ -367,6 +367,50 @@ def bench_hw_system(quick: bool) -> BenchRecord:
 
 
 @register_bench(
+    "workload_extract",
+    "row-run pair kernel + one-intersection churn vs the per-candidate scalar extraction",
+)
+def bench_workload_extract(quick: bool) -> BenchRecord:
+    from ..hw import reference as hw_ref
+    from ..hw.workload import WorkloadModel
+
+    # The workload of one cold ``simulate`` figure batch; quick keeps it so
+    # the trend gate compares like with like, and only times fewer repeats.
+    num_frames = 4
+    configs = [(res, tile) for res in ("hd", "qhd") for tile in (16, 64)]
+    captured = WorkloadModel.from_scene(BENCH_SCENE, num_frames=num_frames)
+
+    def extract_cold():
+        # A fresh model has empty caches, as after a new capture.
+        wm = WorkloadModel(
+            frames=captured.frames,
+            capture_width=captured.capture_width,
+            capture_height=captured.capture_height,
+            count_scale=captured.count_scale,
+            functional_gaussians=captured.functional_gaussians,
+        )
+        return [wm.sequence_workloads(res, tile) for res, tile in configs]
+
+    repeats = 2 if quick else 5
+    base_s, base_out = _best_of(
+        lambda: [
+            hw_ref.scalar_sequence_workloads(captured, res, tile) for res, tile in configs
+        ],
+        repeats,
+    )
+    opt_s, opt_out = _best_of(extract_cold, repeats)
+    return BenchRecord(
+        quick=quick,
+        baseline_ms=base_s * 1e3,
+        optimized_ms=opt_s * 1e3,
+        speedup=base_s / opt_s if opt_s else float("inf"),
+        floor=1.5,
+        identical=opt_out == base_out,
+        detail={"frames": num_frames, "configs": [list(c) for c in configs]},
+    )
+
+
+@register_bench(
     "order_differences",
     "segmented intersect + ECDF order differences vs the per-tile interp loop",
 )

@@ -83,7 +83,8 @@ from .sorting_engine import (
     chunk_compute_cycles,
 )
 from .system import SystemModel
-from .workload import FrameWorkload, WorkloadModel, pair_lists
+from ..pipeline.tiling import TileStream
+from .workload import FrameWorkload, WorkloadModel
 
 
 # ----------------------------------------------------------------------
@@ -310,8 +311,9 @@ def scalar_simulate(
 # (``_pair_keys`` / ``_churn_counts`` / ``shared_fraction_per_tile`` /
 # ``order_differences``) exactly as they existed before the tile-stream
 # segmented rewrite.  They rebuild the per-Gaussian pair lists directly from
-# ``pair_lists`` on the model's scaled geometry, so they are independent of
-# the model's stream cache.
+# the frozen ``scalar_pair_lists`` on the model's scaled geometry, so they
+# are independent of the model's stream cache and of the shared row-run
+# kernel.
 
 
 def _depth_percentile(query: np.ndarray, population: np.ndarray) -> np.ndarray:
@@ -339,12 +341,159 @@ def _group_by_tile(tiles: np.ndarray, rows: np.ndarray) -> dict[int, np.ndarray]
     return out
 
 
+def scalar_pair_lists(
+    means2d: np.ndarray,
+    radii: np.ndarray,
+    width: int,
+    height: int,
+    tile_size: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Compute (tile, Gaussian-row) duplication pairs for given geometry.
+
+    The per-candidate expansion as it stood before the row-run kernel
+    (:func:`repro.pipeline.tiling.pair_lists`): every bbox cell is repeated,
+    divided and modded out of one flat index, then circle-tested on its own.
+    """
+    m = means2d.shape[0]
+    if m == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    tiles_x = -(-width // tile_size)
+    tiles_y = -(-height // tile_size)
+    x, y, r = means2d[:, 0], means2d[:, 1], radii
+
+    tx0 = np.clip(np.floor((x - r) / tile_size).astype(np.int64), 0, tiles_x - 1)
+    ty0 = np.clip(np.floor((y - r) / tile_size).astype(np.int64), 0, tiles_y - 1)
+    tx1 = np.clip(np.floor((x + r) / tile_size).astype(np.int64), -1, tiles_x - 1)
+    ty1 = np.clip(np.floor((y + r) / tile_size).astype(np.int64), -1, tiles_y - 1)
+    off = (x + r < 0) | (y + r < 0) | (x - r >= width) | (y - r >= height)
+    tx1[off] = tx0[off] - 1
+
+    nx = np.maximum(tx1 - tx0 + 1, 0)
+    ny = np.maximum(ty1 - ty0 + 1, 0)
+    counts = nx * ny
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+
+    rows = np.repeat(np.arange(m, dtype=np.int64), counts)
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    local = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
+    nx_rep = np.repeat(np.maximum(nx, 1), counts)
+    dx = local % nx_rep
+    dy = local // nx_rep
+    tiles = (np.repeat(ty0, counts) + dy) * tiles_x + np.repeat(tx0, counts) + dx
+
+    # Exact circle-vs-rect refinement.
+    tile_px = (tiles % tiles_x) * tile_size
+    tile_py = (tiles // tiles_x) * tile_size
+    cx = x[rows]
+    cy = y[rows]
+    rr = r[rows]
+    qx = np.clip(cx, tile_px, np.minimum(tile_px + tile_size, width))
+    qy = np.clip(cy, tile_py, np.minimum(tile_py + tile_size, height))
+    keep = (qx - cx) ** 2 + (qy - cy) ** 2 <= rr * rr
+    return tiles[keep], rows[keep]
+
+
 def _scalar_frame_pairs(
     model: WorkloadModel, frame: int, width: int, height: int, tile_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-Gaussian (tile, row) pair lists, bypassing the stream cache."""
     means2d, radii = model.scaled_geometry(frame, (width, height))
-    return pair_lists(means2d, radii, width, height, tile_size)
+    return scalar_pair_lists(means2d, radii, width, height, tile_size)
+
+
+def _scalar_frame_stream(
+    model: WorkloadModel, frame: int, width: int, height: int, tile_size: int
+) -> TileStream:
+    """The frame's pairs grouped by tile with an int64 stable argsort."""
+    tiles, rows = _scalar_frame_pairs(model, frame, width, height, tile_size)
+    num_tiles = (-(-width // tile_size)) * (-(-height // tile_size))
+    if tiles.shape[0] == 0:
+        return TileStream.empty(num_tiles)
+    order = np.argsort(tiles, kind="stable")
+    offsets = np.searchsorted(tiles[order], np.arange(num_tiles + 1))
+    return TileStream(num_tiles=num_tiles, values=rows[order], offsets=offsets)
+
+
+def _scalar_stream_keys(
+    model: WorkloadModel, frame: int, width: int, height: int, tile_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(stream-order keys, sorted keys) of a frame's (tile, ID) pairs."""
+    stream = _scalar_frame_stream(model, frame, width, height, tile_size)
+    keys = stream.tile_of() * (1 << 32) + model.frames[frame].ids[stream.values]
+    return keys, np.sort(keys)
+
+
+def _scalar_membership_count(keys: np.ndarray, table_sorted: np.ndarray) -> int:
+    """Number of ``keys`` present in a pre-sorted key table."""
+    if table_sorted.shape[0] == 0:
+        return 0
+    pos = np.searchsorted(table_sorted, keys)
+    safe = np.minimum(pos, table_sorted.shape[0] - 1)
+    return int(np.count_nonzero(table_sorted[safe] == keys))
+
+
+def scalar_frame_workload(
+    model: WorkloadModel, frame: int, resolution, tile_size: int
+) -> FrameWorkload:
+    """Paper-scale workload for one frame, extracted as before the shared kernel.
+
+    Pairs come from :func:`scalar_pair_lists`, grouping from an int64 stable
+    argsort, and churn from two sorted-table memberships per frame pair
+    (incoming: current keys absent from the previous frame; outgoing: the
+    reverse).  Nothing is cached.
+    """
+    width, height = model._resolve(resolution)
+    stream = _scalar_frame_stream(model, frame, width, height, tile_size)
+    geo = model.frames[frame]
+    num_tiles = stream.num_tiles
+
+    occupancy = stream.counts()
+    nonempty = int(np.count_nonzero(occupancy))
+    pairs_f = stream.num_pairs
+
+    if frame == 0:
+        incoming_f, outgoing_f = 0, 0
+    else:
+        cur, cur_sorted = _scalar_stream_keys(model, frame, width, height, tile_size)
+        prev, prev_sorted = _scalar_stream_keys(model, frame - 1, width, height, tile_size)
+        incoming_f = cur.shape[0] - _scalar_membership_count(cur, prev_sorted)
+        outgoing_f = prev.shape[0] - _scalar_membership_count(prev, cur_sorted)
+
+    scale = model.count_scale
+    mean_occ = (pairs_f / nonempty * scale) if nonempty else 0.0
+    chunk_size = 256
+    scaled_occ = (occupancy[occupancy > 0] * scale).astype(np.int64)
+    chunks = int((-(-scaled_occ // chunk_size)).sum())
+    scale_px = height / model.capture_height
+    mean_radius = float(geo.radii.mean()) * scale_px if geo.num_visible else 0.0
+    return FrameWorkload(
+        frame_index=frame,
+        width=width,
+        height=height,
+        tile_size=tile_size,
+        num_gaussians=model.functional_gaussians * scale,
+        visible=geo.num_visible * scale,
+        pairs=pairs_f * scale,
+        incoming_pairs=incoming_f * scale,
+        outgoing_pairs=outgoing_f * scale,
+        nonempty_tiles=nonempty,
+        num_tiles=num_tiles,
+        mean_occupancy=mean_occ,
+        chunks=float(chunks),
+        mean_radius_px=mean_radius,
+    )
+
+
+def scalar_sequence_workloads(
+    model: WorkloadModel, resolution, tile_size: int
+) -> list[FrameWorkload]:
+    """:func:`scalar_frame_workload` for every captured frame."""
+    return [
+        scalar_frame_workload(model, i, resolution, tile_size)
+        for i in range(model.num_frames)
+    ]
 
 
 def scalar_pair_keys(

@@ -15,6 +15,23 @@ radii and depths, and those re-scale analytically:
 :class:`WorkloadModel` captures per-frame geometry once (culling +
 projection only — no rasterization) and answers pair counts, occupancy,
 churn, and order-difference queries for any (resolution, tile size).
+
+Extraction is one pass per (frame, resolution, tile size), cached three
+ways — the tile stream, the (tile, ID) keys and the :class:`FrameWorkload`
+itself — so systems that share a configuration pay for it once:
+
+* pairs come from :func:`repro.pipeline.tiling.pair_lists`, the same kernel
+  the functional pipeline's ``assign_to_tiles`` runs.  It tests circle
+  against tile on *row runs*: ``dy^2`` and ``r^2`` once per (Gaussian, tile
+  row), ``dx^2`` once per (Gaussian, tile column), and only the sum and
+  compare per candidate pair;
+* churn is one intersection per frame pair.  A frame's keys are unique, so
+  with ``shared`` the keys both frames hold, incoming is ``|cur| - shared``
+  and outgoing is ``|prev| - shared``.
+
+The pre-kernel expansion and the two-membership churn are frozen in
+:mod:`repro.hw.reference` (``scalar_pair_lists``,
+``scalar_frame_workload``) and pinned bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +42,7 @@ import numpy as np
 
 from ..pipeline.culling import frustum_cull
 from ..pipeline.projection import project_gaussians
-from ..pipeline.tiling import TileStream, _warn_deprecated
+from ..pipeline.tiling import TileStream, pair_lists
 from ..scene.camera import Camera, resolution as named_resolution
 from ..scene.datasets import default_trajectory, load_scene, scene_spec
 from ..scene.gaussians import GaussianScene
@@ -103,60 +120,6 @@ class FrameWorkload:
         return 1.0 - self.churn_fraction
 
 
-def pair_lists(
-    means2d: np.ndarray,
-    radii: np.ndarray,
-    width: int,
-    height: int,
-    tile_size: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Compute (tile, Gaussian-row) duplication pairs for given geometry.
-
-    Same geometry as :func:`repro.pipeline.tiling.assign_to_tiles` (bbox
-    expansion refined by an exact circle-vs-tile test) but standalone, so it
-    can run on analytically re-scaled coordinates.
-    """
-    m = means2d.shape[0]
-    if m == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    tiles_x = -(-width // tile_size)
-    tiles_y = -(-height // tile_size)
-    x, y, r = means2d[:, 0], means2d[:, 1], radii
-
-    tx0 = np.clip(np.floor((x - r) / tile_size).astype(np.int64), 0, tiles_x - 1)
-    ty0 = np.clip(np.floor((y - r) / tile_size).astype(np.int64), 0, tiles_y - 1)
-    tx1 = np.clip(np.floor((x + r) / tile_size).astype(np.int64), -1, tiles_x - 1)
-    ty1 = np.clip(np.floor((y + r) / tile_size).astype(np.int64), -1, tiles_y - 1)
-    off = (x + r < 0) | (y + r < 0) | (x - r >= width) | (y - r >= height)
-    tx1[off] = tx0[off] - 1
-
-    nx = np.maximum(tx1 - tx0 + 1, 0)
-    ny = np.maximum(ty1 - ty0 + 1, 0)
-    counts = nx * ny
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-
-    rows = np.repeat(np.arange(m, dtype=np.int64), counts)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    local = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-    nx_rep = np.repeat(np.maximum(nx, 1), counts)
-    dx = local % nx_rep
-    dy = local // nx_rep
-    tiles = (np.repeat(ty0, counts) + dy) * tiles_x + np.repeat(tx0, counts) + dx
-
-    # Exact circle-vs-rect refinement.
-    tile_px = (tiles % tiles_x) * tile_size
-    tile_py = (tiles // tiles_x) * tile_size
-    cx = x[rows]
-    cy = y[rows]
-    rr = r[rows]
-    qx = np.clip(cx, tile_px, np.minimum(tile_px + tile_size, width))
-    qy = np.clip(cy, tile_py, np.minimum(tile_py + tile_size, height))
-    keep = (qx - cx) ** 2 + (qy - cy) ** 2 <= rr * rr
-    return tiles[keep], rows[keep]
-
-
 class WorkloadModel:
     """Per-frame geometry capture plus scaled workload queries.
 
@@ -195,9 +158,11 @@ class WorkloadModel:
         self.scene_name = scene_name
         # (frame, width, height, tile_size) -> TileStream of Gaussian rows.
         self._stream_cache: dict[tuple[int, int, int, int], TileStream] = {}
-        # Same key -> ((tile, ID) keys in stream order, sorted copy).  Built
-        # once per configuration so churn/retention queries never re-sort.
-        self._key_cache: dict[tuple[int, int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+        # Same key -> the frame's (tile, ID) keys in stream order.
+        self._key_cache: dict[tuple[int, int, int, int], np.ndarray] = {}
+        # Same key -> FrameWorkload, so systems sharing a configuration (GSCore
+        # and Orin both tile at 16 px) extract it once.
+        self._workload_cache: dict[tuple[int, int, int, int], FrameWorkload] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -301,24 +266,19 @@ class WorkloadModel:
             )
         return self._stream_cache[key]
 
-    def frame_pairs(
-        self, frame: int, resolution: str | tuple[int, int], tile_size: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Deprecated pair-list accessor; use :meth:`frame_stream`.
-
-        Returns ``(tiles, rows)`` in the stream's tile-grouped order (the
-        historical order was per-Gaussian; all counting/set queries are
-        order-invariant).
-        """
-        _warn_deprecated("WorkloadModel.frame_pairs", "WorkloadModel.frame_stream")
-        stream = self.frame_stream(frame, resolution, tile_size)
-        return stream.tile_of(), stream.values
-
     def frame_workload(
         self, frame: int, resolution: str | tuple[int, int], tile_size: int
     ) -> FrameWorkload:
-        """Paper-scale workload for one frame at one configuration."""
+        """Paper-scale workload for one frame at one configuration (cached)."""
         width, height = self._resolve(resolution)
+        key = (frame, width, height, tile_size)
+        if key not in self._workload_cache:
+            self._workload_cache[key] = self._frame_workload(frame, width, height, tile_size)
+        return self._workload_cache[key]
+
+    def _frame_workload(
+        self, frame: int, width: int, height: int, tile_size: int
+    ) -> FrameWorkload:
         stream = self.frame_stream(frame, (width, height), tile_size)
         geo = self.frames[frame]
         num_tiles = stream.num_tiles
@@ -369,37 +329,34 @@ class WorkloadModel:
     def _pair_keys(
         self, frame: int, resolution: tuple[int, int], tile_size: int
     ) -> np.ndarray:
-        """Unique (tile, global-ID) keys for a frame's pairs (stream order)."""
-        return self._key_tables(frame, resolution, tile_size)[0]
+        """Unique (tile, global-ID) keys for a frame's pairs (stream order), cached.
 
-    def _key_tables(
-        self, frame: int, resolution: tuple[int, int], tile_size: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(stream-order keys, sorted keys) for a frame's pairs, cached.
-
-        The sorted table is what makes every membership query below a binary
-        search instead of an ``np.isin`` re-sort per frame pair.
+        Stream order is tile-major, and projection keeps IDs ascending, so the
+        keys usually come out sorted already — which the sorts below exploit.
         """
         width, height = self._resolve(resolution)
         key = (frame, width, height, tile_size)
         if key not in self._key_cache:
             stream = self.frame_stream(frame, (width, height), tile_size)
             ids = self.frames[frame].ids[stream.values]
-            keys = stream.tile_of() * (1 << 32) + ids
-            self._key_cache[key] = (keys, np.sort(keys))
+            self._key_cache[key] = stream.tile_of() * (1 << 32) + ids
         return self._key_cache[key]
 
     def _churn_counts(
         self, frame: int, resolution: tuple[int, int], tile_size: int
     ) -> tuple[int, int]:
-        """(incoming, outgoing) pair counts vs. the previous frame."""
+        """(incoming, outgoing) pair counts vs. the previous frame.
+
+        Each frame's keys are unique, so one intersection gives both: the
+        ``shared`` pairs are the current frame's retained pairs and the
+        previous frame's surviving ones.
+        """
         if frame == 0:
             return 0, 0
-        cur, cur_sorted = self._key_tables(frame, resolution, tile_size)
-        prev, prev_sorted = self._key_tables(frame - 1, resolution, tile_size)
-        incoming = cur.shape[0] - _membership_count(cur, prev_sorted)
-        outgoing = prev.shape[0] - _membership_count(prev, cur_sorted)
-        return incoming, outgoing
+        cur = self._pair_keys(frame, resolution, tile_size)
+        prev = self._pair_keys(frame - 1, resolution, tile_size)
+        shared = _shared_count(cur, prev)
+        return cur.shape[0] - shared, prev.shape[0] - shared
 
     def shared_fraction_per_tile(
         self, frame: int, resolution: str | tuple[int, int], tile_size: int
@@ -412,9 +369,9 @@ class WorkloadModel:
             raise ValueError("frame 0 has no predecessor")
         width, height = self._resolve(resolution)
         prev_stream = self.frame_stream(frame - 1, (width, height), tile_size)
-        prev_keys, _ = self._key_tables(frame - 1, (width, height), tile_size)
-        _, cur_sorted = self._key_tables(frame, (width, height), tile_size)
-        retained = _membership(prev_keys, cur_sorted)
+        prev_keys = self._pair_keys(frame - 1, (width, height), tile_size)
+        cur_keys = self._pair_keys(frame, (width, height), tile_size)
+        retained = _membership(prev_keys, np.sort(cur_keys, kind="stable"))
 
         # Retained counts are exact 0/1 sums, so the per-tile sum/size
         # division reproduces the historical per-tile ``mean()`` bit-for-bit;
@@ -501,9 +458,16 @@ def _membership(keys: np.ndarray, table_sorted: np.ndarray) -> np.ndarray:
     return table_sorted[safe] == keys
 
 
-def _membership_count(keys: np.ndarray, table_sorted: np.ndarray) -> int:
-    """Number of ``keys`` present in a pre-sorted key table."""
-    return int(np.count_nonzero(_membership(keys, table_sorted)))
+def _shared_count(a: np.ndarray, b: np.ndarray) -> int:
+    """Keys common to two arrays of unique keys.
+
+    A shared key is the only way two neighbours of the merged, sorted keys
+    can be equal.  The stable sort is a timsort, so when both inputs are
+    sorted runs it is one linear merge.
+    """
+    both = np.concatenate([a, b])
+    both.sort(kind="stable")
+    return int(np.count_nonzero(both[1:] == both[:-1]))
 
 
 def _segmented_ecdf(

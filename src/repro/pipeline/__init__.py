@@ -43,6 +43,7 @@ from .tiling import (
     TileAssignment,
     TileGrid,
     assign_to_tiles,
+    pair_lists,
     tile_ranges,
 )
 
@@ -78,6 +79,7 @@ __all__ = [
     "is_depth_sorted",
     "kendall_tau_distance",
     "order_quality",
+    "pair_lists",
     "project_gaussians",
     "rasterize",
     "rasterize_tile",

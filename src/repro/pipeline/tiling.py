@@ -6,6 +6,11 @@ per-tile (Gaussian ID, depth) lists produced here are the input to all
 sorting strategies, and the tile-Gaussian *pair count* is the quantity that
 drives the sorting stage's DRAM traffic in the hardware model.
 
+**Duplication kernel.**  :func:`pair_lists` is the one implementation of the
+expansion: the functional pipeline (:func:`assign_to_tiles`) and the
+hardware workload model (:mod:`repro.hw.workload`) both call it.  It tests
+each splat's circle against its bbox tiles on row runs (see its docstring).
+
 **Tile-stream layout.**  Per-tile data is stored as one flat
 :class:`TileStream` — a ``values`` array holding every tile-Gaussian pair
 grouped by tile, plus a ``num_tiles + 1`` ``offsets`` array marking the
@@ -192,12 +197,15 @@ class TileStream:
         """Build a stream from parallel ``(tile, value)`` pair arrays.
 
         Pairs are grouped by tile with a *stable* sort, so ties preserve the
-        input pair order within each tile.
+        input pair order within each tile.  A stable sort's permutation is
+        unique, so when every tile index fits in 16 bits the sort runs on a
+        ``uint16`` copy of the tile column, which NumPy radix-sorts.
         """
         if tiles.shape[0] == 0:
             return cls.empty(num_tiles, dtype=values.dtype)
         xp = _XP()
-        order = xp.argsort(tiles, kind="stable")
+        sort_keys = tiles.astype(np.uint16) if num_tiles <= 1 << 16 else tiles
+        order = xp.argsort(sort_keys, kind="stable")
         tiles_sorted = tiles[order]
         offsets = xp.searchsorted(tiles_sorted, np.arange(num_tiles + 1))
         return cls(num_tiles=num_tiles, values=values[order], offsets=offsets)
@@ -405,66 +413,122 @@ def tile_ranges(
     Returns ``(tx0, tx1, ty0, ty1)`` clipped to the grid; a Gaussian fully
     outside the image yields an empty range (``tx1 < tx0``).
     """
-    x = projected.means2d[:, 0]
-    y = projected.means2d[:, 1]
-    r = projected.radii
-    ts = grid.tile_size
-    tx0 = np.floor((x - r) / ts).astype(np.int64)
-    tx1 = np.floor((x + r) / ts).astype(np.int64)
-    ty0 = np.floor((y - r) / ts).astype(np.int64)
-    ty1 = np.floor((y + r) / ts).astype(np.int64)
-    np.clip(tx0, 0, grid.tiles_x - 1, out=tx0)
-    np.clip(ty0, 0, grid.tiles_y - 1, out=ty0)
+    return _tile_bounds(
+        projected.means2d, projected.radii, grid.width, grid.height, grid.tile_size
+    )
+
+
+def _tile_bounds(
+    means2d: np.ndarray, radii: np.ndarray, width: int, height: int, tile_size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`tile_ranges` over raw geometry (splat centers and radii)."""
+    x, y, r = means2d[:, 0], means2d[:, 1], radii
+    tiles_x = -(-width // tile_size)
+    tiles_y = -(-height // tile_size)
+    tx0 = np.floor((x - r) / tile_size).astype(np.int64)
+    tx1 = np.floor((x + r) / tile_size).astype(np.int64)
+    ty0 = np.floor((y - r) / tile_size).astype(np.int64)
+    ty1 = np.floor((y + r) / tile_size).astype(np.int64)
+    np.clip(tx0, 0, tiles_x - 1, out=tx0)
+    np.clip(ty0, 0, tiles_y - 1, out=ty0)
     # Upper bounds clip to -1 below zero so off-screen splats produce empty
     # ranges instead of wrapping into tile 0.
-    np.clip(tx1, -1, grid.tiles_x - 1, out=tx1)
-    np.clip(ty1, -1, grid.tiles_y - 1, out=ty1)
-    off = (x + r < 0) | (y + r < 0) | (x - r >= grid.width) | (y - r >= grid.height)
+    np.clip(tx1, -1, tiles_x - 1, out=tx1)
+    np.clip(ty1, -1, tiles_y - 1, out=ty1)
+    off = (x + r < 0) | (y + r < 0) | (x - r >= width) | (y - r >= height)
     tx1[off] = tx0[off] - 1
     return tx0, tx1, ty0, ty1
 
 
-def assign_to_tiles(projected: ProjectedGaussians, grid: TileGrid) -> TileAssignment:
-    """Duplicate projected Gaussians into every tile their bbox overlaps."""
-    m = len(projected)
-    if m == 0:
-        return TileAssignment(
-            grid=grid, stream=TileStream.empty(grid.num_tiles), projected=projected
-        )
+def _segment_starts(counts: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sum: where each segment of ``counts`` starts."""
+    starts = np.zeros(counts.shape[0], dtype=np.int64)
+    _XP().cumsum(counts[:-1], out=starts[1:])
+    return starts
 
+
+def pair_lists(
+    means2d: np.ndarray,
+    radii: np.ndarray,
+    width: int,
+    height: int,
+    tile_size: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(tiles, rows)`` duplication pairs: Gaussian ``rows[k]`` in ``tiles[k]``.
+
+    Every splat's bbox tile rectangle (:func:`tile_ranges`) is refined by an
+    exact circle-vs-tile-rectangle test.  This matches the Rasterization
+    Engine's ITU geometry (a circle overlaps a tile iff it overlaps one of
+    the subtiles partitioning it), so a Gaussian assigned here is never
+    immediately invalidated by the ITU.  Pairs come Gaussian-major, then
+    row-major within each Gaussian's rectangle; both arrays are int64.
+
+    The test splits as ``dx^2 + dy^2 <= r^2``, where ``dx`` depends only on
+    the tile column and ``dy`` only on the tile row.  So ``dx^2`` is computed
+    once per (Gaussian, tile column) and ``dy^2`` and ``r^2`` once per
+    *row run* — one (Gaussian, tile row) — and each run expands across its
+    Gaussian's columns for the sum and compare alone.  Every float is the
+    same operand in the same operation as a per-candidate test, so the
+    result is bit-identical to it (pinned against the frozen
+    :func:`repro.hw.reference.scalar_pair_lists`).  Takes raw geometry so the
+    workload model can run it on analytically re-scaled coordinates.
+    """
     xp = _XP()
-    tx0, tx1, ty0, ty1 = tile_ranges(projected, grid)
+    x, y = means2d[:, 0], means2d[:, 1]
+    tiles_x = -(-width // tile_size)
+    tx0, tx1, ty0, ty1 = _tile_bounds(means2d, radii, width, height, tile_size)
     nx = xp.maximum(tx1 - tx0 + 1, 0)
     ny = xp.maximum(ty1 - ty0 + 1, 0)
-    counts = nx * ny
-    total = int(counts.sum())
+    # A rectangle empty in one axis has no cells in the other either.
+    live = (nx > 0) & (ny > 0)
+    nx *= live
+    ny *= live
+    gaussians = np.arange(means2d.shape[0], dtype=np.int64)
 
-    rows = xp.repeat(np.arange(m, dtype=np.int64), counts)
-    # Per-pair offset within each Gaussian's tile rectangle.
-    starts = np.concatenate([[0], xp.cumsum(counts)[:-1]])
-    local = np.arange(total, dtype=np.int64) - xp.repeat(starts, counts)
-    nx_rep = xp.repeat(xp.maximum(nx, 1), counts)
-    dx = local % nx_rep
-    dy = local // nx_rep
-    tiles = (xp.repeat(ty0, counts) + dy) * grid.tiles_x + xp.repeat(tx0, counts) + dx
+    # Column cells: dx^2 of each Gaussian against each of its tile columns.
+    col_start = _segment_starts(nx)
+    col_g = xp.repeat(gaussians, nx)
+    col_px = (
+        np.arange(col_g.shape[0], dtype=np.int64) - xp.repeat(col_start - tx0, nx)
+    ) * tile_size
+    cx = x[col_g]
+    qx = xp.clip(cx, col_px, xp.minimum(col_px + tile_size, width))
+    dx2 = (qx - cx) ** 2
 
-    # Refine the bbox expansion with an exact circle-vs-tile-rectangle test.
-    # This matches the Rasterization Engine's ITU geometry (a circle overlaps
-    # a tile iff it overlaps one of the subtiles partitioning it), so a
-    # Gaussian assigned here is never immediately invalidated by the ITU.
-    tile_x = (tiles % grid.tiles_x) * grid.tile_size
-    tile_y = (tiles // grid.tiles_x) * grid.tile_size
-    cx = projected.means2d[rows, 0]
-    cy = projected.means2d[rows, 1]
-    r = projected.radii[rows]
-    qx = xp.clip(cx, tile_x, xp.minimum(tile_x + grid.tile_size, grid.width))
-    qy = xp.clip(cy, tile_y, xp.minimum(tile_y + grid.tile_size, grid.height))
-    overlap = (qx - cx) ** 2 + (qy - cy) ** 2 <= r * r
-    tiles = tiles[overlap]
-    rows = rows[overlap]
+    # Row runs: dy^2 and r^2 once per (Gaussian, tile row).
+    run_g = xp.repeat(gaussians, ny)
+    num_runs = run_g.shape[0]
+    if num_runs == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    run_ty = np.arange(num_runs, dtype=np.int64) - xp.repeat(_segment_starts(ny) - ty0, ny)
+    run_py = run_ty * tile_size
+    cy = y[run_g]
+    qy = xp.clip(cy, run_py, xp.minimum(run_py + tile_size, height))
+    dy2 = (qy - cy) ** 2
+    rr = (radii * radii)[run_g]
 
-    # The stable group-by-tile *is* the stream construction: offsets fall out
-    # of one searchsorted over the sorted tile column — no per-tile list
-    # build.
+    # Candidates: every run expanded across its Gaussian's columns.
+    run_nx = nx[run_g]
+    run_start = _segment_starts(run_nx)
+    cand_run = xp.repeat(np.arange(num_runs, dtype=np.int64), run_nx)
+    cand = np.arange(cand_run.shape[0], dtype=np.int64)
+    cand_col = (col_start[run_g] - run_start)[cand_run] + cand
+    kept = np.flatnonzero(dx2[cand_col] + dy2[cand_run] <= rr[cand_run])
+    kept_run = cand_run[kept]
+    tiles = (run_ty * tiles_x + tx0[run_g] - run_start)[kept_run] + kept
+    return tiles, run_g[kept_run]
+
+
+def assign_to_tiles(projected: ProjectedGaussians, grid: TileGrid) -> TileAssignment:
+    """Duplicate projected Gaussians into every tile they overlap.
+
+    The pairs come from :func:`pair_lists` — the same kernel the hardware
+    workload model runs — and the stable group-by-tile *is* the stream
+    construction: offsets fall out of one searchsorted over the sorted tile
+    column, with no per-tile list build.
+    """
+    tiles, rows = pair_lists(
+        projected.means2d, projected.radii, grid.width, grid.height, grid.tile_size
+    )
     stream = TileStream.from_pairs(tiles, rows, grid.num_tiles)
     return TileAssignment(grid=grid, stream=stream, projected=projected)

@@ -1,0 +1,174 @@
+"""Bit-identity pins for the shared tile-pair kernel and workload extraction.
+
+:func:`repro.pipeline.tiling.pair_lists` (row runs) must equal the frozen
+per-candidate expansion :func:`repro.hw.reference.scalar_pair_lists` bit for
+bit — tiles, rows, dtypes and order — and every :class:`FrameWorkload`
+field must equal the frozen :func:`repro.hw.reference.scalar_frame_workload`
+(per-candidate pairs, int64 grouping, two-membership churn).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.hw.reference as hw_ref
+import repro.hw.workload as workload_mod
+from repro.hw.workload import WorkloadModel, _shared_count
+from repro.pipeline.projection import project_gaussians
+from repro.pipeline.tiling import TileGrid, TileStream, assign_to_tiles, pair_lists
+
+
+@pytest.fixture(scope="module")
+def workload_model():
+    return WorkloadModel.from_scene("family", num_frames=3, num_gaussians=1200)
+
+
+#: The pins of ``tests/test_stream_reference.py`` plus every simulate config
+#: (Neo tiles at 64 px; GSCore and Orin at 16 px).
+CONFIGS = [
+    ((160, 90), 32),
+    ((320, 180), 64),
+    ("hd", 16),
+    ("hd", 64),
+    ("qhd", 16),
+    ("qhd", 64),
+]
+
+
+def assert_pairs_identical(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.int64
+        np.testing.assert_array_equal(g, w)
+
+
+class TestKernelMatchesScalar:
+    @pytest.mark.parametrize("resolution", ["hd", "qhd"])
+    @pytest.mark.parametrize("tile_size", [8, 16, 64])
+    def test_captured_frames(self, workload_model, resolution, tile_size):
+        width, height = workload_model._resolve(resolution)
+        for frame in range(workload_model.num_frames):
+            means2d, radii = workload_model.scaled_geometry(frame, resolution)
+            args = (means2d, radii, width, height, tile_size)
+            assert_pairs_identical(pair_lists(*args), hw_ref.scalar_pair_lists(*args))
+
+    @pytest.mark.parametrize(
+        "means,radii",
+        [
+            # Fully off-screen on every side, and just past the far edges.
+            ([[-50, -50], [200, 40], [40, 200], [64, 10], [10, 64]], [2, 3, 3, 0.0, 0.0]),
+            # Zero radius: on a tile corner, an edge, inside, and on the image edge.
+            ([[16, 16], [16, 5], [5, 5], [0, 0], [63.999, 63.999]], [0.0] * 5),
+            # Straddling tile edges and the image border; a splat larger than the image.
+            ([[15.5, 16.5], [-1, 30], [62, 62], [32, 32], [31.9, 48.1]], [1, 2, 5, 100, 0.5]),
+        ],
+    )
+    @pytest.mark.parametrize("tile_size", [8, 16, 64])
+    def test_edge_cases(self, means, radii, tile_size):
+        args = (np.asarray(means, dtype=np.float64), np.asarray(radii, dtype=np.float64))
+        for width, height in [(64, 64), (60, 50)]:
+            got = pair_lists(*args, width, height, tile_size)
+            want = hw_ref.scalar_pair_lists(*args, width, height, tile_size)
+            assert_pairs_identical(got, want)
+
+    def test_empty_and_all_offscreen(self):
+        for means, radii in [(np.zeros((0, 2)), np.zeros(0)), ([[-9.0, -9.0]], [1.0])]:
+            got = pair_lists(np.asarray(means), np.asarray(radii), 64, 64, 16)
+            assert_pairs_identical(got, (np.empty(0, np.int64), np.empty(0, np.int64)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 40),
+        st.sampled_from([4, 8, 16, 64]),
+        st.integers(16, 200),
+        st.integers(16, 200),
+        st.floats(0.0, 60.0),
+    )
+    def test_random_geometry(self, seed, count, tile_size, width, height, max_radius):
+        rng = np.random.default_rng(seed)
+        means = rng.uniform(-0.3, 1.3, size=(count, 2)) * [width, height]
+        radii = rng.uniform(0.0, max_radius, size=count)
+        # Snap some centers onto tile boundaries so ties get exercised.
+        snap = rng.random(count) < 0.3
+        means[snap] = np.round(means[snap] / tile_size) * tile_size
+        args = (means, radii, width, height, tile_size)
+        assert_pairs_identical(pair_lists(*args), hw_ref.scalar_pair_lists(*args))
+
+
+class TestAssignToTiles:
+    @pytest.mark.parametrize("tile_size", [8, 16, 64])
+    def test_stream_equals_scalar_grouping(self, small_scene, camera, tile_size):
+        proj = project_gaussians(small_scene, camera)
+        grid = TileGrid.for_camera(camera, tile_size)
+        stream = assign_to_tiles(proj, grid).stream
+        tiles, rows = hw_ref.scalar_pair_lists(
+            proj.means2d, proj.radii, camera.width, camera.height, tile_size
+        )
+        order = np.argsort(tiles, kind="stable")
+        np.testing.assert_array_equal(stream.values, rows[order])
+        np.testing.assert_array_equal(
+            stream.offsets, np.searchsorted(tiles[order], np.arange(grid.num_tiles + 1))
+        )
+
+
+class TestFromPairsGrouping:
+    @pytest.mark.parametrize("num_tiles", [1, 300, 1 << 16, (1 << 16) + 1, 200_000])
+    def test_matches_int64_stable_argsort(self, num_tiles):
+        rng = np.random.default_rng(num_tiles)
+        tiles = rng.integers(0, num_tiles, size=5000)
+        tiles[:3] = [0, num_tiles - 1, num_tiles - 1]
+        values = np.arange(5000)
+        stream = TileStream.from_pairs(tiles, values, num_tiles)
+        order = np.argsort(tiles, kind="stable")
+        np.testing.assert_array_equal(stream.values, values[order])
+        np.testing.assert_array_equal(
+            stream.offsets, np.searchsorted(tiles[order], np.arange(num_tiles + 1))
+        )
+
+
+class TestFrameWorkloadPin:
+    @pytest.mark.parametrize("resolution,tile_size", CONFIGS)
+    def test_every_field_matches_scalar(self, workload_model, resolution, tile_size):
+        for frame in range(workload_model.num_frames):
+            got = workload_model.frame_workload(frame, resolution, tile_size)
+            want = hw_ref.scalar_frame_workload(workload_model, frame, resolution, tile_size)
+            assert got == want
+
+    def test_shared_config_is_extracted_once(self, monkeypatch):
+        wm = WorkloadModel.from_scene("family", num_frames=3, num_gaussians=600)
+        calls = {"pairs": 0, "churn": 0}
+        kernel, churn = workload_mod.pair_lists, WorkloadModel._churn_counts
+
+        def counting_kernel(*args):
+            calls["pairs"] += 1
+            return kernel(*args)
+
+        def counting_churn(self, *args):
+            calls["churn"] += 1
+            return churn(self, *args)
+
+        monkeypatch.setattr(workload_mod, "pair_lists", counting_kernel)
+        monkeypatch.setattr(WorkloadModel, "_churn_counts", counting_churn)
+        first = wm.sequence_workloads("hd", 16)
+        assert calls == {"pairs": 3, "churn": 3}
+        second = wm.sequence_workloads(wm._resolve("hd"), 16)
+        assert second == first
+        assert calls == {"pairs": 3, "churn": 3}
+        assert second == hw_ref.scalar_sequence_workloads(wm, "hd", 16)
+
+
+class TestSharedCount:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sets(st.integers(0, 2**40), max_size=60),
+        st.sets(st.integers(0, 2**40), max_size=60),
+        st.booleans(),
+    )
+    def test_counts_the_intersection(self, a, b, shuffle):
+        a = np.array(sorted(a), dtype=np.int64)
+        b = np.array(sorted(b), dtype=np.int64)
+        if shuffle:
+            rng = np.random.default_rng(len(a) * 61 + len(b))
+            a, b = rng.permutation(a), rng.permutation(b)
+        assert _shared_count(a, b) == np.intersect1d(a, b).shape[0]
