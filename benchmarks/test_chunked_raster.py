@@ -1,4 +1,4 @@
-"""Bench: chunked-vectorized pipeline vs the frozen scalar reference.
+"""Bench: vectorized pipeline vs the frozen scalar reference.
 
 Runs the ``repro bench`` suites in quick mode as a pytest gate: every bench
 must stay bit-identical to its scalar reference *and* clear its speedup
@@ -15,7 +15,7 @@ from repro.bench import run_benchmarks
 pytestmark = pytest.mark.slow
 
 PIPELINE_BENCHES = (
-    "raster_chunked", "sort_batched", "order_metrics", "render_sequence", "neo_sort",
+    "raster", "sort_batched", "order_metrics", "render_sequence", "neo_sort",
     "workload_extract",
 )
 

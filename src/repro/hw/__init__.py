@@ -30,7 +30,6 @@ from .raster_engine import (
     RasterEngineReport,
     RasterEngineSim,
     SubtileGroupWork,
-    TileTimeline,
     groups_for_tile,
     rasterize_tile_timeline,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "SortingEngineReport",
     "SortingEngineSim",
     "SubtileGroupWork",
-    "TileTimeline",
     "chunk_compute_cycles",
     "groups_for_tile",
     "jobs_from_occupancy",

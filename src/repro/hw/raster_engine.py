@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..pipeline.tiling import _warn_deprecated
 from .config import NeoConfig
 
 #: ITU cycles to test one Gaussian against one subtile group (bounding-box
@@ -129,8 +128,7 @@ class RasterEngineReport:
 
     Per-tile cycle accounting is stored as flat arrays over the frame's
     *active* (nonempty) tiles, in tile order — the tile-stream layout used
-    across the pipeline.  The historical ``timelines`` list of
-    :class:`TileTimeline` objects is available as a deprecated property.
+    across the pipeline.
     """
 
     total_cycles: float = 0.0
@@ -164,23 +162,6 @@ class RasterEngineReport:
             tile_itu_idle_cycles=np.array([t.itu_idle_cycles for t in timelines]),
             tile_scu_stall_cycles=np.array([t.scu_stall_cycles for t in timelines]),
         )
-
-    @property
-    def timelines(self) -> list[TileTimeline]:
-        """Deprecated per-tile timeline objects; use the flat arrays."""
-        _warn_deprecated(
-            "RasterEngineReport.timelines", "RasterEngineReport.tile_total_cycles"
-        )
-        return [
-            TileTimeline(
-                total_cycles=float(self.tile_total_cycles[i]),
-                itu_cycles=float(self.tile_itu_cycles[i]),
-                scu_cycles=float(self.tile_scu_cycles[i]),
-                itu_idle_cycles=float(self.tile_itu_idle_cycles[i]),
-                scu_stall_cycles=float(self.tile_scu_stall_cycles[i]),
-            )
-            for i in range(self.tile_total_cycles.shape[0])
-        ]
 
     @property
     def mean_pipeline_efficiency(self) -> float:

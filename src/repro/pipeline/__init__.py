@@ -14,12 +14,10 @@ from .rasterizer import (
     MAX_ALPHA,
     MIN_ALPHA,
     NEO_SUBTILE_SIZE,
-    RASTER_CHUNK_SIZE,
     TERMINATION_THRESHOLD,
     RasterResult,
     RasterStats,
     rasterize,
-    rasterize_tile,
 )
 from .renderer import (
     ExactSortStrategy,
@@ -61,7 +59,6 @@ __all__ = [
     "NEO_SUBTILE_SIZE",
     "NEO_TILE_SIZE",
     "ProjectedGaussians",
-    "RASTER_CHUNK_SIZE",
     "RasterResult",
     "RasterStats",
     "Renderer",
@@ -82,7 +79,6 @@ __all__ = [
     "pair_lists",
     "project_gaussians",
     "rasterize",
-    "rasterize_tile",
     "sort_tiles",
     "splat_radii",
     "tile_ranges",

@@ -12,44 +12,30 @@ Rasterization Engine:
 * **Blend-op accounting**: the number of (Gaussian, subtile) and
   (Gaussian, pixel) operations feeds the hardware timing model.
 
-**Chunked-vectorized core.**  Front-to-back compositing looks inherently
-sequential (each Gaussian needs the transmittance its predecessors left
-behind), but the recurrence is a running product: the transmittance a
-Gaussian sees is ``T_in = T_0 * prod_{j<k} (1 - alpha_j)`` and its color
-contribution ``T_in * alpha_k * c_k`` depends on no other contribution.
-The blending loop therefore processes Gaussians in depth-ordered *chunks*:
-one batched evaluation produces the whole chunk's alpha maps over the
-tile's pixel grid, an exclusive cumulative product along the chunk axis
-recovers every per-Gaussian incoming transmittance, and a cumulative sum
-accumulates the color.  Both cumulations are seeded with the tile's
-incoming state and evaluated with ``ufunc.accumulate`` (strictly
-sequential, never pairwise), so every intermediate float is produced by
-the same operations in the same order as the scalar loop — images,
-``valid_bits``, and every :class:`RasterStats` counter are bit-identical
-to the frozen scalar reference in :mod:`repro.pipeline.reference`.  Early
-termination is detected at chunk granularity from the cumulative-product
-stack; a chunk that would terminate mid-way is replayed through the
-scalar path so the stop lands on exactly the same Gaussian.
+**One bucketed whole-frame core.**  Front-to-back compositing looks
+inherently sequential (each Gaussian needs the transmittance its
+predecessors left behind), but the recurrence is a running product: the
+transmittance a Gaussian sees is ``T_in = T_0 * prod_{j<k} (1 - alpha_j)``
+and its color contribution ``T_in * alpha_k * c_k`` depends on no other
+contribution.  :func:`rasterize` therefore blends many tiles at once: a
+frame's nonempty tiles are grouped into occupancy buckets (same tile shape,
+power-of-two depth-count class, so padding to the bucket maximum costs
+< 2x), each bucket is packed into ``(tiles, depth)`` arrays straight from
+the ``TileStream`` offsets, and :func:`_blend_bucket_dense` evaluates every
+(tile, splat) bbox pixel in one flat gather, scatters the significant
+``(1 - alpha)`` values into a level-major ``(depth + 1, tiles, tile_h,
+tile_w)`` stack, and recovers every incoming transmittance with one
+strictly sequential ``ufunc.accumulate``.  Padded slots carry
+``alpha == 0`` and composite as bitwise no-ops.  Early termination is
+exact: stack level ``m`` is the transmittance the scalar loop inspects
+before splat ``m``, so each tile's stopping splat is read off the
+per-level maxima, its counters come from prefix sums up to that stop, and
+later splats' color contributions are dropped.
 
-**Bucketed whole-frame core.**  Chunking removes the per-Gaussian Python
-overhead, but a frame still pays one Python loop iteration — and dozens of
-small-array kernel launches — per tile.  :func:`rasterize` therefore
-batches the blend recurrence *across* tiles as well: a frame's nonempty
-dense tiles are grouped into occupancy buckets (power-of-two depth-count
-classes, so padding to the bucket maximum costs < 2x), each bucket is
-packed into dense ``(tiles, depth, tile_h, tile_w)`` arrays straight from
-the ``TileStream`` offsets, and the alpha evaluation, exclusive
-``(1 - alpha)`` transmittance product, and color accumulation run once per
-bucket with a leading tile axis.  Padded slots carry ``alpha == 0`` and
-composite as bitwise no-ops; early termination is *exact* without any
-scalar replay, because the transmittance level stack materializes the very
-values the scalar loop's pre-splat checks inspect — each tile's stopping
-splat is read off the per-level maxima, its counters come from prefix
-sums up to that stop, and later splats' color contributions are dropped.
-Images, ``valid_bits``, and counters therefore stay bit-identical to the
-scalar reference.  Sparse large tiles keep the flat-bbox-gather path; the
-per-tile loop survives as :func:`rasterize_tiled` (dispatch baseline and
-benchmark reference).
+Every intermediate float is produced by the same operations in the same
+order as the scalar per-Gaussian loop, so images, ``valid_bits`` and every
+:class:`RasterStats` counter are bit-identical to the frozen reference in
+:mod:`repro.pipeline.reference`, at every tile size.
 """
 
 from __future__ import annotations
@@ -64,16 +50,13 @@ from .projection import ProjectedGaussians
 from .sorting import SortedTiles
 from .tiling import TileGrid
 
-#: Ops the chunked/sparse blending cores dispatch through the pluggable
-#: array backend.  The scalar replay path stays on plain numpy: it exists
-#: to pin termination semantics, not to be fast.
+#: Ops the bucketed blending core dispatches through the pluggable array
+#: backend.
 _XP = core_ops(
     "rasterizer",
     "exp",
     "minimum",
-    "where",
     "accumulate_multiply",
-    "accumulate_add",
     "repeat",
     "cumsum",
     "frexp",
@@ -91,25 +74,6 @@ TERMINATION_THRESHOLD = 1e-4
 
 #: Subtile edge used by the Neo accelerator (Table 1).
 NEO_SUBTILE_SIZE = 8
-
-#: Gaussians blended per batched chunk.  Large enough to amortize the
-#: per-chunk dispatch overhead, small enough that a mid-chunk termination
-#: (which falls back to the scalar path for that chunk) stays cheap and the
-#: per-chunk ``(chunk, tile_h, tile_w)`` temporaries stay cache-friendly.
-RASTER_CHUNK_SIZE = 64
-
-#: Tiles up to this many pixels always take the chunked path: the whole-tile
-#: batched evaluation costs microseconds per Gaussian, far below the scalar
-#: loop's per-splat Python overhead, regardless of splat density.
-CHUNKED_MAX_DENSE_AREA = 512
-
-#: For larger tiles the chunked path evaluates every splat over the whole
-#: tile, so it only wins when splat bboxes cover a reasonable fraction of
-#: it.  Below this mean coverage the scalar loop's sparsity exploitation
-#: beats the batched math (e.g. 64 px Neo tiles where bboxes cover ~8% of
-#: the tile) and the tile is blended scalar.  Both paths are bit-identical;
-#: the dispatch is purely a throughput choice.
-CHUNKED_MIN_COVERAGE = 0.25
 
 #: Element budget for one ``(depth + 1, tiles, tile_h, tile_w)`` level
 #: stack of the bucketed whole-frame core.  Buckets whose stacks would
@@ -190,456 +154,6 @@ class RasterResult:
     stats: RasterStats = field(default_factory=RasterStats)
 
 
-def _subtile_bitmaps(
-    means: np.ndarray,
-    radii: np.ndarray,
-    x0: int,
-    y0: int,
-    x1: int,
-    y1: int,
-    subtile: int,
-) -> np.ndarray:
-    """Conservative circle-vs-rectangle intersection bitmaps, batched.
-
-    Returns a ``(n, subtiles_y, subtiles_x)`` boolean array for all ``n``
-    Gaussians at once.  The per-element math matches the scalar formulation
-    (clamp the center to each subtile rect; overlap iff the clamped point is
-    within the radius), so the batched result is bitwise-identical to a
-    per-Gaussian loop.
-    """
-    sxs = np.arange(x0, x1, subtile)
-    sys_ = np.arange(y0, y1, subtile)
-    cx = means[:, 0][:, None]
-    cy = means[:, 1][:, None]
-    qx = np.clip(cx, sxs[None, :], np.minimum(sxs + subtile, x1)[None, :])
-    qy = np.clip(cy, sys_[None, :], np.minimum(sys_ + subtile, y1)[None, :])
-    dx2 = (qx - cx) ** 2  # (n, subtiles_x)
-    dy2 = (qy - cy) ** 2  # (n, subtiles_y)
-    r2 = radii * radii
-    return dx2[:, None, :] + dy2[:, :, None] <= r2[:, None, None]
-
-
-def _scalar_blend_range(
-    start: int,
-    n: int,
-    px: np.ndarray,
-    py: np.ndarray,
-    trans: np.ndarray,
-    color: np.ndarray,
-    means: np.ndarray,
-    conics: np.ndarray,
-    radii: np.ndarray,
-    opacities: np.ndarray,
-    colors: np.ndarray,
-    valid: np.ndarray,
-    termination: float,
-    stats: RasterStats,
-) -> None:
-    """Blend Gaussians ``start..n-1`` one at a time (the pre-chunking loop).
-
-    The chunked core replays a chunk through this path when the cumulative
-    transmittance shows termination landing *inside* it, so the stop falls
-    on exactly the Gaussian the scalar loop would have stopped at.
-    """
-    x0 = px[0] - 0.5
-    y0 = py[0] - 0.5
-    w = px.shape[0]
-    h = py.shape[0]
-    for i in range(start, n):
-        if trans.max() < termination:
-            stats.early_terminated_tiles += 1
-            break
-        if not valid[i]:
-            continue
-        stats.gaussians_processed += 1
-        cx, cy = means[i]
-        r = radii[i]
-        # Restrict evaluation to the splat's pixel bbox within the tile.
-        gx0 = max(int(np.floor(cx - r) - x0), 0)
-        gx1 = min(int(np.ceil(cx + r) - x0) + 1, w)
-        gy0 = max(int(np.floor(cy - r) - y0), 0)
-        gy1 = min(int(np.ceil(cy + r) - y0) + 1, h)
-        if gx0 >= gx1 or gy0 >= gy1:
-            continue
-
-        dx = px[gx0:gx1] - cx
-        dy = py[gy0:gy1] - cy
-        a, b, c = conics[i]
-        power = -0.5 * (
-            a * dx[None, :] ** 2 + c * dy[:, None] ** 2
-        ) - b * dy[:, None] * dx[None, :]
-        stats.blend_ops += power.size
-        alpha = np.minimum(opacities[i] * np.exp(np.minimum(power, 0.0)), MAX_ALPHA)
-        alpha[power > 0] = 0.0
-        significant = alpha >= MIN_ALPHA
-        if not significant.any():
-            continue
-        alpha = np.where(significant, alpha, 0.0)
-
-        t_block = trans[gy0:gy1, gx0:gx1]
-        weight = t_block * alpha
-        color[gy0:gy1, gx0:gx1] += weight[..., None] * colors[i][None, None, :]
-        trans[gy0:gy1, gx0:gx1] = t_block * (1.0 - alpha)
-
-
-def _sparse_blend_range(
-    px: np.ndarray,
-    py: np.ndarray,
-    trans: np.ndarray,
-    color: np.ndarray,
-    means: np.ndarray,
-    conics: np.ndarray,
-    radii: np.ndarray,
-    opacities: np.ndarray,
-    colors: np.ndarray,
-    valid: np.ndarray,
-    gx0: np.ndarray,
-    gx1: np.ndarray,
-    gy0: np.ndarray,
-    gy1: np.ndarray,
-    bbox_areas: np.ndarray,
-    termination: float,
-    stats: RasterStats,
-    chunk_size: int,
-) -> None:
-    """Sparse-tile blending via a flat concatenated bbox gather.
-
-    For sparse large tiles the whole-tile chunked path wastes most of its
-    flops on empty pixels, but the scalar loop pays per-splat Python overhead
-    for the alpha math.  This path batches the expensive part instead: for a
-    chunk of splats it gathers every splat's pixel bbox into one flat array
-    (exactly ``bbox_areas`` worth of pixels — no padding) and evaluates all
-    alpha maps in one vectorized pass.  Compositing then only slices the
-    precomputed map per significant splat and performs the three cheap blend
-    ops.
-
-    The gathered ``px[col] - cx`` / ``py[row] - cy`` operands are the same
-    float values the scalar loop's bbox slices produce, and every subsequent
-    arithmetic op is elementwise in the same order, so bbox pixels carry
-    bit-identical alphas; insignificant pixels are forced to ``0.0`` exactly
-    as the scalar ``np.where`` does.
-
-    Termination mirrors the dense chunked path's argument: the scalar loop
-    checks max transmittance before *every* Gaussian, and transmittance is
-    non-increasing, so if the state before the chunk's last member still
-    clears the threshold no earlier check fired either.  The chunk is blended
-    without per-splat checks up to its last member; if the pre-last-member
-    state then sits below the threshold, the chunk is rolled back to its
-    entry snapshot and replayed through :func:`_scalar_blend_range`, landing
-    the stop on the same Gaussian with the same counters as
-    :func:`repro.pipeline.reference.rasterize_tile`.
-    """
-    n = means.shape[0]
-    bw = gx1 - gx0
-    xp = _XP()
-
-    for s in range(0, n, chunk_size):
-        # The pre-splat check for Gaussian ``s`` (and, transitively, every
-        # earlier member of the chunk whose pre-state can only be >= this).
-        if trans.max() < termination:
-            stats.early_terminated_tiles += 1
-            return
-        e = min(s + chunk_size, n)
-
-        # Splats the scalar loop evaluates alpha for: valid, non-empty bbox
-        # (bbox_areas is already zero for the rest).
-        idx = np.flatnonzero(bbox_areas[s:e] > 0) + s
-        k = idx.shape[0]
-        if k == 0:
-            stats.gaussians_processed += int(np.count_nonzero(valid[s:e]))
-            continue
-
-        areas = bbox_areas[idx]
-        starts = np.zeros(k + 1, dtype=np.int64)
-        xp.cumsum(areas, out=starts[1:])
-        total = int(starts[-1])
-        local = np.arange(total, dtype=np.int64) - xp.repeat(starts[:-1], areas)
-        bw_rep = xp.repeat(bw[idx], areas)
-        rows_f = xp.repeat(gy0[idx], areas) + local // bw_rep
-        cols_f = xp.repeat(gx0[idx], areas) + local % bw_rep
-
-        dx = px[cols_f] - xp.repeat(means[idx, 0], areas)
-        dy = py[rows_f] - xp.repeat(means[idx, 1], areas)
-        a = xp.repeat(conics[idx, 0], areas)
-        b = xp.repeat(conics[idx, 1], areas)
-        c = xp.repeat(conics[idx, 2], areas)
-        power = -0.5 * (a * dx**2 + c * dy**2) - b * dy * dx
-        alpha = xp.minimum(
-            xp.repeat(opacities[idx], areas) * xp.exp(xp.minimum(power, 0.0)),
-            MAX_ALPHA,
-        )
-        ok = (power <= 0.0) & (alpha >= MIN_ALPHA)
-        alpha = xp.where(ok, alpha, 0.0)
-        sig = np.logical_or.reduceat(ok, starts[:-1])
-
-        snap_trans = trans.copy()
-        snap_color = color.copy()
-        deferred = -1
-        for j in np.flatnonzero(sig).tolist():
-            i = int(idx[j])
-            if i == e - 1:
-                # Blended only after the chunk's final pre-splat check.
-                deferred = j
-                break
-            st, en = starts[j], starts[j + 1]
-            al = alpha[st:en].reshape(gy1[i] - gy0[i], gx1[i] - gx0[i])
-            t_block = trans[gy0[i] : gy1[i], gx0[i] : gx1[i]]
-            weight = t_block * al
-            color[gy0[i] : gy1[i], gx0[i] : gx1[i]] += (
-                weight[..., None] * colors[i][None, None, :]
-            )
-            trans[gy0[i] : gy1[i], gx0[i] : gx1[i]] = t_block * (1.0 - al)
-
-        # State before the chunk's last member: below the threshold means a
-        # pre-splat check fired somewhere inside this chunk — roll back and
-        # replay scalar so the stop lands on the exact Gaussian.
-        if e - s > 1 and trans.max() < termination:
-            trans[:] = snap_trans
-            color[:] = snap_color
-            _scalar_blend_range(
-                s, n, px, py, trans, color, means, conics, radii,
-                opacities, colors, valid, termination, stats,
-            )
-            return
-
-        if deferred >= 0:
-            i = e - 1
-            st, en = starts[deferred], starts[deferred + 1]
-            al = alpha[st:en].reshape(gy1[i] - gy0[i], gx1[i] - gx0[i])
-            t_block = trans[gy0[i] : gy1[i], gx0[i] : gx1[i]]
-            weight = t_block * al
-            color[gy0[i] : gy1[i], gx0[i] : gx1[i]] += (
-                weight[..., None] * colors[i][None, None, :]
-            )
-            trans[gy0[i] : gy1[i], gx0[i] : gx1[i]] = t_block * (1.0 - al)
-
-        stats.gaussians_processed += int(np.count_nonzero(valid[s:e]))
-        stats.blend_ops += int(bbox_areas[s:e].sum())
-
-
-def rasterize_tile(
-    framebuffer: Framebuffer,
-    projected: ProjectedGaussians,
-    rows: np.ndarray,
-    bounds: tuple[int, int, int, int],
-    subtile_size: int | None = NEO_SUBTILE_SIZE,
-    termination: float = TERMINATION_THRESHOLD,
-    chunk_size: int = RASTER_CHUNK_SIZE,
-) -> tuple[np.ndarray, RasterStats]:
-    """Blend one tile's sorted Gaussians into the framebuffer.
-
-    Parameters
-    ----------
-    rows:
-        Row indices into ``projected``, already depth-sorted front-to-back.
-    bounds:
-        Tile pixel rectangle ``(x0, y0, x1, y1)``, exclusive upper.
-    subtile_size:
-        Edge of the ITU subtiles; ``None`` disables subtiling (pure per-pixel
-        evaluation over the whole tile).
-    chunk_size:
-        Gaussians evaluated per batched blending step (see module docstring);
-        results are bit-identical for every value ``>= 1``.
-
-    Returns
-    -------
-    ``(valid_bits, stats)`` where ``valid_bits[i]`` is True if Gaussian
-    ``rows[i]`` touched any subtile of this tile.
-    """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    x0, y0, x1, y1 = bounds
-    stats = RasterStats()
-    n = rows.shape[0]
-    if n == 0 or x0 >= x1 or y0 >= y1:
-        return np.zeros(n, dtype=bool), stats
-
-    px = np.arange(x0, x1) + 0.5
-    py = np.arange(y0, y1) + 0.5
-    trans = framebuffer.transmittance[y0:y1, x0:x1]
-    color = framebuffer.color[y0:y1, x0:x1]
-
-    means = projected.means2d[rows]
-    conics = projected.conic[rows]
-    radii = projected.radii[rows]
-    opacities = projected.opacities[rows]
-    colors = projected.colors[rows]
-
-    sub = subtile_size
-    # Valid bits are *geometric*: the ITU runs intersection tests for the
-    # whole list (it is pipelined ahead of the SCUs and cheap), regardless
-    # of whether blending terminates early, so a Gaussian's membership in
-    # the tile is judged independently of its visual contribution.
-    if sub is not None:
-        bitmaps = _subtile_bitmaps(means, radii, x0, y0, x1, y1, sub)
-        stats.subtile_tests += bitmaps.size
-        subtile_hits = np.count_nonzero(bitmaps, axis=(1, 2)).astype(np.int64)
-        valid = subtile_hits > 0
-        stats.subtile_hits += int(subtile_hits.sum())
-    else:
-        # No subtiling: test the splat's bounding circle against the tile.
-        qx = np.clip(means[:, 0], x0, x1)
-        qy = np.clip(means[:, 1], y0, y1)
-        dist2 = (qx - means[:, 0]) ** 2 + (qy - means[:, 1]) ** 2
-        valid = dist2 <= radii**2
-        subtile_hits = valid.astype(np.int64)
-
-    w = x1 - x0
-    h = y1 - y0
-    # Per-splat pixel bboxes, clipped to the tile — the same integers the
-    # scalar loop derives one splat at a time.  Blending restricts each
-    # splat's alpha map to its bbox, and blend_ops counts bbox pixels.
-    gx0 = np.maximum(np.floor(means[:, 0] - radii).astype(np.int64) - x0, 0)
-    gx1 = np.minimum(np.ceil(means[:, 0] + radii).astype(np.int64) - x0 + 1, w)
-    gy0 = np.maximum(np.floor(means[:, 1] - radii).astype(np.int64) - y0, 0)
-    gy1 = np.minimum(np.ceil(means[:, 1] + radii).astype(np.int64) - y0 + 1, h)
-    bbox_areas = np.where(
-        valid & (gx1 > gx0) & (gy1 > gy0), (gx1 - gx0) * (gy1 - gy0), 0
-    )
-
-    tile_area = h * w
-    if tile_area > CHUNKED_MAX_DENSE_AREA and (
-        int(bbox_areas.sum()) < CHUNKED_MIN_COVERAGE * n * tile_area
-    ):
-        # Sparse large tile: whole-tile batched evaluation would waste most
-        # of its flops on empty pixels; the flat-gather path batches only
-        # each splat's own pixels.
-        _sparse_blend_range(
-            px, py, trans, color, means, conics, radii, opacities, colors,
-            valid, gx0, gx1, gy0, gy1, bbox_areas, termination, stats,
-            chunk_size,
-        )
-        return valid, stats
-
-    xs = np.arange(w)
-    ys = np.arange(h)
-    xp = _XP()
-
-    for s in range(0, n, chunk_size):
-        if trans.max() < termination:
-            stats.early_terminated_tiles += 1
-            break
-        e = min(s + chunk_size, n)
-        k = e - s
-
-        # Batched alpha maps over the whole tile grid.  Every arithmetic op
-        # is elementwise in the same order as the scalar loop, so values at
-        # bbox pixels are bit-identical; pixels outside a splat's bbox (or
-        # belonging to invalid splats) get alpha 0, which composites as a
-        # bitwise no-op (multiply by 1.0, add of exact zero).
-        dx = px[None, :] - means[s:e, 0][:, None]  # (k, w)
-        dy = py[None, :] - means[s:e, 1][:, None]  # (k, h)
-        a = conics[s:e, 0][:, None, None]
-        b = conics[s:e, 1][:, None, None]
-        c = conics[s:e, 2][:, None, None]
-        power = -0.5 * (
-            a * dx[:, None, :] ** 2 + c * dy[:, :, None] ** 2
-        ) - b * dy[:, :, None] * dx[:, None, :]
-        alpha = xp.minimum(
-            opacities[s:e][:, None, None] * xp.exp(xp.minimum(power, 0.0)), MAX_ALPHA
-        )
-        in_x = (xs[None, :] >= gx0[s:e, None]) & (xs[None, :] < gx1[s:e, None])
-        in_y = (ys[None, :] >= gy0[s:e, None]) & (ys[None, :] < gy1[s:e, None])
-        if not valid[s:e].all():
-            in_x &= valid[s:e, None]
-        ok = (power <= 0.0) & (alpha >= MIN_ALPHA)
-        ok &= in_y[:, :, None]
-        ok &= in_x[:, None, :]
-        alpha = xp.where(ok, alpha, 0.0)
-
-        # Members whose alpha map is identically zero composite as bitwise
-        # no-ops (multiply by 1.0, add of exact zero) — drop them from the
-        # cumulative passes.  Counters still come from the full chunk.
-        live = ok.any(axis=(1, 2))
-        k_live = int(np.count_nonzero(live))
-        if k_live:
-            if k_live < k:
-                alpha = alpha[live]
-            chunk_colors = colors[s:e][live]
-
-            # Exclusive cumulative product of (1 - alpha) seeded with the
-            # tile's incoming transmittance: tstack[j] is the transmittance
-            # each pixel presents to live member j.  ufunc.accumulate
-            # multiplies strictly left-to-right, reproducing the scalar
-            # recurrence bit-for-bit.
-            tstack = np.empty((k_live + 1, h, w))
-            tstack[0] = trans
-            np.subtract(1.0, alpha, out=tstack[1:])
-            # In-place accumulate is safe (each level is read before it is
-            # overwritten) and halves the pass's temporaries.
-            tstack = xp.accumulate_multiply(tstack, axis=0, out=tstack)
-
-            # The scalar loop checks max transmittance before *every*
-            # Gaussian.  Transmittance is non-increasing, so if the state
-            # before the chunk's last member still clears the threshold no
-            # earlier check fired either; otherwise replay the chunk scalar
-            # so the stop lands on the same Gaussian with the same counters.
-            # (Dropped members leave transmittance untouched, so that state
-            # sits at cumulation level k_live - 1 when the last member is
-            # live and k_live when it was dropped.)
-            last_check = k_live - 1 if live[k - 1] else k_live
-            if k > 1 and tstack[last_check].max() < termination:
-                _scalar_blend_range(
-                    s, n, px, py, trans, color, means, conics, radii,
-                    opacities, colors, valid, termination, stats,
-                )
-                return valid, stats
-
-            # color += T_in * alpha * c, accumulated in chunk order and
-            # seeded with the incoming color so the additions associate
-            # exactly as the scalar loop's.
-            weights = tstack[:k_live] * alpha
-            contribs = np.empty((k_live + 1, h, w, 3))
-            contribs[0] = color
-            np.multiply(
-                weights[..., None], chunk_colors[:, None, None, :], out=contribs[1:]
-            )
-            contribs = xp.accumulate_add(contribs, axis=0, out=contribs)
-            color[:] = contribs[k_live]
-            trans[:] = tstack[k_live]
-
-        stats.gaussians_processed += int(np.count_nonzero(valid[s:e]))
-        stats.blend_ops += int(bbox_areas[s:e].sum())
-
-    return valid, stats
-
-
-def rasterize_tiled(
-    sorted_tiles: SortedTiles,
-    projected: ProjectedGaussians,
-    grid: TileGrid,
-    background: tuple[float, float, float] = (0.0, 0.0, 0.0),
-    subtile_size: int | None = NEO_SUBTILE_SIZE,
-    termination: float = TERMINATION_THRESHOLD,
-    chunk_size: int = RASTER_CHUNK_SIZE,
-) -> RasterResult:
-    """Rasterize a frame one tile at a time (the pre-bucketing loop).
-
-    Kept as the benchmark baseline for the bucketed whole-frame core and as
-    a readable single-tile-at-a-time formulation of the same math; both
-    produce bit-identical results.
-    """
-    framebuffer = Framebuffer(width=grid.width, height=grid.height, background=background)
-    result = RasterResult(image=np.empty(0))
-    for tile in range(grid.num_tiles):
-        rows = sorted_tiles.rows_for(tile)
-        if rows.shape[0] == 0:
-            continue
-        valid, stats = rasterize_tile(
-            framebuffer,
-            projected,
-            rows,
-            grid.tile_pixel_bounds(tile),
-            subtile_size=subtile_size,
-            termination=termination,
-            chunk_size=chunk_size,
-        )
-        result.valid_bits[tile] = valid
-        result.stats.merge(stats)
-    result.image = framebuffer.finalize()
-    return result
-
-
 def _blend_bucket_dense(
     framebuffer: Framebuffer,
     x0_b: np.ndarray,
@@ -666,8 +180,8 @@ def _blend_bucket_dense(
     The slab's whole depth range is processed in one pass (split into depth
     segments only when the level stack would blow the element budget):
     every (tile, splat) bbox pixel is gathered into one flat array —
-    exactly ``blend_ops`` worth of alpha evaluations, the same economy as
-    the sparse path — and the significant ``(1 - alpha)`` values are
+    exactly ``blend_ops`` worth of alpha evaluations, no whole-tile
+    padding — and the significant ``(1 - alpha)`` values are
     scattered into a level-major ``(depth + 1, tiles, tile_h, tile_w)``
     stack whose strictly-sequential cumulative product recovers every
     per-splat incoming transmittance at once.  Color accumulates through
@@ -962,15 +476,13 @@ def _rasterize_bucket(
     y1_b: np.ndarray,
     subtile_size: int | None,
     termination: float,
-    chunk_size: int,
     stats: RasterStats,
     valid_out: dict[int, np.ndarray],
 ) -> None:
     """Pack one occupancy bucket of same-shape tiles and blend it.
 
     Valid bits, subtile counters, and per-splat bboxes are computed once
-    over the packed ``(tiles, slots)`` arrays; sparse large tiles then peel
-    off to the flat-bbox-gather path and the dense rest goes through
+    over the packed ``(tiles, slots)`` arrays; the tiles then go through
     :func:`_blend_bucket_dense` in memory-bounded slabs.
     """
     h = int(y1_b[0] - y0_b[0])
@@ -996,8 +508,8 @@ def _rasterize_bucket(
 
     sub = subtile_size
     if sub is not None:
-        # Batched subtile intersection: same clamp-the-center math as
-        # _subtile_bitmaps, with per-tile subtile origins broadcast in.
+        # Batched subtile intersection: the reference's clamp-the-center
+        # math, with per-tile subtile origins broadcast in.
         sxs = x0_b[:, None] + np.arange(0, w, sub)[None, :]
         sys_ = y0_b[:, None] + np.arange(0, h, sub)[None, :]
         sx_hi = np.minimum(sxs + sub, x1_b[:, None])
@@ -1022,8 +534,8 @@ def _rasterize_bucket(
     for t in range(num_tiles):
         valid_out[int(tiles_b[t])] = valid[t, : int(counts_b[t])]
 
-    # Per-splat pixel bboxes, clipped per tile — the same integers
-    # rasterize_tile derives, with a leading tile axis.
+    # Per-splat pixel bboxes, clipped per tile — the same integers the
+    # scalar loop derives one splat at a time, with a leading tile axis.
     gx0 = np.maximum(np.floor(cx - radii).astype(np.int64) - x0_b[:, None], 0)
     gx1 = np.minimum(np.ceil(cx + radii).astype(np.int64) - x0_b[:, None] + 1, w)
     gy0 = np.maximum(np.floor(cy - radii).astype(np.int64) - y0_b[:, None], 0)
@@ -1033,36 +545,9 @@ def _rasterize_bucket(
     )
 
     tile_area = h * w
-    dense_loc = np.arange(num_tiles)
-    if tile_area > CHUNKED_MAX_DENSE_AREA:
-        dense = []
-        for t in range(num_tiles):
-            n_t = int(counts_b[t])
-            if int(bbox_areas[t].sum()) < CHUNKED_MIN_COVERAGE * n_t * tile_area:
-                # Sparse large tile: flat-bbox-gather fallback, fed the
-                # packed per-tile slices (valid bits are already counted).
-                fx0, fy0, fx1, fy1 = (
-                    int(x0_b[t]), int(y0_b[t]), int(x1_b[t]), int(y1_b[t])
-                )
-                _sparse_blend_range(
-                    np.arange(fx0, fx1) + 0.5,
-                    np.arange(fy0, fy1) + 0.5,
-                    framebuffer.transmittance[fy0:fy1, fx0:fx1],
-                    framebuffer.color[fy0:fy1, fx0:fx1],
-                    means[t, :n_t], conics[t, :n_t], radii[t, :n_t],
-                    opacities[t, :n_t], colors[t, :n_t], valid[t, :n_t],
-                    gx0[t, :n_t], gx1[t, :n_t], gy0[t, :n_t], gy1[t, :n_t],
-                    bbox_areas[t, :n_t], termination, stats, chunk_size,
-                )
-            else:
-                dense.append(t)
-        dense_loc = np.array(dense, dtype=np.int64)
-
-    if dense_loc.size == 0:
-        return
     slab = max(1, _BUCKET_ELEMENT_BUDGET // ((n_max + 1) * tile_area))
-    for start in range(0, dense_loc.size, slab):
-        loc = dense_loc[start : start + slab]
+    for start in range(0, num_tiles, slab):
+        loc = slice(start, start + slab)
         _blend_bucket_dense(
             framebuffer,
             x0_b[loc], y0_b[loc], h, w,
@@ -1081,18 +566,15 @@ def rasterize(
     background: tuple[float, float, float] = (0.0, 0.0, 0.0),
     subtile_size: int | None = NEO_SUBTILE_SIZE,
     termination: float = TERMINATION_THRESHOLD,
-    chunk_size: int = RASTER_CHUNK_SIZE,
 ) -> RasterResult:
     """Rasterize a full frame with occupancy-bucketed whole-frame blending.
 
     Nonempty tiles are grouped by (tile height, tile width, power-of-two
     depth-count class) and each bucket is blended with a leading tile axis
     (see the module docstring).  Output — image, ``valid_bits``, and every
-    :class:`RasterStats` counter — is bit-identical to
-    :func:`rasterize_tiled` and the frozen scalar reference.
+    :class:`RasterStats` counter — is bit-identical to the frozen scalar
+    reference :func:`repro.pipeline.reference.rasterize`.
     """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
     framebuffer = Framebuffer(width=grid.width, height=grid.height, background=background)
     result = RasterResult(image=np.empty(0))
     stream = sorted_tiles.stream
@@ -1135,7 +617,6 @@ def rasterize(
             bx0[sel], by0[sel], bx1[sel], by1[sel],
             subtile_size,
             termination,
-            chunk_size,
             result.stats,
             valid_bits,
         )

@@ -1,17 +1,17 @@
 """Frozen scalar reference for the functional pipeline's hot stages.
 
 This module preserves, verbatim, the pre-vectorization scalar
-implementations of the pipeline's inner loops — the per-Gaussian blending
-loop that used to live in :func:`repro.pipeline.rasterizer.rasterize_tile`,
-the per-tile sorting loop from :func:`repro.pipeline.sorting.sort_tiles`,
-and the rank-dict form of
+implementations of the pipeline's inner loops — the per-Gaussian,
+per-tile blending loop behind :func:`repro.pipeline.rasterizer.rasterize`
+(with the subtile intersection test it uses), the per-tile sorting loop
+from :func:`repro.pipeline.sorting.sort_tiles`, and the rank-dict form of
 :func:`repro.pipeline.sorting.kendall_tau_distance` — before the
-depth-chunked vectorized core landed.  It mirrors :mod:`repro.hw.reference`
-and exists for two callers only:
+vectorized cores landed.  It mirrors :mod:`repro.hw.reference` and exists
+for two callers only:
 
 * the **golden equivalence tests** (``tests/test_raster_reference.py``),
-  which assert that the chunked rasterizer, the batched tile sort, and the
-  vectorized rank metric are *bit-identical* to these scalar loops —
+  which assert that the bucketed rasterizer, the batched tile sort, and
+  the vectorized rank metric are *bit-identical* to these scalar loops —
   images, ``valid_bits``, and every :class:`RasterStats` counter;
 * the **benchmark subsystem** (``repro bench`` and the CI smoke job),
   which times these loops against the vectorized paths and records the
@@ -35,10 +35,38 @@ from .rasterizer import (
     TERMINATION_THRESHOLD,
     RasterResult,
     RasterStats,
-    _subtile_bitmaps,
 )
 from .sorting import SortedTiles
 from .tiling import TileAssignment, TileGrid
+
+
+def _subtile_bitmaps(
+    means: np.ndarray,
+    radii: np.ndarray,
+    x0: int,
+    y0: int,
+    x1: int,
+    y1: int,
+    subtile: int,
+) -> np.ndarray:
+    """Conservative circle-vs-rectangle intersection bitmaps, batched.
+
+    Returns a ``(n, subtiles_y, subtiles_x)`` boolean array for all ``n``
+    Gaussians at once.  The per-element math matches the scalar formulation
+    (clamp the center to each subtile rect; overlap iff the clamped point is
+    within the radius), so the batched result is bitwise-identical to a
+    per-Gaussian loop.
+    """
+    sxs = np.arange(x0, x1, subtile)
+    sys_ = np.arange(y0, y1, subtile)
+    cx = means[:, 0][:, None]
+    cy = means[:, 1][:, None]
+    qx = np.clip(cx, sxs[None, :], np.minimum(sxs + subtile, x1)[None, :])
+    qy = np.clip(cy, sys_[None, :], np.minimum(sys_ + subtile, y1)[None, :])
+    dx2 = (qx - cx) ** 2  # (n, subtiles_x)
+    dy2 = (qy - cy) ** 2  # (n, subtiles_y)
+    r2 = radii * radii
+    return dx2[:, None, :] + dy2[:, :, None] <= r2[:, None, None]
 
 
 def rasterize_tile(

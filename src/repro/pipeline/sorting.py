@@ -8,8 +8,7 @@ images rendered with this exact order.
 
 :class:`SortedTiles` stores the depth-sorted tables in the flat tile-stream
 layout (:class:`~repro.pipeline.tiling.TileStream`): one ``rows`` stream
-plus aligned flat ``ids`` / ``depths`` arrays sharing its offsets.  The old
-per-tile list attributes remain as deprecated shims returning views.
+plus aligned flat ``ids`` / ``depths`` arrays sharing its offsets.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..backend import core_ops
-from .tiling import TileAssignment, TileStream, _warn_deprecated
+from .tiling import TileAssignment, TileStream
 
 #: Ops the sorting core dispatches through the pluggable array backend.
 _XP = core_ops(
@@ -43,34 +42,15 @@ class SortedTiles:
 
     def __init__(
         self,
-        stream: TileStream | None = None,
-        ids: np.ndarray | None = None,
-        depths: np.ndarray | None = None,
-        *,
-        tile_rows: list[np.ndarray] | None = None,
-        tile_ids: list[np.ndarray] | None = None,
-        tile_depths: list[np.ndarray] | None = None,
+        stream: TileStream,
+        ids: np.ndarray,
+        depths: np.ndarray,
     ) -> None:
-        legacy = tile_rows is not None or tile_ids is not None or tile_depths is not None
-        if legacy:
-            if stream is not None or ids is not None or depths is not None:
-                raise ValueError("pass either stream/ids/depths or the legacy lists")
-            if tile_rows is None or tile_ids is None or tile_depths is None:
-                raise ValueError("legacy construction needs all three per-tile lists")
-            _warn_deprecated(
-                "SortedTiles(tile_rows=..., tile_ids=..., tile_depths=...)",
-                "SortedTiles(stream=..., ids=..., depths=...) or "
-                "SortedTiles.from_tile_lists(...)",
-            )
-            stream, ids, depths = _from_tile_lists(tile_rows, tile_ids, tile_depths)
-        if stream is None or ids is None or depths is None:
-            raise ValueError("stream, ids, and depths are required")
         if ids.shape[0] != stream.num_pairs or depths.shape[0] != stream.num_pairs:
             raise ValueError("ids and depths must align with the stream")
         self.stream = stream
         self.ids = ids
         self.depths = depths
-        self._lists: dict[str, list[np.ndarray]] = {}
 
     @classmethod
     def from_tile_lists(
@@ -79,13 +59,18 @@ class SortedTiles:
         tile_ids: list[np.ndarray],
         tile_depths: list[np.ndarray],
     ) -> "SortedTiles":
-        """Build from the legacy per-tile list layout (no deprecation)."""
-        stream, ids, depths = _from_tile_lists(tile_rows, tile_ids, tile_depths)
+        """Build from per-tile row, ID and depth lists."""
+        if not (len(tile_rows) == len(tile_ids) == len(tile_depths)):
+            raise ValueError("per-tile lists must have equal length")
+        stream = TileStream.from_lists(tile_rows)
+        if stream.num_pairs:
+            ids = np.concatenate(tile_ids)
+            depths = np.concatenate(tile_depths)
+        else:
+            ids = np.empty(0, dtype=np.int64)
+            depths = np.empty(0, dtype=np.float64)
         return cls(stream=stream, ids=ids, depths=depths)
 
-    # ------------------------------------------------------------------
-    # Stream API
-    # ------------------------------------------------------------------
     @property
     def num_tiles(self) -> int:
         """Number of tiles covered."""
@@ -111,54 +96,6 @@ class SortedTiles:
     def depths_for(self, tile: int) -> np.ndarray:
         """Tile ``tile``'s sorted depths (zero-copy view)."""
         return self.depths[self.stream.offsets[tile] : self.stream.offsets[tile + 1]]
-
-    # ------------------------------------------------------------------
-    # Deprecated list shims
-    # ------------------------------------------------------------------
-    def _list_shim(self, name: str, flat: np.ndarray) -> list[np.ndarray]:
-        if name not in self._lists:
-            off = self.stream.offsets
-            self._lists[name] = [
-                flat[off[t] : off[t + 1]] for t in range(self.stream.num_tiles)
-            ]
-        return self._lists[name]
-
-    @property
-    def tile_rows(self) -> list[np.ndarray]:
-        """Deprecated list accessor; use :meth:`rows_for` / :attr:`stream`."""
-        _warn_deprecated("SortedTiles.tile_rows", "SortedTiles.rows_for / stream")
-        return self._list_shim("rows", self.stream.values)
-
-    @property
-    def tile_ids(self) -> list[np.ndarray]:
-        """Deprecated list accessor; use :meth:`ids_for` / :attr:`ids`."""
-        _warn_deprecated("SortedTiles.tile_ids", "SortedTiles.ids_for / ids")
-        return self._list_shim("ids", self.ids)
-
-    @property
-    def tile_depths(self) -> list[np.ndarray]:
-        """Deprecated list accessor; use :meth:`depths_for` / :attr:`depths`."""
-        _warn_deprecated("SortedTiles.tile_depths", "SortedTiles.depths_for / depths")
-        return self._list_shim("depths", self.depths)
-
-
-def _from_tile_lists(
-    tile_rows: list[np.ndarray],
-    tile_ids: list[np.ndarray],
-    tile_depths: list[np.ndarray],
-) -> tuple[TileStream, np.ndarray, np.ndarray]:
-    if not (len(tile_rows) == len(tile_ids) == len(tile_depths)):
-        raise ValueError("per-tile lists must have equal length")
-    stream = TileStream.from_lists(tile_rows)
-    if stream.num_pairs:
-        ids = np.concatenate(tile_ids)
-        depths = np.concatenate(tile_depths)
-    else:
-        ids = np.empty(0, dtype=np.int64)
-        depths = np.empty(0, dtype=np.float64)
-    if ids.shape[0] != stream.num_pairs or depths.shape[0] != stream.num_pairs:
-        raise ValueError("per-tile ids/depths must align with rows")
-    return stream, ids, depths
 
 
 def sort_tiles(assignment: TileAssignment) -> SortedTiles:

@@ -16,17 +16,12 @@ each splat's circle against its bbox tiles on row runs (see its docstring).
 grouped by tile, plus a ``num_tiles + 1`` ``offsets`` array marking the
 segment boundaries (the CRS/CSR idiom).  Tile ``t``'s entries are
 ``values[offsets[t]:offsets[t + 1]]``, a zero-copy view.  Every per-tile
-loop in the pipeline becomes a segmented array program over this layout;
-the old list-of-arrays accessors survive as deprecated shims returning
-views into the stream (see the README migration table — they are scheduled
-for removal one release after 2026-08).
+loop in the pipeline becomes a segmented array program over this layout.
 """
 
 from __future__ import annotations
 
-import warnings
-
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -58,16 +53,6 @@ GPU_TILE_SIZE = 16
 #: operations; keys must therefore fit in ``[0, 2^32)`` (global Gaussian IDs
 #: do by construction, matching the hardware's 32-bit ID field).
 _KEY_SHIFT = np.int64(1) << 32
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated and scheduled for removal one release after "
-        f"2026-08; use {new} instead (see the README tile-stream migration "
-        "table)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(frozen=True)
@@ -364,7 +349,6 @@ class TileAssignment:
     grid: TileGrid
     stream: TileStream
     projected: ProjectedGaussians
-    _rows_list: list[np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_tiles(self) -> int:
@@ -395,14 +379,6 @@ class TileAssignment:
     def nonempty_tiles(self) -> np.ndarray:
         """Indices of tiles with at least one Gaussian."""
         return self.stream.nonempty()
-
-    @property
-    def tile_rows(self) -> list[np.ndarray]:
-        """Deprecated list-of-arrays accessor; use :attr:`stream` instead."""
-        _warn_deprecated("TileAssignment.tile_rows", "TileAssignment.stream / rows_for")
-        if self._rows_list is None:
-            self._rows_list = self.stream.to_lists()
-        return self._rows_list
 
 
 def tile_ranges(

@@ -196,13 +196,13 @@ class TestMain:
 
     def test_committed_baseline_gates_bucketed_rasterization(self):
         # The trend gate only protects entries recorded in the committed
-        # baseline; the bucketed rasterizer must be one of them, with the
-        # committed full-mode speedup clearing its own CI floor.
+        # baseline; the rasterizer must be one of them, with the committed
+        # full-mode speedup clearing its own CI floor.
         baseline_path = _SCRIPT.parent.parent / "BENCH_pipeline.json"
         if not baseline_path.exists():
             pytest.skip("no committed baseline in this checkout")
         benches = bench_trend.load_benchmarks(str(baseline_path))
-        assert "raster_bucketed" in benches
-        entry = benches["raster_bucketed"]
+        assert "raster" in benches
+        entry = benches["raster"]
         assert entry["identical"] is True
-        assert entry["speedup"] >= entry["floor"] >= 1.6
+        assert entry["speedup"] >= entry["floor"] >= 2.0

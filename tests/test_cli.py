@@ -164,7 +164,7 @@ class TestBenchCli:
     def test_bench_list(self, capsys):
         assert main(["bench", "--list"]) == 0
         out = capsys.readouterr().out
-        for name in ("raster_chunked", "sort_batched", "order_metrics",
+        for name in ("raster", "sort_batched", "order_metrics",
                      "render_sequence", "hw_system"):
             assert name in out
 

@@ -59,7 +59,6 @@ def _random_frame(rng, n, width, height):
 def _compare(proj, grid, **kwargs):
     sorted_tiles = sort_tiles(assign_to_tiles(proj, grid))
     got = rasterize(sorted_tiles, proj, grid, **kwargs)
-    kwargs.pop("chunk_size", None)  # the scalar pin has no chunking knob
     want = ref.rasterize(sorted_tiles, proj, grid, **kwargs)
     _assert_raster_equal(got, want)
     return got
@@ -121,23 +120,26 @@ class TestBucketedRandomized:
         grid = TileGrid(width=24, height=16, tile_size=1)
         _compare(proj, grid)
 
-    @pytest.mark.parametrize("chunk_size", [3, 64])
-    def test_forced_mid_stack_termination(self, chunk_size):
+    @pytest.mark.parametrize("tile_size", [16, 64])
+    def test_forced_mid_stack_termination(self, tile_size):
         # Deep stacks of near-opaque splats with an aggressive termination
         # threshold: tiles must stop partway down the stack, and the
         # bucketed stop selection must reproduce the scalar loop's exact
-        # early-termination point and stats.
+        # early-termination point and stats.  The frame is 3x3 tiles with
+        # the stack centred on the middle one, scaled with the tile size.
         rng = np.random.default_rng(23)
         n = 48
+        scale = tile_size / 16.0
         proj = _projection(
             rng,
-            means2d=np.tile([[24.0, 24.0]], (n, 1)) + rng.uniform(-3, 3, size=(n, 2)),
-            radii=np.full(n, 20.0),
+            means2d=np.tile([[24.0, 24.0]], (n, 1)) * scale
+            + rng.uniform(-3, 3, size=(n, 2)) * scale,
+            radii=np.full(n, 20.0 * scale),
             opacities=np.full(n, 0.99),
             depths=np.arange(1, n + 1, dtype=np.float64),
         )
-        grid = TileGrid(width=48, height=48, tile_size=16)
-        got = _compare(proj, grid, termination=0.5, chunk_size=chunk_size)
+        grid = TileGrid(width=3 * tile_size, height=3 * tile_size, tile_size=tile_size)
+        got = _compare(proj, grid, termination=0.5)
         assert got.stats.early_terminated_tiles > 0
         # Termination must have cut the work short of the full stack.
         assert got.stats.gaussians_processed < n * grid.num_tiles

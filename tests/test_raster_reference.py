@@ -1,19 +1,18 @@
 """Golden tests: vectorized pipeline hot paths vs the frozen scalar reference.
 
-The chunked rasterizer, the batched tile sort, and the vectorized order
+The bucketed rasterizer, the batched tile sort, and the vectorized order
 metrics must be *bit-identical* to :mod:`repro.pipeline.reference` — images,
-``valid_bits``, and every :class:`RasterStats` counter — across subtile
-sizes, termination settings, chunk sizes, and both density-dispatch paths.
+``valid_bits``, and every :class:`RasterStats` counter — across tile sizes,
+subtile sizes, and termination settings.
 """
 
 import numpy as np
 import pytest
 
-import repro.pipeline.rasterizer as rasterizer_mod
+from raster_oracle import rasterize_one_tile
 from repro.pipeline import reference as ref
-from repro.pipeline.framebuffer import Framebuffer
 from repro.pipeline.projection import ProjectedGaussians, project_gaussians
-from repro.pipeline.rasterizer import MIN_ALPHA, rasterize, rasterize_tile
+from repro.pipeline.rasterizer import MIN_ALPHA, rasterize
 from repro.pipeline.sorting import _count_inversions, kendall_tau_distance, sort_tiles
 from repro.pipeline.tiling import TileGrid, assign_to_tiles
 from repro.hw.workload import WorkloadModel
@@ -60,52 +59,23 @@ class TestChunkedRasterizerGolden:
             )
             _assert_raster_equal(got, want)
 
-    @pytest.mark.parametrize("chunk_size", [1, 2, 7, 64, 4096])
-    def test_chunk_size_never_changes_results(self, small_scene, camera, chunk_size):
-        proj = project_gaussians(small_scene, camera)
-        grid = TileGrid.for_camera(camera, 16)
-        sorted_tiles = sort_tiles(assign_to_tiles(proj, grid))
-        got = rasterize(sorted_tiles, proj, grid, chunk_size=chunk_size)
-        want = ref.rasterize(sorted_tiles, proj, grid)
-        _assert_raster_equal(got, want)
-
     def test_random_splats_stress(self):
         # Random opacities (many below MIN_ALPHA), conics with off-diagonal
-        # terms, off-screen splats, small chunks: exercises dead-member
-        # compression, bbox masking, and mid-chunk termination replay.
+        # terms, off-screen splats, 16 and 64 px tiles, mild and aggressive
+        # termination: exercises bbox masking, insignificant pixels, and
+        # stops landing mid-stack.
         rng = np.random.default_rng(20260730)
         for trial in range(6):
             n = int(rng.integers(5, 160))
             proj = _random_projection(rng, n, opacity_range=(0.001, 1.0))
             rows = np.arange(n, dtype=np.int64)[np.argsort(proj.depths, kind="stable")]
-            for chunk in (3, 32):
+            for width, height in ((16, 16), (64, 48)):
                 for sub in (8, None):
-                    fb_a = Framebuffer(width=64, height=48)
-                    fb_b = Framebuffer(width=64, height=48)
-                    got = rasterize_tile(
-                        fb_a, proj, rows, (0, 0, 64, 48), subtile_size=sub,
-                        chunk_size=chunk,
-                    )
-                    want = ref.rasterize_tile(fb_b, proj, rows, (0, 0, 64, 48), subtile_size=sub)
-                    assert np.array_equal(got[0], want[0])
-                    assert got[1] == want[1]
-                    assert np.array_equal(fb_a.color, fb_b.color)
-                    assert np.array_equal(fb_a.transmittance, fb_b.transmittance)
-
-    def test_sparse_large_tile_forced_through_chunked_path(self, monkeypatch):
-        # The density dispatch would send this sparse 64 px tile scalar;
-        # force the chunked path and require the same bits anyway.
-        monkeypatch.setattr(rasterizer_mod, "CHUNKED_MIN_COVERAGE", -1.0)
-        rng = np.random.default_rng(7)
-        proj = _random_projection(rng, 120)
-        rows = np.arange(120, dtype=np.int64)[np.argsort(proj.depths, kind="stable")]
-        fb_a = Framebuffer(width=64, height=64)
-        fb_b = Framebuffer(width=64, height=64)
-        got = rasterize_tile(fb_a, proj, rows, (0, 0, 64, 64), chunk_size=16)
-        want = ref.rasterize_tile(fb_b, proj, rows, (0, 0, 64, 64))
-        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
-        assert np.array_equal(fb_a.color, fb_b.color)
-        assert np.array_equal(fb_a.transmittance, fb_b.transmittance)
+                    for termination in (1e-4, 0.5):
+                        rasterize_one_tile(
+                            proj, rows, width, height,
+                            subtile_size=sub, termination=termination,
+                        )
 
 
 class TestRasterizerEdgeCases:
@@ -134,24 +104,12 @@ class TestRasterizerEdgeCases:
             opacities=np.concatenate([p.opacities for p in projs]),
         )
 
-    def _both(self, proj, rows, bounds, width, height, **kwargs):
-        fb_a = Framebuffer(width=width, height=height)
-        fb_b = Framebuffer(width=width, height=height)
-        got = rasterize_tile(fb_a, proj, rows, bounds, **kwargs)
-        ref_kwargs = {k: v for k, v in kwargs.items() if k != "chunk_size"}
-        want = ref.rasterize_tile(fb_b, proj, rows, bounds, **ref_kwargs)
-        assert np.array_equal(got[0], want[0])
-        assert got[1] == want[1]
-        assert np.array_equal(fb_a.color, fb_b.color)
-        assert np.array_equal(fb_a.transmittance, fb_b.transmittance)
-        return got
-
     def test_single_pixel_tile(self):
         proj = self._merge(
             self._splat(0.5, 0.5, gid=0),
             self._splat(0.4, 0.6, opacity=0.99, depth=2.0, gid=1),
         )
-        valid, stats = self._both(proj, np.array([0, 1]), (0, 0, 1, 1), 1, 1)
+        valid, stats, _ = rasterize_one_tile(proj, [0, 1], 1, 1)
         assert stats.blend_ops > 0
 
     def test_single_pixel_tiles_full_grid(self, tiny_scene, camera):
@@ -164,7 +122,7 @@ class TestRasterizerEdgeCases:
 
     def test_subtile_none(self):
         proj = self._merge(*[self._splat(8.0 + i, 8.0, gid=i, depth=1.0 + i) for i in range(5)])
-        self._both(proj, np.arange(5), (0, 0, 16, 16), 16, 16, subtile_size=None)
+        rasterize_one_tile(proj, np.arange(5), 16, 16, subtile_size=None)
 
     def test_all_transparent_chunk(self):
         # Opacity far below MIN_ALPHA everywhere: every member is rejected,
@@ -174,54 +132,51 @@ class TestRasterizerEdgeCases:
             for i in range(20)
         ]
         proj = self._merge(*splats)
-        valid, stats = self._both(proj, np.arange(20), (0, 0, 16, 16), 16, 16, chunk_size=8)
+        valid, stats, _ = rasterize_one_tile(proj, np.arange(20), 16, 16)
         assert stats.gaussians_processed == 20
         assert stats.early_terminated_tiles == 0
 
     def test_termination_lands_mid_chunk(self):
         # A stack of near-opaque splats drives transmittance under the
-        # threshold partway into a chunk; the replay must stop on the same
-        # Gaussian (same processed/blend counts) as the scalar loop.
-        splats = [
-            self._splat(8.0, 8.0, radius=30.0, opacity=0.99, depth=1.0 + i, gid=i)
-            for i in range(40)
-        ]
-        proj = self._merge(*splats)
-        for chunk in (4, 8, 64):
-            valid, stats = self._both(
-                proj, np.arange(40), (0, 0, 16, 16), 16, 16, chunk_size=chunk
-            )
+        # threshold partway down the level stack; the stop must land on the
+        # same Gaussian (same processed/blend counts) as the scalar loop, on
+        # a 16 px and a 64 px tile.
+        for size, radius in ((16, 30.0), (64, 250.0)):
+            center = size / 2.0
+            splats = [
+                self._splat(center, center, radius=radius, opacity=0.99, depth=1.0 + i, gid=i)
+                for i in range(40)
+            ]
+            proj = self._merge(*splats)
+            valid, stats, _ = rasterize_one_tile(proj, np.arange(40), size, size)
             assert stats.early_terminated_tiles == 1
             assert stats.gaussians_processed < 40
 
     def test_transparent_tail_after_termination_threshold(self):
         # Opaque stack followed by sub-MIN_ALPHA members: termination fires
-        # at a member the chunked path dropped as a no-op, which is exactly
-        # the dead-member bookkeeping corner.
-        splats = [
-            self._splat(8.0, 8.0, radius=30.0, opacity=0.99, depth=1.0 + i, gid=i)
-            for i in range(12)
-        ] + [
-            self._splat(8.0, 8.0, opacity=MIN_ALPHA / 10.0, depth=100.0 + i, gid=100 + i)
-            for i in range(12)
-        ]
-        proj = self._merge(*splats)
-        for chunk in (6, 12, 24, 64):
-            self._both(proj, np.arange(24), (0, 0, 16, 16), 16, 16, chunk_size=chunk)
+        # at a member whose alpha map is all zero, so the stop is read off a
+        # stack level that member leaves unchanged.
+        for size, radius in ((16, 30.0), (64, 250.0)):
+            center = size / 2.0
+            splats = [
+                self._splat(center, center, radius=radius, opacity=0.99, depth=1.0 + i, gid=i)
+                for i in range(12)
+            ] + [
+                self._splat(
+                    center, center, opacity=MIN_ALPHA / 10.0, depth=100.0 + i, gid=100 + i
+                )
+                for i in range(12)
+            ]
+            proj = self._merge(*splats)
+            _, stats, _ = rasterize_one_tile(proj, np.arange(24), size, size)
+            assert stats.early_terminated_tiles == 1
 
     def test_empty_rows_and_degenerate_bounds(self):
+        # A TileGrid tile always has positive area, so the empty table is
+        # the degenerate input left to pin.
         proj = self._splat(4.0, 4.0)
-        valid, stats = self._both(proj, np.empty(0, dtype=np.int64), (0, 0, 16, 16), 16, 16)
-        assert valid.shape == (0,)
-        fb = Framebuffer(width=16, height=16)
-        valid, stats = rasterize_tile(fb, proj, np.array([0]), (8, 8, 8, 16))
-        assert valid.shape == (1,) and stats.blend_ops == 0
-
-    def test_rejects_nonpositive_chunk(self):
-        proj = self._splat(4.0, 4.0)
-        fb = Framebuffer(width=16, height=16)
-        with pytest.raises(ValueError):
-            rasterize_tile(fb, proj, np.array([0]), (0, 0, 16, 16), chunk_size=0)
+        valid, stats, _ = rasterize_one_tile(proj, np.empty(0, dtype=np.int64), 16, 16)
+        assert valid.shape == (0,) and stats.blend_ops == 0
 
 
 class TestBatchedSortGolden:

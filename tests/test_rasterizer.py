@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from raster_oracle import rasterize_one_tile
 from repro.pipeline.framebuffer import Framebuffer
 from repro.pipeline.projection import ProjectedGaussians, project_gaussians
-from repro.pipeline.rasterizer import rasterize, rasterize_tile
+from repro.pipeline.rasterizer import rasterize
 from repro.pipeline.sorting import sort_tiles
 from repro.pipeline.tiling import TileGrid, assign_to_tiles
 
@@ -56,12 +57,12 @@ class TestFramebuffer:
 
 
 class TestRasterizeTile:
+    """One-tile frames through ``rasterize``, each pinned to the scalar loop."""
+
     def test_splat_renders_at_center(self):
-        fb = Framebuffer(width=16, height=16)
         proj = _single_splat(8.0, 8.0)
-        valid, stats = rasterize_tile(fb, proj, np.array([0]), (0, 0, 16, 16))
+        valid, stats, image = rasterize_one_tile(proj, [0], 16, 16)
         assert valid[0]
-        image = fb.finalize()
         assert image[8, 8, 0] > 0.5  # red splat visible
         assert stats.blend_ops > 0
 
@@ -69,20 +70,16 @@ class TestRasterizeTile:
         front = _single_splat(8.0, 8.0, opacity=0.95, color=(1, 0, 0), depth=1.0, gid=0)
         back = _single_splat(8.0, 8.0, opacity=0.95, color=(0, 0, 1), depth=2.0, gid=1)
         proj = _merge(front, back)
-        fb = Framebuffer(width=16, height=16)
-        rasterize_tile(fb, proj, np.array([0, 1]), (0, 0, 16, 16))
-        image = fb.finalize()
+        _, _, image = rasterize_one_tile(proj, [0, 1], 16, 16)
         assert image[8, 8, 0] > image[8, 8, 2]
 
     def test_order_matters(self):
         a = _single_splat(8.0, 8.0, opacity=0.9, color=(1, 0, 0), depth=1.0, gid=0)
         b = _single_splat(8.0, 8.0, opacity=0.9, color=(0, 0, 1), depth=2.0, gid=1)
         proj = _merge(a, b)
-        fb1 = Framebuffer(width=16, height=16)
-        rasterize_tile(fb1, proj, np.array([0, 1]), (0, 0, 16, 16))
-        fb2 = Framebuffer(width=16, height=16)
-        rasterize_tile(fb2, proj, np.array([1, 0]), (0, 0, 16, 16))
-        assert not np.allclose(fb1.finalize(), fb2.finalize())
+        _, _, image_ab = rasterize_one_tile(proj, [0, 1], 16, 16)
+        _, _, image_ba = rasterize_one_tile(proj, [1, 0], 16, 16)
+        assert not np.allclose(image_ab, image_ba)
 
     def test_early_termination(self):
         # Stack many opaque splats: the loop must stop early.
@@ -91,8 +88,7 @@ class TestRasterizeTile:
             for i in range(50)
         ]
         proj = _merge(*splats)
-        fb = Framebuffer(width=16, height=16)
-        _, stats = rasterize_tile(fb, proj, np.arange(50), (0, 0, 16, 16))
+        _, stats, _ = rasterize_one_tile(proj, np.arange(50), 16, 16)
         assert stats.early_terminated_tiles == 1
         assert stats.gaussians_processed < 50
 
@@ -102,22 +98,20 @@ class TestRasterizeTile:
             for i in range(30)
         ]
         proj = _merge(*splats)
-        fb = Framebuffer(width=16, height=16)
-        valid, stats = rasterize_tile(fb, proj, np.arange(30), (0, 0, 16, 16))
+        valid, stats, _ = rasterize_one_tile(proj, np.arange(30), 16, 16)
         # Every splat geometrically intersects the tile: all valid bits set
         # even though blending terminated early.
+        assert stats.early_terminated_tiles == 1
         assert valid.all()
 
     def test_nonintersecting_splat_invalid(self):
         proj = _single_splat(100.0, 100.0, radius=3.0)
-        fb = Framebuffer(width=16, height=16)
-        valid, _ = rasterize_tile(fb, proj, np.array([0]), (0, 0, 16, 16))
+        valid, _, _ = rasterize_one_tile(proj, [0], 16, 16)
         assert not valid[0]
 
     def test_empty_rows(self):
-        fb = Framebuffer(width=16, height=16)
-        valid, stats = rasterize_tile(
-            fb, _single_splat(0, 0), np.empty(0, dtype=np.int64), (0, 0, 16, 16)
+        valid, stats, _ = rasterize_one_tile(
+            _single_splat(0, 0), np.empty(0, dtype=np.int64), 16, 16
         )
         assert valid.shape == (0,)
         assert stats.blend_ops == 0
@@ -125,8 +119,7 @@ class TestRasterizeTile:
     def test_subtile_skips_work(self):
         # A tiny splat in one corner: with subtiles, blend ops stay small.
         proj = _single_splat(2.0, 2.0, radius=2.0)
-        fb_sub = Framebuffer(width=64, height=64)
-        _, stats_sub = rasterize_tile(fb_sub, proj, np.array([0]), (0, 0, 64, 64), subtile_size=8)
+        _, stats_sub, _ = rasterize_one_tile(proj, [0], 64, 64, subtile_size=8)
         assert stats_sub.subtile_tests == 64
         assert stats_sub.subtile_hits < 4
 

@@ -5,22 +5,20 @@ pin (:mod:`repro.hw.reference` / :mod:`repro.metrics.reference` /
 :mod:`repro.pipeline.reference`) — arrays must match *bit for bit*, not
 approximately.  The pipeline rasterizer/sorting equivalents live in
 ``tests/test_raster_reference.py``; this file covers the workload queries,
-the similarity metric, the engine simulators, and the sparse-raster gather.
+the similarity metric, the engine simulators, and large-tile termination.
 """
 
 import numpy as np
 import pytest
 
+from raster_oracle import rasterize_one_tile
 import repro.hw.reference as hw_ref
 import repro.metrics.reference as metrics_ref
-import repro.pipeline.reference as pipeline_ref
 from repro.hw.raster_engine import RasterEngineSim
 from repro.hw.sorting_engine import SortingEngineSim, jobs_from_occupancy
 from repro.hw.workload import WorkloadModel
 from repro.metrics.similarity import frame_similarity
-from repro.pipeline.framebuffer import Framebuffer
 from repro.pipeline.projection import ProjectedGaussians
-from repro.pipeline.rasterizer import rasterize_tile
 from repro.pipeline.sorting import sort_tiles
 from repro.pipeline.tiling import TileGrid, assign_to_tiles
 
@@ -170,13 +168,13 @@ class TestSortingEngineSim:
         assert by_jobs == by_frame
 
 
-class TestSparseRasterPath:
-    """The flat bbox-gather path on sparse 64 px tiles, incl. termination."""
+class TestLargeTileTermination:
+    """Sparse splats on a 64 px tile with mid-stream termination."""
 
     def _layered_proj(self, rng, layers, opac_lo=0.9, opac_hi=0.99, tile=64):
         # A grid of small opaque splats covering the tile in several layers:
-        # coverage stays far below CHUNKED_MIN_COVERAGE (sparse dispatch)
-        # while transmittance still collapses, forcing mid-stream termination.
+        # each splat's bbox covers a small fraction of the tile while
+        # transmittance still collapses, forcing mid-stream termination.
         grid = np.array(
             [(x, y) for y in range(4, tile, 8) for x in range(4, tile, 8)],
             dtype=np.float64,
@@ -198,33 +196,14 @@ class TestSparseRasterPath:
             opacities=rng.uniform(opac_lo, opac_hi, m),
         )
 
-    @pytest.mark.parametrize("seed,termination,chunk", [
-        (0, 1e-4, 64),
-        (1, 0.05, 16),
-        (2, 0.2, 8),
-        (3, 0.01, 1),
+    @pytest.mark.parametrize("seed,termination", [
+        (0, 1e-4),
+        (1, 0.05),
+        (2, 0.2),
+        (3, 0.01),
     ])
-    def test_bit_identical_with_termination(self, seed, termination, chunk):
+    def test_bit_identical_with_termination(self, seed, termination):
         rng = np.random.default_rng(seed)
         proj = self._layered_proj(rng, layers=int(rng.integers(4, 10)))
-        tile = 64
         rows = np.arange(proj.ids.shape[0])
-        bounds = (0, 0, tile, tile)
-
-        fb_ref = Framebuffer(width=tile, height=tile)
-        fb_new = Framebuffer(width=tile, height=tile)
-        v_ref, s_ref = pipeline_ref.rasterize_tile(
-            fb_ref, proj, rows, bounds, termination=termination
-        )
-        v_new, s_new = rasterize_tile(
-            fb_new, proj, rows, bounds, termination=termination, chunk_size=chunk
-        )
-
-        np.testing.assert_array_equal(v_new, v_ref)
-        np.testing.assert_array_equal(fb_new.color, fb_ref.color)
-        np.testing.assert_array_equal(fb_new.transmittance, fb_ref.transmittance)
-        assert s_new.gaussians_processed == s_ref.gaussians_processed
-        assert s_new.blend_ops == s_ref.blend_ops
-        assert s_new.early_terminated_tiles == s_ref.early_terminated_tiles
-        assert s_new.subtile_tests == s_ref.subtile_tests
-        assert s_new.subtile_hits == s_ref.subtile_hits
+        rasterize_one_tile(proj, rows, 64, 64, termination=termination)

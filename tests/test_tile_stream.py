@@ -2,22 +2,13 @@
 
 Every segmented helper on :class:`repro.pipeline.tiling.TileStream` is
 cross-checked against a dict-of-arrays reference on randomized workloads —
-including empty tiles, single-splat tiles, and everything-in-one-tile — and
-every deprecated accessor shim is checked to warn *and* return byte-identical
-data to the stream it wraps.
+including empty tiles, single-splat tiles, and everything-in-one-tile.
 """
 
 import numpy as np
 import pytest
 
-from repro.pipeline.projection import ProjectedGaussians
-from repro.pipeline.sorting import SortedTiles, sort_tiles
-from repro.pipeline.tiling import (
-    SegmentIntersection,
-    TileGrid,
-    TileStream,
-    assign_to_tiles,
-)
+from repro.pipeline.tiling import SegmentIntersection, TileStream
 
 
 # ---------------------------------------------------------------------------
@@ -268,81 +259,3 @@ class TestSegmentedHelpers:
         c = TileStream.empty(3)
         with pytest.raises(ValueError):
             a.segment_intersect(np.ones(1, dtype=np.int64), c, np.empty(0, dtype=np.int64))
-
-
-# ---------------------------------------------------------------------------
-# Deprecated accessor shims
-# ---------------------------------------------------------------------------
-
-
-def _projected(rng, n, width=64, height=64):
-    return ProjectedGaussians(
-        ids=np.arange(n, dtype=np.int64),
-        means2d=np.column_stack(
-            [rng.uniform(0, width, n), rng.uniform(0, height, n)]
-        ),
-        cov2d=np.tile(np.eye(2), (n, 1, 1)),
-        conic=np.tile(np.array([1.0, 0.0, 1.0]), (n, 1)),
-        depths=rng.uniform(0.1, 10.0, n),
-        radii=rng.uniform(1.0, 8.0, n),
-        colors=np.full((n, 3), 0.5),
-        opacities=np.full(n, 0.9),
-    )
-
-
-class TestDeprecationShims:
-    def test_assignment_tile_rows_warns_and_matches(self):
-        rng = np.random.default_rng(11)
-        grid = TileGrid(width=64, height=64, tile_size=16)
-        assignment = assign_to_tiles(_projected(rng, 40), grid)
-        with pytest.warns(DeprecationWarning, match="tile_rows"):
-            legacy = assignment.tile_rows
-        assert len(legacy) == assignment.num_tiles
-        for tile in range(assignment.num_tiles):
-            np.testing.assert_array_equal(legacy[tile], assignment.rows_for(tile))
-
-    def test_sorted_tiles_list_shims_warn_and_match(self):
-        rng = np.random.default_rng(13)
-        grid = TileGrid(width=64, height=64, tile_size=16)
-        st = sort_tiles(assign_to_tiles(_projected(rng, 40), grid))
-        with pytest.warns(DeprecationWarning, match="tile_rows"):
-            rows = st.tile_rows
-        with pytest.warns(DeprecationWarning, match="tile_ids"):
-            ids = st.tile_ids
-        with pytest.warns(DeprecationWarning, match="tile_depths"):
-            depths = st.tile_depths
-        for tile in range(st.num_tiles):
-            np.testing.assert_array_equal(rows[tile], st.rows_for(tile))
-            np.testing.assert_array_equal(ids[tile], st.ids_for(tile))
-            np.testing.assert_array_equal(depths[tile], st.depths_for(tile))
-
-    def test_sorted_tiles_legacy_kwargs_warn_and_match(self):
-        rng = np.random.default_rng(17)
-        grid = TileGrid(width=64, height=64, tile_size=16)
-        st = sort_tiles(assign_to_tiles(_projected(rng, 30), grid))
-        rows = [st.rows_for(t).copy() for t in range(st.num_tiles)]
-        ids = [st.ids_for(t).copy() for t in range(st.num_tiles)]
-        depths = [st.depths_for(t).copy() for t in range(st.num_tiles)]
-        with pytest.warns(DeprecationWarning, match="from_tile_lists"):
-            legacy = SortedTiles(tile_rows=rows, tile_ids=ids, tile_depths=depths)
-        np.testing.assert_array_equal(legacy.stream.offsets, st.stream.offsets)
-        np.testing.assert_array_equal(legacy.stream.values, st.stream.values)
-        np.testing.assert_array_equal(legacy.ids, st.ids)
-        np.testing.assert_array_equal(legacy.depths, st.depths)
-        # The classmethod builds the same object without warning.
-        quiet = SortedTiles.from_tile_lists(rows, ids, depths)
-        np.testing.assert_array_equal(quiet.ids, st.ids)
-
-    def test_raster_report_timelines_warns_and_matches(self):
-        from repro.hw.raster_engine import RasterEngineSim
-
-        report = RasterEngineSim().simulate_frame([120, 0, 40], [300, 0, 64])
-        with pytest.warns(DeprecationWarning, match="timelines"):
-            timelines = report.timelines
-        assert len(timelines) == report.tile_total_cycles.shape[0]
-        for i, t in enumerate(timelines):
-            assert t.total_cycles == report.tile_total_cycles[i]
-            assert t.itu_cycles == report.tile_itu_cycles[i]
-            assert t.scu_cycles == report.tile_scu_cycles[i]
-            assert t.itu_idle_cycles == report.tile_itu_idle_cycles[i]
-            assert t.scu_stall_cycles == report.tile_scu_stall_cycles[i]
