@@ -10,11 +10,12 @@ recorded ``speedup`` is the number that tracks the perf trajectory.
 from __future__ import annotations
 
 import time
+from dataclasses import fields
 
 import numpy as np
 
 from ..pipeline import reference as pipeline_ref
-from ..pipeline.rasterizer import rasterize
+from ..pipeline.rasterizer import RasterWork, rasterize
 from ..pipeline.renderer import Renderer, aggregate_timings
 from ..pipeline.sorting import kendall_tau_distance, sort_tiles
 from ..pipeline.tiling import TileGrid, assign_to_tiles
@@ -116,6 +117,7 @@ def bench_raster(quick: bool) -> BenchRecord:
     scene = load_scene(BENCH_SCENE, num_gaussians=gaussians)
     cameras = default_trajectory(BENCH_SCENE, num_frames=frames_n, width=w, height=h)
     per_tile = {}
+    work = {}
     identical = True
     for tile in RASTER_BENCH_TILES:
         frames = []
@@ -132,6 +134,11 @@ def bench_raster(quick: bool) -> BenchRecord:
         )
         identical &= all(_raster_results_equal(a, b) for a, b in zip(opt_out, base_out))
         per_tile[tile] = (base_s, opt_s)
+        # Mean RasterWork per frame: where the blend work went.
+        work[tile] = {
+            f.name: sum(getattr(r.work, f.name) for r in opt_out) / len(opt_out)
+            for f in fields(RasterWork)
+        }
     # The gate is the weakest tile size; its timings are the record's.
     ratios = {t: b / o if o else float("inf") for t, (b, o) in per_tile.items()}
     binding = min(ratios, key=ratios.get)
@@ -153,6 +160,7 @@ def bench_raster(quick: bool) -> BenchRecord:
                     "baseline_ms": b * 1e3,
                     "optimized_ms": o * 1e3,
                     "speedup": ratios[t],
+                    "work_per_frame": work[t],
                 }
                 for t, (b, o) in per_tile.items()
             },

@@ -17,6 +17,7 @@ from .rasterizer import (
     TERMINATION_THRESHOLD,
     RasterResult,
     RasterStats,
+    RasterWork,
     rasterize,
 )
 from .renderer import (
@@ -61,6 +62,7 @@ __all__ = [
     "ProjectedGaussians",
     "RasterResult",
     "RasterStats",
+    "RasterWork",
     "Renderer",
     "SortStrategy",
     "SortedTiles",

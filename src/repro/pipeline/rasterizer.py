@@ -9,8 +9,9 @@ Rasterization Engine:
   subtiles; a Gaussian is only blended into subtiles its bounding circle
   overlaps, and the per-tile OR of those bitmaps doubles as the *valid bit*
   that flags outgoing Gaussians for the next frame's deferred deletion.
-* **Blend-op accounting**: the number of (Gaussian, subtile) and
-  (Gaussian, pixel) operations feeds the hardware timing model.
+* **Blend-op accounting**: the number of (Gaussian, subtile) tests and
+  (Gaussian, bbox pixel) evaluations of the scalar loop feeds the hardware
+  timing model.
 
 **One bucketed whole-frame core.**  Front-to-back compositing looks
 inherently sequential (each Gaussian needs the transmittance its
@@ -21,16 +22,25 @@ contribution.  :func:`rasterize` therefore blends many tiles at once: a
 frame's nonempty tiles are grouped into occupancy buckets (same tile shape,
 power-of-two depth-count class, so padding to the bucket maximum costs
 < 2x), each bucket is packed into ``(tiles, depth)`` arrays straight from
-the ``TileStream`` offsets, and :func:`_blend_bucket_dense` evaluates every
-(tile, splat) bbox pixel in one flat gather, scatters the significant
-``(1 - alpha)`` values into a level-major ``(depth + 1, tiles, tile_h,
-tile_w)`` stack, and recovers every incoming transmittance with one
-strictly sequential ``ufunc.accumulate``.  Padded slots carry
-``alpha == 0`` and composite as bitwise no-ops.  Early termination is
-exact: stack level ``m`` is the transmittance the scalar loop inspects
-before splat ``m``, so each tile's stopping splat is read off the
-per-level maxima, its counters come from prefix sums up to that stop, and
-later splats' color contributions are dropped.
+the ``TileStream`` offsets, and :func:`_blend_bucket_dense` evaluates alpha
+in one flat gather, scatters the significant ``(1 - alpha)`` values into a
+level-major ``(depth + 1, tiles, tile_h, tile_w)`` stack, and recovers every
+incoming transmittance with one strictly sequential ``ufunc.accumulate``.
+Padded slots carry ``alpha == 0`` and composite as bitwise no-ops.  Early
+termination is exact: stack level ``m`` is the transmittance the scalar
+loop inspects before splat ``m``, so each tile's stopping splat is read off
+the per-level maxima, its counters come from prefix sums up to that stop,
+and later splats' color contributions are dropped.
+
+**Row spans.**  Alpha is evaluated only inside each (splat, bbox row)'s
+significance span: the columns where the splat's conic quadratic allows
+``alpha >= MIN_ALPHA``, solved per row with a lowered threshold and widened
+by a pixel on each side (:func:`_row_spans`).  A pixel outside its span has
+``alpha < MIN_ALPHA``, which the scalar loop drops as a bitwise no-op, so
+skipping it changes nothing; on a typical frame the spans hold about a
+third of the bbox pixels.  ``RasterStats.blend_ops`` still counts bbox
+pixels, the scalar loop's and the hardware model's workload, while
+:class:`RasterWork` records what the core actually touched.
 
 Every intermediate float is produced by the same operations in the same
 order as the scalar per-Gaussian loop, so images, ``valid_bits`` and every
@@ -43,6 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..backend import core_ops
 from .framebuffer import Framebuffer
@@ -116,7 +127,9 @@ class RasterStats:
     gaussians_processed:
         Tile-Gaussian pairs walked by the blending loop.
     blend_ops:
-        (Gaussian, pixel) alpha evaluations actually performed.
+        Bbox pixels the scalar loop evaluates (the hardware model's
+        workload).  The bucketed core evaluates alpha only inside each
+        splat's significance spans; see :class:`RasterWork` for that count.
     subtile_tests:
         (Gaussian, subtile) intersection tests performed by the ITU model.
     subtile_hits:
@@ -141,17 +154,109 @@ class RasterStats:
 
 
 @dataclass
+class RasterWork:
+    """Elements the bucketed core actually touched over a frame.
+
+    Kept apart from :class:`RasterStats`, which is compared bit for bit
+    with the frozen scalar reference (that reference reports no work).
+    All counts cover every splat of the processed depth segments, including
+    splats after a tile's early-termination stop.
+
+    Attributes
+    ----------
+    bbox_pixels:
+        (splat, bbox pixel) pairs; equals ``RasterStats.blend_ops`` when no
+        tile terminates early.
+    span_pixels:
+        Pairs inside the significance spans, where alpha is evaluated.
+    significant:
+        Span pixels whose alpha reached ``MIN_ALPHA``.
+    stack_elements:
+        Elements of the level-major transmittance stacks.
+    """
+
+    bbox_pixels: int = 0
+    span_pixels: int = 0
+    significant: int = 0
+    stack_elements: int = 0
+
+
+@dataclass
 class RasterResult:
     """Frame output: image, per-tile valid bits, and workload counters.
 
     ``valid_bits[t]`` aligns with the sorted row list of tile ``t`` and is
     ``True`` where the Gaussian intersected at least one subtile — the signal
-    Neo's ITU feeds back to the Sorting Engine for lazy deletion.
+    Neo's ITU feeds back to the Sorting Engine for lazy deletion.  ``work``
+    counts what the bucketed core touched and is not part of the output
+    pinned to the reference.
     """
 
     image: np.ndarray
     valid_bits: dict[int, np.ndarray] = field(default_factory=dict)
     stats: RasterStats = field(default_factory=RasterStats)
+    work: RasterWork = field(default_factory=RasterWork)
+
+
+def _row_spans(
+    a: np.ndarray,
+    opacity: np.ndarray,
+    bh: np.ndarray,
+    b_dy: np.ndarray,
+    c_dy2: np.ndarray,
+    dx_first: np.ndarray,
+    bw: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Significance span ``[first, first + span)`` of each (member, bbox row).
+
+    ``a``, ``opacity``, ``dx_first`` (the ``dx`` of bbox column 0) and
+    ``bw``/``bh`` (bbox width, height) are per member; ``b_dy`` (``b * dy``)
+    and ``c_dy2`` (``c * dy**2``) are per bbox row, ``bh[i]`` rows per
+    member.  Columns are bbox column offsets, so ``dx = dx_first + j``.
+
+    A pixel is significant only where ``opacity * exp(power) >= MIN_ALPHA``,
+    i.e. where ``a*dx**2 + 2*(b*dy)*dx + c*dy**2 + 2*ln(MIN_ALPHA/opacity)
+    <= 0``.  Each row solves that quadratic in ``dx`` with the threshold
+    lowered by 0.1% and widens the root interval by one column on each
+    side, so every significant pixel lies strictly inside its span, with
+    margin to spare over rounding.  Rows with ``a <= 0`` or a non-finite
+    solve keep the whole bbox row.  A row is empty only where ``a > 0`` and
+    the quadratic has no real root, or where ``opacity < MIN_ALPHA``.
+    """
+    rowbw = np.repeat(bw, bh).astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inva = 1.0 / a
+        inva[~((a > 0) & (a < np.inf))] = np.nan  # no solve: NaN bounds give full rows
+        thresh = np.log((0.999 * MIN_ALPHA) / opacity)
+        thresh *= 2.0
+        center = np.repeat(inva, bh)
+        half = c_dy2 + np.repeat(thresh, bh)
+        half *= center
+        center *= b_dy
+        np.negative(center, out=center)  # vertex -b*dy/a
+        np.subtract(np.square(center), half, out=half)  # half-width squared
+        # a > 0 with no real root (NaN, where a <= 0, is not negative).
+        keep = ~(half < 0.0)
+        keep &= np.repeat(~(opacity < MIN_ALPHA), bh)
+        np.sqrt(half, out=half)
+        center -= np.repeat(dx_first, bh)  # vertex as a bbox column offset
+        lo = center - half
+        hi = np.add(center, half, out=center)
+        nonfinite = lo + hi  # NaN wherever either bound is not finite
+        nonfinite -= nonfinite
+        lo += nonfinite
+        hi += nonfinite
+        np.ceil(lo, out=lo)
+        lo -= 1.0
+        np.floor(hi, out=hi)
+        hi += 2.0  # exclusive
+    first = np.fmax(lo, 0.0, out=lo)  # NaN -> 0
+    np.minimum(first, rowbw, out=first)
+    np.fmin(hi, rowbw, out=hi)  # NaN -> bw
+    np.maximum(hi, first, out=hi)
+    hi -= first
+    hi *= keep
+    return first.astype(np.int32), hi.astype(np.int32)
 
 
 def _blend_bucket_dense(
@@ -174,16 +279,18 @@ def _blend_bucket_dense(
     bbox_areas: np.ndarray,
     termination: float,
     stats: RasterStats,
+    work: RasterWork,
 ) -> None:
     """Blend one bucket slab of same-shape dense tiles with a tile axis.
 
     The slab's whole depth range is processed in one pass (split into depth
     segments only when the level stack would blow the element budget):
-    every (tile, splat) bbox pixel is gathered into one flat array —
-    exactly ``blend_ops`` worth of alpha evaluations, no whole-tile
-    padding — and the significant ``(1 - alpha)`` values are
-    scattered into a level-major ``(depth + 1, tiles, tile_h, tile_w)``
-    stack whose strictly-sequential cumulative product recovers every
+    every (tile, splat) pixel inside a significance span (see
+    :func:`_row_spans`) is gathered into one flat array — no whole-tile
+    padding, and no alpha evaluation on the bbox pixels outside the spans,
+    which cannot reach ``MIN_ALPHA`` — and the significant ``(1 - alpha)``
+    values are scattered into a level-major ``(depth + 1, tiles, tile_h,
+    tile_w)`` stack whose strictly-sequential cumulative product recovers every
     per-splat incoming transmittance at once.  Color accumulates through
     ordered ``np.add.at`` scatter-adds: indices are laid out tile-major,
     splat-ascending, so colliding pixels accumulate in exactly the scalar
@@ -200,10 +307,11 @@ def _blend_bucket_dense(
     landing on the same Gaussian with the same counters as the scalar
     loop, at any segment size.
 
-    Pixels a splat does not touch multiply transmittance by ``1.0`` and add
-    nothing — bitwise no-ops on the reachable state (transmittance is
-    non-negative and accumulated color is never ``-0.0``), which is also
-    why padded slots (``valid`` False, ``bbox_areas`` 0) are free.
+    Pixels a splat does not touch, or touches below ``MIN_ALPHA``, multiply
+    transmittance by ``1.0`` and add nothing — bitwise no-ops on the
+    reachable state (transmittance is non-negative and accumulated color is
+    never ``-0.0``), which is why padded slots (``valid`` False,
+    ``bbox_areas`` 0) and the pixels outside the spans are free.
     """
     num_tiles, depth = valid.shape
     xp = _XP()
@@ -292,13 +400,20 @@ def _blend_bucket_dense(
         w1cat = xp.repeat(cc[pos, 1], bh)
         w1cat *= dycat  # b * dy
 
-        # Pixels are member-major, row-major: each (member, row) is one
-        # contiguous run of bw pixels.  Everything per-pixel then derives
-        # from the *global row ordinal* — recovered as an indicator cumsum
-        # over the row runs — through per-row tables, which removes the
+        # Alpha is evaluated only inside each (member, bbox row)'s
+        # significance span; the pixels outside it are bitwise no-ops.
+        opac = opacities[idx, s:e].reshape(ta * k)[pos]
+        first, span = _row_spans(cc[pos, 0], opac, bh, w1cat, vcat, dxcat[cexc32], bw)
+
+        # Pixels are member-major, row-major: each nonempty (member, row)
+        # span is one contiguous run.  Everything per-pixel then derives
+        # from the *span ordinal* — recovered as an indicator cumsum over
+        # the runs, which needs every run nonempty, so empty rows are
+        # dropped first — through per-span tables, which removes the
         # per-pixel integer divmod entirely.  Every full-length temporary
         # lives in a pooled buffer: at millions of elements, a fresh
         # allocation's page faults cost as much as the pass over it.
+        rows = np.flatnonzero(span).astype(np.int32)  # span ordinal -> row
         linbase = m_loc + np.int32(1)
         linbase *= np.int32(ta)
         linbase += t_loc
@@ -307,21 +422,29 @@ def _blend_bucket_dense(
         linbase += gx0p  # the member's pixel base folds into its level base
         rowlin = xp.repeat(linbase, bh)
         rowlin += rrow * np.int32(w)  # stack-linear base of each bbox row
-        rowbw = xp.repeat(bw, bh)  # pixels in each bbox row
-        rowstarts = np.zeros(rowbw.size + 1, dtype=np.int64)
-        xp.cumsum(rowbw, out=rowstarts[1:])
+        rowlin += first
+        rowlin = rowlin[rows]
+        span = span[rows]
+        rowstarts = np.zeros(span.size + 1, dtype=np.int64)
+        xp.cumsum(span, out=rowstarts[1:])
         total = int(rowstarts[-1])
         rowstarts32 = rowstarts[:-1].astype(np.int32)
         rowcexc = xp.repeat(cexc32, bh)  # column-table start of each row
-        rowopac = xp.repeat(opacities[idx, s:e].reshape(ta * k)[pos], bh)
+        rowcexc += first
+        rowcexc = rowcexc[rows]
+        vcat = vcat[rows]
+        w1cat = w1cat[rows]
+        rowopac = np.repeat(opac, bh)[rows]
+        work.bbox_pixels += int(areas.sum())
+        work.span_pixels += total
 
         ridx = _pool("ia", total, np.int32)
         ridx[:] = 0
         ridx[rowstarts[1:-1]] = 1
-        xp.cumsum(ridx, out=ridx)  # global row ordinal per pixel
+        xp.cumsum(ridx, out=ridx)  # span ordinal per pixel
         cloc = _pool("ib", total, np.int32)
         np.take(rowstarts32, ridx, out=cloc, mode="clip")
-        np.subtract(_iota(total), cloc, out=cloc)  # column within the bbox
+        np.subtract(_iota(total), cloc, out=cloc)  # column within the span
         cidx = _pool("ic", total, np.int32)
         np.take(rowcexc, ridx, out=cidx, mode="clip")
         cidx += cloc  # flat pixel -> its member-column table entry
@@ -362,9 +485,12 @@ def _blend_bucket_dense(
         a_s = _pool("sa", sel.size)
         np.take(alpha, sel, out=a_s, mode="clip")
         rset = _pool("sj", sel.size, np.int32)
-        np.take(ridx, sel, out=rset, mode="clip")  # row run per significant pixel
+        np.take(ridx, sel, out=rset, mode="clip")
+        np.take(rows, rset, out=rset, mode="clip")  # bbox row per significant pixel
         one_minus = _pool("sb", sel.size)
         np.subtract(1.0, a_s, out=one_minus)
+        work.significant += sel.size
+        work.stack_elements += (k + 1) * ta * hw
         tstack = _pool("stack", (k + 1) * ta * hw).reshape(k + 1, ta, h, w)
         tstack[1:] = 1.0
         tstack[0] = trans[idx]
@@ -457,10 +583,11 @@ def _blend_bucket_dense(
         else:
             trans[idx] = last.reshape(ta, h, w)
 
-    for t in range(num_tiles):
-        fx0, fy0 = int(x0_b[t]), int(y0_b[t])
-        framebuffer.transmittance[fy0 : fy0 + h, fx0 : fx0 + w] = trans[t]
-        framebuffer.color[fy0 : fy0 + h, fx0 : fx0 + w] = color[t]
+    # One indexed write per slab: window [y, x] of an (h, w) sliding-window
+    # view is the block whose top-left pixel is (y, x), and the slab's tiles
+    # are disjoint blocks.
+    sliding_window_view(framebuffer.transmittance, (h, w), writeable=True)[y0_b, x0_b] = trans
+    sliding_window_view(framebuffer.color, (h, w, 3), writeable=True)[y0_b, x0_b, 0] = color
 
 
 def _rasterize_bucket(
@@ -477,6 +604,7 @@ def _rasterize_bucket(
     subtile_size: int | None,
     termination: float,
     stats: RasterStats,
+    work: RasterWork,
     valid_out: dict[int, np.ndarray],
 ) -> None:
     """Pack one occupancy bucket of same-shape tiles and blend it.
@@ -555,7 +683,7 @@ def _rasterize_bucket(
             means[loc], conics[loc], radii[loc], opacities[loc], colors[loc],
             valid[loc],
             gx0[loc], gx1[loc], gy0[loc], gy1[loc], bbox_areas[loc],
-            termination, stats,
+            termination, stats, work,
         )
 
 
@@ -598,15 +726,15 @@ def rasterize(
     mant, expo = xp.frexp(counts.astype(np.float64))
     cls = expo.astype(np.int64) - (mant == 0.5)
 
-    buckets: dict[tuple[int, int, int], list[int]] = {}
-    hs = by1 - by0
-    ws = bx1 - bx0
-    for j in range(tiles.shape[0]):
-        buckets.setdefault((int(hs[j]), int(ws[j]), int(cls[j])), []).append(j)
+    # One stable argsort on the packed (h, w, class) key groups the tiles
+    # into buckets, each in ascending tile order (a class is < 64 for any
+    # int64 count).
+    key = ((by1 - by0) * (ts + 1) + (bx1 - bx0)) * 64 + cls
+    order = np.argsort(key, kind="stable")
+    cuts = np.flatnonzero(np.diff(key[order])) + 1
 
     valid_bits: dict[int, np.ndarray] = {}
-    for sel_list in buckets.values():
-        sel = np.asarray(sel_list, dtype=np.int64)
+    for sel in np.split(order, cuts):
         _rasterize_bucket(
             framebuffer,
             projected,
@@ -618,6 +746,7 @@ def rasterize(
             subtile_size,
             termination,
             result.stats,
+            result.work,
             valid_bits,
         )
 

@@ -78,7 +78,9 @@ class FrameStats:
     occupancy:
         Per-tile Gaussian counts.
     blend_ops / subtile_tests / subtile_hits / gaussians_processed:
-        Rasterization counters (see :class:`RasterStats`).
+        Rasterization counters (see :class:`RasterStats`); ``blend_ops``
+        is the bbox pixels the scalar loop evaluates (the hardware model's
+        workload), not the alpha evaluations the bucketed core performs.
     """
 
     frame_index: int
