@@ -22,10 +22,7 @@ Usage::
     repro simulate neo family qhd         # one system/scene/resolution
     repro systems list                    # registered hardware backends
     repro systems show neo-s              # one backend's knobs and overlays
-    repro backends list                   # pluggable array backends (numpy, torch)
-    repro backends show torch             # dispatch table: native ops vs fallback
     repro experiments --all --batched     # stack compatible cells into one rollout
-    repro bench --backend torch           # run the vectorized cores on torch
 """
 
 from __future__ import annotations
@@ -90,81 +87,6 @@ def _cmd_systems(args) -> int:
     return 0
 
 
-def _cmd_backends(args) -> int:
-    from .backend import (
-        CORE_REQUIREMENTS,
-        OP_SIGNATURES,
-        backend_names,
-        get_backend,
-        resolution_table,
-    )
-
-    if args.backends_command == "list":
-        width = max(len(name) for name in backend_names())
-        for name in backend_names():
-            backend = get_backend(name)
-            status = "available" if backend.available else "unavailable"
-            native = len(backend.native_ops())
-            print(
-                f"{name:{width}s}  {status:11s} "
-                f"{native:2d}/{len(OP_SIGNATURES)} ops native  {backend.detail}"
-            )
-        return 0
-
-    # show
-    try:
-        backend = get_backend(args.name)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    table = resolution_table(args.name)
-    print(f"backend:   {backend.name}")
-    print(f"available: {backend.available}")
-    print(f"detail:    {backend.detail}")
-    print("dispatch (op -> serving backend):")
-    for op in sorted(OP_SIGNATURES):
-        served_by = table[op]
-        tag = "" if served_by == backend.name else "  (fallback)"
-        print(f"  {op:20s} {served_by}{tag}")
-    print("per-core requirements:")
-    for core, ops in sorted(CORE_REQUIREMENTS.items()):
-        print(f"  {core:16s} {', '.join(sorted(ops))}")
-    return 0
-
-
-def _activate_backend(name: str | None) -> int:
-    """Activate an array backend by name; returns an exit code (0 = ok).
-
-    Activating an unavailable backend is allowed — every op falls back to
-    numpy — but a notice is printed so a silent typo'd environment doesn't
-    masquerade as an accelerated run.
-    """
-    if name is None:
-        return 0
-    from .backend import get_backend, set_active
-
-    try:
-        backend = set_active(name)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    if not backend.available:
-        print(
-            f"note: backend {name!r} is unavailable ({backend.detail}); "
-            "all ops fall back to numpy",
-            file=sys.stderr,
-        )
-    else:
-        missing = get_backend("numpy").native_ops() - backend.native_ops()
-        if missing:
-            print(
-                f"note: backend {name!r} serves {len(backend.native_ops())} ops "
-                f"natively; {', '.join(sorted(missing))} fall back to numpy",
-                file=sys.stderr,
-            )
-    return 0
-
-
 def _cmd_run(args) -> int:
     from .experiments import list_experiments, run_experiment
 
@@ -193,10 +115,6 @@ def _cmd_experiments(args) -> int:
     else:
         print("error: name at least one experiment or pass --all", file=sys.stderr)
         return 2
-
-    code = _activate_backend(args.backend)
-    if code:
-        return code
 
     if args.only:
         import fnmatch
@@ -320,9 +238,6 @@ def _cmd_sweep(args) -> int:
     except (KeyError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    code = _activate_backend(args.backend)
-    if code:
-        return code
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     runner = SweepRunner(jobs=args.jobs, cache=cache, batched=args.batched)
     outcome = runner.run(spec)
@@ -384,9 +299,6 @@ def _cmd_bench(args) -> int:
             file=sys.stderr,
         )
         return 2
-    code = _activate_backend(args.backend)
-    if code:
-        return code
     records = run_benchmarks(args.names or None, quick=args.quick, profile=args.profile)
 
     for record in records:
@@ -610,10 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--no-cache", action="store_true", help="bypass the result cache")
     exp_p.add_argument("--cache-dir", default=None, help="cache root (default .repro_cache)")
     exp_p.add_argument(
-        "--backend", default=None,
-        help="array backend for the vectorized cores (see `repro backends list`)",
-    )
-    exp_p.add_argument(
         "--batched", action="store_true",
         help="stack compatible sweep cells into batched multi-rollouts",
     )
@@ -647,10 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_run.add_argument("--no-cache", action="store_true", help="bypass the result cache")
     sweep_run.add_argument("--cache-dir", default=None, help="cache root (default .repro_cache)")
-    sweep_run.add_argument(
-        "--backend", default=None,
-        help="array backend for the vectorized cores (see `repro backends list`)",
-    )
     sweep_run.add_argument(
         "--out", default=None,
         help="directory to write <name>.json/.csv/.md report files into",
@@ -787,10 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report results but exit 0 even on identity/floor failures",
     )
     bench_p.add_argument(
-        "--backend", default=None,
-        help="array backend for the vectorized cores (see `repro backends list`)",
-    )
-    bench_p.add_argument(
         "--profile", action="store_true",
         help="run each benchmark under cProfile and record the top functions "
              "by cumulative time in its detail (timings include tracing "
@@ -833,17 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     systems_show.add_argument("name", help="registered system id (see `repro systems list`)")
 
-    backends_p = sub.add_parser(
-        "backends", help="inspect the pluggable array-backend registry"
-    )
-    backends_sub = backends_p.add_subparsers(dest="backends_command", required=True)
-    backends_sub.add_parser(
-        "list", help="registered array backends: availability and native op counts"
-    )
-    backends_show = backends_sub.add_parser(
-        "show", help="one backend's dispatch table and per-core op requirements"
-    )
-    backends_show.add_argument("name", help="backend name (see `repro backends list`)")
     return parser
 
 
@@ -862,7 +751,6 @@ def main(argv: list[str] | None = None) -> int:
         "render": _cmd_render,
         "simulate": _cmd_simulate,
         "systems": _cmd_systems,
-        "backends": _cmd_backends,
     }
     return handlers[args.command](args)
 

@@ -28,6 +28,8 @@ produce row-identical :class:`~repro.experiments.runner.ExperimentResult`\\ s.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -39,6 +41,8 @@ from ..hw.config import DramConfig
 from ..hw.system import get_system
 from ..runtime.cache import ResultCache, stable_key
 from ..runtime.parallel import parallel_map
+from ..scene.camera import RESOLUTIONS
+from ..scene.datasets import SCENE_SPECS
 from .runner import (
     DEFAULT_FRAMES,
     ExperimentResult,
@@ -80,12 +84,31 @@ class SimJob:
 
     def __post_init__(self) -> None:
         # Fail at declaration time, not deep inside a worker: every cell
-        # must name a registered system (same error the runner would raise).
+        # must name a registered system (same error the runner would raise)
+        # and parameters the models can simulate.
         get_system(self.system)
+        if not isinstance(self.scene, str) or self.scene not in SCENE_SPECS:
+            raise ValueError(f"unknown scene {self.scene!r}; options: {sorted(SCENE_SPECS)}")
+        if not isinstance(self.resolution, str) or self.resolution not in RESOLUTIONS:
+            raise ValueError(
+                f"unknown resolution {self.resolution!r}; options: {sorted(RESOLUTIONS)}"
+            )
+        if self.frames is not None and (
+            isinstance(self.frames, bool)
+            or not isinstance(self.frames, numbers.Integral)
+            or self.frames < 1
+        ):
+            raise ValueError(f"frames must be None or an integer >= 1, got {self.frames!r}")
         # Normalize numeric spellings (4 vs 4.0) so equal cells hash equal.
         object.__setattr__(self, "speed", float(self.speed))
         object.__setattr__(self, "cores", int(self.cores))
         object.__setattr__(self, "bandwidth_gbps", float(self.bandwidth_gbps))
+        if self.cores < 1:
+            raise ValueError(f"cores must be >= 1, got {self.cores}")
+        for name in ("speed", "bandwidth_gbps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not isinstance(self.model_kwargs, tuple):
             object.__setattr__(
                 self, "model_kwargs", tuple(sorted(dict(self.model_kwargs).items()))

@@ -20,13 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..backend import core_ops
 from ..core.bitonic import network_stages
 from .config import DramConfig, NeoConfig
 from ..core.gaussian_table import TABLE_ENTRY_BYTES
-
-#: Ops the chunk-cycle core dispatches through the pluggable array backend.
-_XP = core_ops("sorting_engine", "frexp")
 
 
 @dataclass(frozen=True)
@@ -128,7 +124,7 @@ def chunk_compute_cycles_array(entries: np.ndarray, bsu_width: int = 16) -> np.n
     merge_levels = np.zeros(entries.shape[0], dtype=np.int64)
     deep = runs > 1
     if np.any(deep):
-        merge_levels[deep] = _XP().frexp((runs[deep] - 1).astype(np.float64))[1]
+        merge_levels[deep] = np.frexp((runs[deep] - 1).astype(np.float64))[1]
     return np.where(entries > 0, bsu + merge_levels * entries, 0)
 
 

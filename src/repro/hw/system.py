@@ -34,12 +34,8 @@ from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
-from ..backend import core_ops
 from .stages import FrameReport, SequenceReport, StageTraffic
 from .workload import FrameWorkload
-
-#: Ops the FrameBatch core dispatches through the pluggable array backend.
-_XP = core_ops("system", "minimum", "where")
 
 
 # ----------------------------------------------------------------------
@@ -109,9 +105,8 @@ class FrameBatch:
 
     def effective_pairs(self, termination_depth: float) -> np.ndarray:
         """Vectorized :func:`repro.hw.stages.effective_pairs` (per frame)."""
-        xp = _XP()
-        per_tile = xp.minimum(self.mean_occupancy, termination_depth)
-        return xp.where(self.nonempty_tiles == 0, 0.0, per_tile * self.nonempty_tiles)
+        per_tile = np.minimum(self.mean_occupancy, termination_depth)
+        return np.where(self.nonempty_tiles == 0, 0.0, per_tile * self.nonempty_tiles)
 
 
 @dataclass(frozen=True)
@@ -273,7 +268,7 @@ class SystemModel:
         on float64, element ``(c, f)`` sees exactly the scalar operands
         cell ``c``'s own ``simulate`` call would — the returned per-cell
         reports are *byte-identical* to per-cell runs (pinned by
-        ``tests/test_backend.py``).
+        ``tests/test_batched_rollout.py``).
 
         Returns ``None`` when the model cannot stack a varying parameter.
         """

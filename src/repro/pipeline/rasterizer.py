@@ -55,23 +55,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..backend import core_ops
 from .framebuffer import Framebuffer
 from .projection import ProjectedGaussians
 from .sorting import SortedTiles
 from .tiling import TileGrid
-
-#: Ops the bucketed blending core dispatches through the pluggable array
-#: backend.
-_XP = core_ops(
-    "rasterizer",
-    "exp",
-    "minimum",
-    "accumulate_multiply",
-    "repeat",
-    "cumsum",
-    "frexp",
-)
 
 #: Contributions below 1/255 are invisible at 8-bit output and skipped,
 #: matching the reference CUDA rasterizer.
@@ -116,6 +103,28 @@ def _iota(n: int) -> np.ndarray:
         buf = np.arange(max(n, 1 << 16), dtype=np.int32)
         _POOL["iota"] = buf
     return buf[:n]
+
+
+#: Plane size (elements per level) from which :func:`_accumulate_multiply`
+#: loops over levels instead of calling ``np.multiply.accumulate``.  The
+#: strided accumulate inner loop runs ~8x slower than a contiguous
+#: multiply, so large planes take one vectorized multiply per level; small
+#: planes stay on the ufunc, where per-call overhead dominates.
+_LEVEL_LOOP_MIN_INNER = 4096
+
+
+def _accumulate_multiply(levels: np.ndarray) -> None:
+    """Running product down axis 0 of a 2-D array, in place.
+
+    Both formulations perform the identical multiply sequence
+    ``levels[m] = levels[m - 1] * levels[m]``, strictly left to right, so
+    they are bit-identical; only the size decides which is faster.
+    """
+    if levels[0].size >= _LEVEL_LOOP_MIN_INNER:
+        for m in range(1, levels.shape[0]):
+            np.multiply(levels[m - 1], levels[m], out=levels[m])
+    else:
+        np.multiply.accumulate(levels, axis=0, out=levels)
 
 
 @dataclass
@@ -314,7 +323,6 @@ def _blend_bucket_dense(
     ``bbox_areas`` 0) and the pixels outside the spans are free.
     """
     num_tiles, depth = valid.shape
-    xp = _XP()
     hw = h * w
     px = x0_b[:, None] + (np.arange(w) + 0.5)  # == arange(x0, x1) + 0.5, exactly
     py = y0_b[:, None] + (np.arange(h) + 0.5)
@@ -375,29 +383,29 @@ def _blend_bucket_dense(
         mc = means[idx, s:e].reshape(ta * k, 2)
         cc = conics[idx, s:e].reshape(ta * k, 3)
         cexc = np.zeros(pos.size + 1, dtype=np.int64)
-        xp.cumsum(bw, out=cexc[1:])
+        np.cumsum(bw, out=cexc[1:])
         rexc = np.zeros(pos.size + 1, dtype=np.int64)
-        xp.cumsum(bh, out=rexc[1:])
+        np.cumsum(bh, out=rexc[1:])
         cexc32 = cexc[:-1].astype(np.int32)
         rexc32 = rexc[:-1].astype(np.int32)
         pxi = px[idx].ravel()
         pyi = py[idx].ravel()
 
         ccol = np.arange(int(cexc[-1]), dtype=np.int32)
-        ccol -= cexc32[xp.repeat(np.arange(pos.size, dtype=np.int32), bw)]
-        dxcat = pxi[xp.repeat(t_loc * np.int32(w) + gx0p, bw) + ccol]
-        dxcat -= xp.repeat(mc[pos, 0], bw)  # px[col] - cx, per (member, col)
+        ccol -= cexc32[np.repeat(np.arange(pos.size, dtype=np.int32), bw)]
+        dxcat = pxi[np.repeat(t_loc * np.int32(w) + gx0p, bw) + ccol]
+        dxcat -= np.repeat(mc[pos, 0], bw)  # px[col] - cx, per (member, col)
         ucat = np.square(dxcat)  # dx**2 (ndarray ** 2 lowers to square)
-        ucat *= xp.repeat(cc[pos, 0], bw)  # a * dx**2
+        ucat *= np.repeat(cc[pos, 0], bw)  # a * dx**2
 
-        rowmem = xp.repeat(np.arange(pos.size, dtype=np.int32), bh)
+        rowmem = np.repeat(np.arange(pos.size, dtype=np.int32), bh)
         rrow = np.arange(int(rexc[-1]), dtype=np.int32)
         rrow -= rexc32[rowmem]  # row ordinal within its member's bbox
-        dycat = pyi[xp.repeat(t_loc * np.int32(h) + gy0p, bh) + rrow]
-        dycat -= xp.repeat(mc[pos, 1], bh)  # py[row] - cy, per (member, row)
+        dycat = pyi[np.repeat(t_loc * np.int32(h) + gy0p, bh) + rrow]
+        dycat -= np.repeat(mc[pos, 1], bh)  # py[row] - cy, per (member, row)
         vcat = np.square(dycat)
-        vcat *= xp.repeat(cc[pos, 2], bh)  # c * dy**2
-        w1cat = xp.repeat(cc[pos, 1], bh)
+        vcat *= np.repeat(cc[pos, 2], bh)  # c * dy**2
+        w1cat = np.repeat(cc[pos, 1], bh)
         w1cat *= dycat  # b * dy
 
         # Alpha is evaluated only inside each (member, bbox row)'s
@@ -420,16 +428,16 @@ def _blend_bucket_dense(
         linbase *= np.int32(hw)
         linbase += gy0p * np.int32(w)
         linbase += gx0p  # the member's pixel base folds into its level base
-        rowlin = xp.repeat(linbase, bh)
+        rowlin = np.repeat(linbase, bh)
         rowlin += rrow * np.int32(w)  # stack-linear base of each bbox row
         rowlin += first
         rowlin = rowlin[rows]
         span = span[rows]
         rowstarts = np.zeros(span.size + 1, dtype=np.int64)
-        xp.cumsum(span, out=rowstarts[1:])
+        np.cumsum(span, out=rowstarts[1:])
         total = int(rowstarts[-1])
         rowstarts32 = rowstarts[:-1].astype(np.int32)
-        rowcexc = xp.repeat(cexc32, bh)  # column-table start of each row
+        rowcexc = np.repeat(cexc32, bh)  # column-table start of each row
         rowcexc += first
         rowcexc = rowcexc[rows]
         vcat = vcat[rows]
@@ -441,7 +449,7 @@ def _blend_bucket_dense(
         ridx = _pool("ia", total, np.int32)
         ridx[:] = 0
         ridx[rowstarts[1:-1]] = 1
-        xp.cumsum(ridx, out=ridx)  # span ordinal per pixel
+        np.cumsum(ridx, out=ridx)  # span ordinal per pixel
         cloc = _pool("ib", total, np.int32)
         np.take(rowstarts32, ridx, out=cloc, mode="clip")
         np.subtract(_iota(total), cloc, out=cloc)  # column within the span
@@ -461,11 +469,11 @@ def _blend_bucket_dense(
         power -= opnd
         ok = _pool("ba", total, bool)
         np.less_equal(power, 0.0, out=ok)
-        xp.minimum(power, 0.0, out=power)
-        xp.exp(power, out=power)
+        np.minimum(power, 0.0, out=power)
+        np.exp(power, out=power)
         np.take(rowopac, ridx, out=opnd, mode="clip")
         power *= opnd
-        alpha = xp.minimum(power, MAX_ALPHA, out=power)
+        alpha = np.minimum(power, MAX_ALPHA, out=power)
         sig = _pool("bb", total, bool)
         np.greater_equal(alpha, MIN_ALPHA, out=sig)
         ok &= sig
@@ -495,10 +503,7 @@ def _blend_bucket_dense(
         tstack[1:] = 1.0
         tstack[0] = trans[idx]
         tstack.reshape(-1)[lin_s] = one_minus
-        st2 = xp.accumulate_multiply(
-            tstack.reshape(k + 1, ta * hw), axis=0, out=tstack.reshape(k + 1, ta * hw)
-        )
-        tstack = st2.reshape(k + 1, ta, h, w)
+        _accumulate_multiply(tstack.reshape(k + 1, ta * hw))
         tflat = tstack.reshape(-1)
 
         # Exact per-tile stop: stack level m is the transmittance the
@@ -527,8 +532,8 @@ def _blend_bucket_dense(
             stats.early_terminated_tiles += int(np.count_nonzero(term_t))
             alive[idx[term_t]] = False
             # Drop color contributions of splats at/after each stop.
-            rowm = xp.repeat(m_loc, bh)
-            rowt = xp.repeat(t_loc, bh)
+            rowm = np.repeat(m_loc, bh)
+            rowt = np.repeat(t_loc, bh)
             keep = rowm[rset] < stop.astype(np.int32)[rowt[rset]]
             lin_s = lin_s[keep]
             a_s = a_s[keep]
@@ -560,7 +565,7 @@ def _blend_bucket_dense(
             binbase = idx.astype(np.int32)[t_loc]
             binbase *= np.int32(hw * 3)
             bins = _pool("sm", n_sig, np.int32)
-            np.take(xp.repeat(binbase, bh), rset, out=bins, mode="clip")
+            np.take(np.repeat(binbase, bh), rset, out=bins, mode="clip")
             np.remainder(lin_s, np.int32(hw), out=lvl)
             lvl *= np.int32(3)
             bins += lvl
@@ -569,7 +574,7 @@ def _blend_bucket_dense(
             vals = _pool("se", n_sig)
             cflat = color.reshape(-1)
             for ch in range(3):
-                np.take(xp.repeat(cmat[:, ch], bh), rset, out=chan, mode="clip")
+                np.take(np.repeat(cmat[:, ch], bh), rset, out=chan, mode="clip")
                 np.multiply(wgt, chan, out=vals)
                 np.add.at(cflat, bins, vals)
                 if ch < 2:
@@ -722,8 +727,7 @@ def rasterize(
     # Occupancy class: counts in (2^(c-1), 2^c] share class c, so padding
     # each bucket to its maximum count costs < 2x slots.  Edge tiles get
     # their own buckets via the (h, w) part of the key.
-    xp = _XP()
-    mant, expo = xp.frexp(counts.astype(np.float64))
+    mant, expo = np.frexp(counts.astype(np.float64))
     cls = expo.astype(np.int64) - (mant == 0.5)
 
     # One stable argsort on the packed (h, w, class) key groups the tiles

@@ -15,13 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import core_ops
 from .tiling import TileAssignment, TileStream
-
-#: Ops the sorting core dispatches through the pluggable array backend.
-_XP = core_ops(
-    "sorting", "lexsort", "argsort", "sort", "searchsorted", "repeat", "clip"
-)
 
 
 class SortedTiles:
@@ -121,15 +115,14 @@ def sort_tiles(assignment: TileAssignment) -> SortedTiles:
     all_rows = stream.values
     tile_of = stream.tile_of()
 
-    xp = _XP()
-    depth_order = xp.lexsort((proj.ids, proj.depths))
+    depth_order = np.lexsort((proj.ids, proj.depths))
     rank = np.empty(m, dtype=np.int64)
     rank[depth_order] = np.arange(m, dtype=np.int64)
     pair_ranks = rank[all_rows]
     if stream.num_tiles * max(m, 1) < np.iinfo(np.int64).max:
-        order = xp.argsort(tile_of * m + pair_ranks)
+        order = np.argsort(tile_of * m + pair_ranks)
     else:  # overflow-proof fallback; unreachable for any realistic grid
-        order = xp.lexsort((pair_ranks, tile_of))
+        order = np.lexsort((pair_ranks, tile_of))
 
     rows_sorted = all_rows[order]
     return SortedTiles(
@@ -173,9 +166,8 @@ def kendall_tau_distance(order_a: np.ndarray, order_b: np.ndarray) -> float:
     n = order_a.shape[0]
     if n < 2:
         return 0.0
-    xp = _XP()
-    sorted_a = xp.sort(order_a)
-    if not np.array_equal(sorted_a, xp.sort(order_b)):
+    sorted_a = np.sort(order_a)
+    if not np.array_equal(sorted_a, np.sort(order_b)):
         raise ValueError("orderings must contain the same IDs")
     if np.any(sorted_a[1:] == sorted_a[:-1]):
         # A duplicated ID has no well-defined rank; the scalar dict lookup
@@ -185,8 +177,8 @@ def kendall_tau_distance(order_a: np.ndarray, order_b: np.ndarray) -> float:
     # Rank-in-b lookup without a Python dict: sort b's IDs once, then map
     # every ID in a to its position in b via binary search (both lists hold
     # the same ID set, so every lookup hits exactly).
-    by_id = xp.argsort(order_b, kind="stable")
-    sequence = by_id[xp.searchsorted(order_b[by_id], order_a)]
+    by_id = np.argsort(order_b, kind="stable")
+    sequence = by_id[np.searchsorted(order_b[by_id], order_a)]
     inversions = _count_inversions(sequence)
     return inversions / (n * (n - 1) / 2)
 
@@ -208,7 +200,6 @@ def _count_inversions(seq: np.ndarray) -> int:
     n = seq.shape[0]
     if n < 2:
         return 0
-    xp = _XP()
     inversions = 0
     width = 1
     while width < n:
@@ -219,19 +210,19 @@ def _count_inversions(seq: np.ndarray) -> int:
         padded = np.full(num_blocks * block, n, dtype=np.int64)
         padded[:n] = seq
         resh = padded.reshape(num_blocks, block)
-        left = xp.sort(resh[:, :width], axis=1)
+        left = np.sort(resh[:, :width], axis=1)
         right = resh[:, width:]
 
         offsets = np.arange(num_blocks, dtype=np.int64) * (n + 1)
         flat_left = (left + offsets[:, None]).ravel()
         flat_right = (right + offsets[:, None]).ravel()
-        le_counts = xp.searchsorted(flat_left, flat_right, side="right") - xp.repeat(
+        le_counts = np.searchsorted(flat_left, flat_right, side="right") - np.repeat(
             np.arange(num_blocks, dtype=np.int64) * width, width
         )
         # Left elements greater than a right element r are the block's real
         # left residents minus those <= r.
-        real_left = xp.clip(n - np.arange(num_blocks, dtype=np.int64) * block, 0, width)
-        gt = xp.repeat(real_left, width) - le_counts
+        real_left = np.clip(n - np.arange(num_blocks, dtype=np.int64) * block, 0, width)
+        gt = np.repeat(real_left, width) - le_counts
         inversions += int(gt[right.ravel() < n].sum())
         width = block
     return inversions

@@ -22,26 +22,11 @@ loop in the pipeline becomes a segmented array program over this layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from ..backend import core_ops
 from ..scene.camera import Camera
 from .projection import ProjectedGaussians
-
-#: Ops the tile-stream core dispatches through the pluggable array backend.
-_XP = core_ops(
-    "tiling",
-    "argsort",
-    "searchsorted",
-    "reduceat",
-    "repeat",
-    "cumsum",
-    "minimum",
-    "maximum",
-    "clip",
-)
 
 #: Tile edge used by the Neo accelerator configuration (Table 1).
 NEO_TILE_SIZE = 64
@@ -188,11 +173,10 @@ class TileStream:
         """
         if tiles.shape[0] == 0:
             return cls.empty(num_tiles, dtype=values.dtype)
-        xp = _XP()
         sort_keys = tiles.astype(np.uint16) if num_tiles <= 1 << 16 else tiles
-        order = xp.argsort(sort_keys, kind="stable")
+        order = np.argsort(sort_keys, kind="stable")
         tiles_sorted = tiles[order]
-        offsets = xp.searchsorted(tiles_sorted, np.arange(num_tiles + 1))
+        offsets = np.searchsorted(tiles_sorted, np.arange(num_tiles + 1))
         return cls(num_tiles=num_tiles, values=values[order], offsets=offsets)
 
     @classmethod
@@ -223,7 +207,7 @@ class TileStream:
 
     def tile_of(self) -> np.ndarray:
         """Owning tile of every entry, shape ``(num_pairs,)``."""
-        return _XP().repeat(np.arange(self.num_tiles, dtype=np.int64), self.counts())
+        return np.repeat(np.arange(self.num_tiles, dtype=np.int64), self.counts())
 
     def nonempty(self) -> np.ndarray:
         """Indices of tiles with at least one entry."""
@@ -235,15 +219,6 @@ class TileStream:
     def rows_for(self, tile: int) -> np.ndarray:
         """Tile ``tile``'s entries — a zero-copy view into ``values``."""
         return self.values[self.offsets[tile] : self.offsets[tile + 1]]
-
-    def per_tile(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Iterate ``(tile, values_view)`` over every tile (compat helper)."""
-        for tile in range(self.num_tiles):
-            yield tile, self.values[self.offsets[tile] : self.offsets[tile + 1]]
-
-    def to_lists(self) -> list[np.ndarray]:
-        """Materialize the legacy list-of-views layout."""
-        return [view for _, view in self.per_tile()]
 
     def with_values(self, values: np.ndarray) -> "TileStream":
         """A stream with the same segmentation over a different payload."""
@@ -285,7 +260,7 @@ class TileStream:
         starts = self.offsets[:-1]
         mask = starts < self.offsets[1:]
         if data.shape[0] and np.any(mask):
-            out[mask] = _XP().reduceat(data, starts[mask], ufunc)
+            out[mask] = ufunc.reduceat(data, starts[mask])
         return out
 
     def segment_intersect(
@@ -305,23 +280,22 @@ class TileStream:
             other_keys.shape[0] != other.values.shape[0]
         ):
             raise ValueError("keys must align with the streams' values")
-        xp = _XP()
         ka = self.tile_of() * _KEY_SHIFT + keys
         kb = other.tile_of() * _KEY_SHIFT + other_keys
-        order_a = xp.argsort(ka, kind="stable")
-        order_b = xp.argsort(kb, kind="stable")
+        order_a = np.argsort(ka, kind="stable")
+        order_b = np.argsort(kb, kind="stable")
         sa = ka[order_a]
         sb = kb[order_b]
         if sb.shape[0]:
-            pos = xp.searchsorted(sb, sa)
-            safe = xp.minimum(pos, sb.shape[0] - 1)
+            pos = np.searchsorted(sb, sa)
+            safe = np.minimum(pos, sb.shape[0] - 1)
             mask = (pos < sb.shape[0]) & (sb[safe] == sa)
         else:
             pos = np.zeros(sa.shape[0], dtype=np.int64)
             mask = np.zeros(sa.shape[0], dtype=bool)
         shared = sa[mask]
         tiles_shared = shared >> 32
-        offsets = xp.searchsorted(tiles_shared, np.arange(self.num_tiles + 1))
+        offsets = np.searchsorted(tiles_shared, np.arange(self.num_tiles + 1))
         return SegmentIntersection(
             offsets=offsets,
             keys=shared - (tiles_shared << 32),
@@ -419,7 +393,7 @@ def _tile_bounds(
 def _segment_starts(counts: np.ndarray) -> np.ndarray:
     """Exclusive prefix sum: where each segment of ``counts`` starts."""
     starts = np.zeros(counts.shape[0], dtype=np.int64)
-    _XP().cumsum(counts[:-1], out=starts[1:])
+    np.cumsum(counts[:-1], out=starts[1:])
     return starts
 
 
@@ -449,12 +423,11 @@ def pair_lists(
     :func:`repro.hw.reference.scalar_pair_lists`).  Takes raw geometry so the
     workload model can run it on analytically re-scaled coordinates.
     """
-    xp = _XP()
     x, y = means2d[:, 0], means2d[:, 1]
     tiles_x = -(-width // tile_size)
     tx0, tx1, ty0, ty1 = _tile_bounds(means2d, radii, width, height, tile_size)
-    nx = xp.maximum(tx1 - tx0 + 1, 0)
-    ny = xp.maximum(ty1 - ty0 + 1, 0)
+    nx = np.maximum(tx1 - tx0 + 1, 0)
+    ny = np.maximum(ty1 - ty0 + 1, 0)
     # A rectangle empty in one axis has no cells in the other either.
     live = (nx > 0) & (ny > 0)
     nx *= live
@@ -463,30 +436,30 @@ def pair_lists(
 
     # Column cells: dx^2 of each Gaussian against each of its tile columns.
     col_start = _segment_starts(nx)
-    col_g = xp.repeat(gaussians, nx)
+    col_g = np.repeat(gaussians, nx)
     col_px = (
-        np.arange(col_g.shape[0], dtype=np.int64) - xp.repeat(col_start - tx0, nx)
+        np.arange(col_g.shape[0], dtype=np.int64) - np.repeat(col_start - tx0, nx)
     ) * tile_size
     cx = x[col_g]
-    qx = xp.clip(cx, col_px, xp.minimum(col_px + tile_size, width))
+    qx = np.clip(cx, col_px, np.minimum(col_px + tile_size, width))
     dx2 = (qx - cx) ** 2
 
     # Row runs: dy^2 and r^2 once per (Gaussian, tile row).
-    run_g = xp.repeat(gaussians, ny)
+    run_g = np.repeat(gaussians, ny)
     num_runs = run_g.shape[0]
     if num_runs == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    run_ty = np.arange(num_runs, dtype=np.int64) - xp.repeat(_segment_starts(ny) - ty0, ny)
+    run_ty = np.arange(num_runs, dtype=np.int64) - np.repeat(_segment_starts(ny) - ty0, ny)
     run_py = run_ty * tile_size
     cy = y[run_g]
-    qy = xp.clip(cy, run_py, xp.minimum(run_py + tile_size, height))
+    qy = np.clip(cy, run_py, np.minimum(run_py + tile_size, height))
     dy2 = (qy - cy) ** 2
     rr = (radii * radii)[run_g]
 
     # Candidates: every run expanded across its Gaussian's columns.
     run_nx = nx[run_g]
     run_start = _segment_starts(run_nx)
-    cand_run = xp.repeat(np.arange(num_runs, dtype=np.int64), run_nx)
+    cand_run = np.repeat(np.arange(num_runs, dtype=np.int64), run_nx)
     cand = np.arange(cand_run.shape[0], dtype=np.int64)
     cand_col = (col_start[run_g] - run_start)[cand_run] + cand
     kept = np.flatnonzero(dx2[cand_col] + dy2[cand_run] <= rr[cand_run])

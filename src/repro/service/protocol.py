@@ -47,6 +47,10 @@ PROTOCOL = "repro-service/1"
 #: Stream limit per message line (a 240-frame report is ~60 KB of JSON).
 MAX_MESSAGE_BYTES = 4 * 1024 * 1024
 
+#: Most frames one simulate request may ask for: a 4096-frame report is
+#: ~1 MB of JSON, well inside :data:`MAX_MESSAGE_BYTES`.
+MAX_JOB_FRAMES = 4096
+
 
 def encode_message(message: dict[str, Any]) -> bytes:
     """One message as a compact, key-sorted JSON line."""
@@ -75,8 +79,15 @@ async def read_message(reader: asyncio.StreamReader) -> dict[str, Any] | None:
 
 
 def job_from_payload(payload: dict[str, Any]) -> SimJob:
-    """Rebuild the request's simulation cell (validates the system name)."""
-    return SimJob.from_payload(payload)
+    """Rebuild the request's simulation cell, validated for the service.
+
+    :class:`SimJob` checks every field's domain; the service also caps
+    ``frames`` at :data:`MAX_JOB_FRAMES`.
+    """
+    job = SimJob.from_payload(payload)
+    if job.frames is not None and job.frames > MAX_JOB_FRAMES:
+        raise ValueError(f"frames must be <= {MAX_JOB_FRAMES}, got {job.frames}")
+    return job
 
 
 def report_to_payload(report: SequenceReport) -> dict[str, Any]:

@@ -78,16 +78,27 @@ class TestWorkloadConsistency:
             assert w.pairs == pytest.approx(record.stats.num_pairs)
             assert w.visible == pytest.approx(record.stats.num_visible)
 
-    def test_neo_strategy_churn_matches_workload_churn(self, scene, cameras):
-        wm = WorkloadModel.from_render(scene, cameras, nominal_gaussians=len(scene))
-        neo = NeoSortStrategy()
-        Renderer(scene, tile_size=16, strategy=neo).render_sequence(cameras)
-        for i in range(2, len(cameras)):
-            w = wm.frame_workload(i, (cameras[0].width, cameras[0].height), 16)
-            measured = neo.frame_stats[i].incoming_entries
-            # Strategy-level incoming lags the geometric churn by the
-            # valid-bit round trip but tracks the same magnitude.
-            assert measured <= 3 * max(w.incoming_pairs, 1) + 20
+    def test_neo_strategy_churn_matches_workload_churn(self, scene):
+        for speed in (1.0, 4.0):
+            cameras = default_trajectory(
+                "family", num_frames=6, speed=speed, width=192, height=108
+            )
+            wm = WorkloadModel.from_render(scene, cameras, nominal_gaussians=len(scene))
+            neo = NeoSortStrategy()
+            Renderer(scene, tile_size=16, strategy=neo).render_sequence(cameras)
+            size = (cameras[0].width, cameras[0].height)
+            workloads = [wm.frame_workload(i, size, 16) for i in range(len(cameras))]
+            for i, (stats, w) in enumerate(zip(neo.frame_stats, workloads)):
+                # Entries the table gains never exceed the geometric incoming
+                # pairs (a pair whose stale entry is still valid is reused).
+                assert stats.incoming_entries <= w.incoming_pairs, (speed, i)
+                if i:
+                    # Outgoing pairs lose their valid bit in frame i - 1's
+                    # raster and are deleted when frame i sorts.
+                    assert stats.deleted_entries == workloads[i - 1].outgoing_pairs, (
+                        speed,
+                        i,
+                    )
 
 
 class TestSystemOrdering:

@@ -376,6 +376,63 @@ class TestProtocol:
         asyncio.run(scenario())
 
 
+MALFORMED_JOBS = [
+    pytest.param({"speed": float("nan")}, id="speed-nan"),
+    pytest.param({"scene": [1]}, id="scene-list"),
+    pytest.param({"frames": "many"}, id="frames-str"),
+    pytest.param({"frames": 10**9}, id="frames-over-cap"),
+    pytest.param({"cores": 0}, id="cores-zero"),
+]
+
+
+class TestMalformedJobs:
+    @pytest.mark.parametrize("override", MALFORMED_JOBS)
+    def test_job_from_payload_rejects(self, override):
+        with pytest.raises(ValueError):
+            protocol.job_from_payload({**job_payload(), **override})
+
+    @pytest.mark.parametrize("override", MALFORMED_JOBS)
+    def test_server_answers_one_error_and_caches_nothing(self, override, tmp_path):
+        async def scenario():
+            sim = GatedSim()
+            sim.gate.set()
+            cache_dir = tmp_path / "svc"
+            server = await start_server(workers=1, simulate_fn=sim, cache_dir=str(cache_dir))
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port, limit=protocol.MAX_MESSAGE_BYTES
+            )
+            try:
+                job = {**job_payload(), **override}
+                writer.write(protocol.encode_message({"op": "simulate", "id": 1, "job": job}))
+                writer.write(protocol.encode_message({"op": "ping", "id": 2}))
+                await writer.drain()
+                first = await asyncio.wait_for(protocol.read_message(reader), 10.0)
+                second = await asyncio.wait_for(protocol.read_message(reader), 10.0)
+            finally:
+                writer.close()
+                await server.stop()
+            assert first["id"] == 1 and first["status"] == "error"
+            # The next line answers the ping: the job drew exactly one response.
+            assert second["id"] == 2 and second["protocol"] == protocol.PROTOCOL
+            assert server.metrics.errors == 1
+            assert sim.calls == 0
+            assert not [p for p in cache_dir.rglob("*") if p.is_file()]
+
+        asyncio.run(scenario())
+
+    def test_simjob_rejects_out_of_domain_fields(self):
+        with pytest.raises(ValueError, match="resolution"):
+            SimJob.make("neo", "family", "8k")
+        with pytest.raises(ValueError, match="frames"):
+            SimJob.make("neo", "family", "hd", frames=True)
+        with pytest.raises(ValueError, match="frames"):
+            SimJob.make("neo", "family", "hd", frames=2.0)
+        with pytest.raises(ValueError, match="bandwidth_gbps"):
+            SimJob.make("neo", "family", "hd", bandwidth_gbps=float("inf"))
+        with pytest.raises(ValueError, match="speed"):
+            SimJob.make("neo", "family", "hd", speed=-1.0)
+
+
 class TestBatchedRollouts:
     def test_worker_drains_queue_and_reports_stay_byte_identical(self):
         # Queue four stackable cells before the worker starts: batched mode

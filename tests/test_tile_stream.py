@@ -118,13 +118,11 @@ class TestTileStreamGolden:
             for _ in range(23)
         ]
         stream = TileStream.from_lists(per_tile)
-        back = stream.to_lists()
-        assert len(back) == len(per_tile)
-        for a, b in zip(per_tile, back):
-            np.testing.assert_array_equal(a, b)
-        # per_tile iterates (tile, view) in tile order.
-        for tile, view in stream.per_tile():
-            np.testing.assert_array_equal(view, per_tile[tile])
+        assert stream.num_tiles == len(per_tile)
+        for tile, rows in enumerate(per_tile):
+            view = stream.rows_for(tile)
+            np.testing.assert_array_equal(view, rows)
+            assert view.base is not None  # a view into the stream, not a copy
 
     def test_stable_order_within_tile(self):
         # Ties on the tile column must preserve input pair order.
