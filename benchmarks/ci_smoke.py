@@ -5,8 +5,8 @@ artifact:
 
 * **Experiment level** — a few fast drivers (``fig03`` plus companions, so
   the pool genuinely fans out) through the
-  :class:`~repro.runtime.ParallelRunner` at ``jobs=1`` vs ``jobs=N`` with
-  caching disabled; row lists must be identical.
+  :class:`~repro.experiments.ExperimentEngine` at ``jobs=1`` vs ``jobs=N``
+  with caching disabled; row lists must be identical.
 * **Frame level** — a short trajectory through
   :meth:`~repro.pipeline.renderer.Renderer.render_sequence` serial vs
   sharded; images must be bitwise-identical.
@@ -25,14 +25,14 @@ import time
 
 
 def experiment_smoke(experiments: list[str], jobs: int, frames: int) -> dict:
-    from repro.runtime import ParallelRunner
+    from repro.experiments import ExperimentEngine
 
     timings = {}
     rows = {}
     for label, n_jobs in (("serial", 1), ("parallel", jobs)):
-        runner = ParallelRunner(jobs=n_jobs, frames=frames, cache=None)
+        engine = ExperimentEngine(jobs=n_jobs, frames=frames, cache=None)
         start = time.perf_counter()
-        outcomes = runner.run(experiments)
+        outcomes = engine.run(experiments).outcomes
         timings[label] = time.perf_counter() - start
         rows[label] = [o.result.rows for o in outcomes]
 
@@ -109,11 +109,12 @@ def cached_smoke(experiments: list[str], frames: int, cache_dir: str) -> dict:
     artifact records the skip; the equality probes above stay uncached on
     purpose — recomputing both sides is their whole point.
     """
-    from repro.runtime import ParallelRunner, ResultCache
+    from repro.experiments import ExperimentEngine
+    from repro.runtime import ResultCache
 
     cache = ResultCache(cache_dir)
     start = time.perf_counter()
-    outcomes = ParallelRunner(jobs=1, frames=frames, cache=cache).run(experiments)
+    outcomes = ExperimentEngine(jobs=1, frames=frames, cache=cache).run(experiments).outcomes
     return {
         "cache_dir": cache_dir,
         "elapsed_s": time.perf_counter() - start,

@@ -588,53 +588,3 @@ def bench_sorting_engine(quick: bool) -> BenchRecord:
         identical=identical,
         detail={"tiles": tiles},
     )
-
-
-def _sim(job):
-    """Module-level evaluate for execute_cells (workers pickle the callable)."""
-    return job.simulate()
-
-
-@register_bench(
-    "batched_rollout",
-    "one stacked multi-rollout pass over a bandwidth sweep vs one sim per cell",
-)
-def bench_batched_rollout(quick: bool) -> BenchRecord:
-    from ..experiments.engine import SimJob, execute_cells
-
-    # The speedup scales with cells x frames (one stacked pass amortizes the
-    # per-cell capture), so a shrunken quick grid would report a third of the
-    # full-mode ratio and flake the trend gate; the full grid costs ~1.5 s,
-    # so quick keeps it.
-    cells_n, frames_n = 24, 12
-    bandwidths = np.linspace(25.6, 204.8, cells_n)
-    cells = [
-        SimJob.make(
-            "neo", BENCH_SCENE, "qhd", frames=frames_n, bandwidth_gbps=float(b)
-        ).resolved()
-        for b in bandwidths
-    ]
-    # Warm the lru-cached workload model so both sides time simulation, not
-    # the shared one-off scene capture.
-    _sim(cells[0])
-
-    base_s, base_batch = _best_of(
-        lambda: execute_cells(cells, _sim, cache=None), 3
-    )
-    opt_s, opt_batch = _best_of(
-        lambda: execute_cells(cells, _sim, cache=None, batched=True), 3
-    )
-    rollout = opt_batch.rollout
-    identical = rollout is not None and rollout.fallback == 0 and all(
-        reports_identical(got, want)
-        for got, want in zip(opt_batch.values, base_batch.values)
-    )
-    return BenchRecord(
-        quick=quick,
-        baseline_ms=base_s * 1e3,
-        optimized_ms=opt_s * 1e3,
-        speedup=base_s / opt_s if opt_s else float("inf"),
-        floor=1.2,
-        identical=identical,
-        detail={"system": "neo", "cells": cells_n, "frames": frames_n},
-    )

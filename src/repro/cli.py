@@ -22,7 +22,6 @@ Usage::
     repro simulate neo family qhd         # one system/scene/resolution
     repro systems list                    # registered hardware backends
     repro systems show neo-s              # one backend's knobs and overlays
-    repro experiments --all --batched     # stack compatible cells into one rollout
 """
 
 from __future__ import annotations
@@ -129,9 +128,7 @@ def _cmd_experiments(args) -> int:
             return 2
 
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    engine = ExperimentEngine(
-        jobs=args.jobs, frames=args.frames, cache=cache, batched=args.batched
-    )
+    engine = ExperimentEngine(jobs=args.jobs, frames=args.frames, cache=cache)
     try:
         run = engine.run(names)
     except KeyError as exc:
@@ -239,7 +236,7 @@ def _cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    runner = SweepRunner(jobs=args.jobs, cache=cache, batched=args.batched)
+    runner = SweepRunner(jobs=args.jobs, cache=cache)
     outcome = runner.run(spec)
     report = outcome.report
 
@@ -250,12 +247,6 @@ def _cmd_sweep(args) -> int:
         f"(jobs={args.jobs}, {outcome.hits} from cache, cache "
         f"{'disabled' if cache is None else 'at ' + str(cache.root)})"
     )
-    if outcome.rollout is not None:
-        rollout = outcome.rollout
-        print(
-            f"batched rollout: {rollout.stacked} point(s) stacked into "
-            f"{rollout.groups} group(s), {rollout.fallback} fell back"
-        )
     if args.out:
         _write_sweep_files(report, args.out)
     if args.require_cached and not outcome.all_cached:
@@ -363,7 +354,6 @@ def _cmd_serve(args) -> int:
         queue_limit=args.queue_limit,
         default_timeout_s=args.timeout,
         cache_dir=None if args.no_cache else args.cache_dir,
-        batched=args.batched,
     )
     try:
         serve(config, announce=lambda line: print(line, flush=True))
@@ -522,10 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--no-cache", action="store_true", help="bypass the result cache")
     exp_p.add_argument("--cache-dir", default=None, help="cache root (default .repro_cache)")
     exp_p.add_argument(
-        "--batched", action="store_true",
-        help="stack compatible sweep cells into batched multi-rollouts",
-    )
-    exp_p.add_argument(
         "--out", default=None,
         help="directory to write deterministic per-experiment <name>.json/.csv artifacts into",
     )
@@ -548,11 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="predefined sweep name (see `repro sweep list`) or path to a spec .json",
     )
     sweep_run.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
-    sweep_run.add_argument(
-        "--batched", action="store_true",
-        help="stack cache-miss points sharing a workload capture into "
-             "batched multi-rollouts (rows stay byte-identical)",
-    )
     sweep_run.add_argument("--no-cache", action="store_true", help="bypass the result cache")
     sweep_run.add_argument("--cache-dir", default=None, help="cache root (default .repro_cache)")
     sweep_run.add_argument(
@@ -613,11 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--no-cache", action="store_true", help="serve without any disk persistence"
-    )
-    serve_p.add_argument(
-        "--batched", action="store_true",
-        help="drain queued executions per worker pass and stack compatible "
-             "cells into one rollout (reports stay byte-identical)",
     )
 
     loadgen_p = sub.add_parser(

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
-
 from ..pipeline.rasterizer import RasterResult
 from ..pipeline.sorting import SortedTiles, sort_tiles
 from ..pipeline.tiling import TileAssignment
@@ -165,45 +163,22 @@ class HierarchicalSortStrategy:
     """GSCore-style hierarchical sorting on reused tables.
 
     Coarse-grained bucketing by depth followed by a fine sort inside each
-    bucket reproduces the exact order (buckets partition the depth range),
-    but the bucketing pass and the fine pass each stream the table through
-    off-chip memory, so per-frame traffic is roughly twice Neo's single
-    pass (Fig. 19 latency gap).
+    bucket reproduces the exact order, because buckets are monotone in
+    depth, so the order comes from :func:`~repro.pipeline.sorting.sort_tiles`.
+    The hierarchy's cost is traffic: the bucketing pass and the fine pass
+    each read and write the whole table off-chip, so per-frame traffic is
+    roughly twice Neo's single pass (Fig. 19 latency gap).
     """
 
     name = "hierarchical"
 
-    def __init__(self, num_buckets: int = 16, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
-        if num_buckets < 2:
-            raise ValueError("num_buckets must be >= 2")
-        self.num_buckets = num_buckets
-        self.chunk_size = chunk_size
+    def __init__(self) -> None:
         self.frame_traffic: list[SortTraffic] = []
 
     def sort_frame(self, assignment: TileAssignment, frame_index: int) -> SortedTiles:
-        traffic = SortTraffic()
-        proj = assignment.projected
-        tile_rows: list[np.ndarray] = []
-        tile_ids: list[np.ndarray] = []
-        tile_depths: list[np.ndarray] = []
-        for tile in range(assignment.num_tiles):
-            rows = assignment.rows_for(tile)
-            depths = proj.depths[rows]
-            ids = proj.ids[rows]
-            n = rows.shape[0]
-            if n:
-                # Pass 1: coarse bucketing (read all, write all, bucketed).
-                # Pass 2: fine sort within each bucket (read + write again).
-                traffic.table_read += 2 * n * TABLE_ENTRY_BYTES
-                traffic.table_write += 2 * n * TABLE_ENTRY_BYTES
-                order = _hierarchical_order(depths, ids, self.num_buckets)
-            else:
-                order = np.empty(0, dtype=np.int64)
-            tile_rows.append(rows[order])
-            tile_ids.append(ids[order])
-            tile_depths.append(depths[order])
-        self.frame_traffic.append(traffic)
-        return SortedTiles.from_tile_lists(tile_rows, tile_ids, tile_depths)
+        table_bytes = 2 * assignment.num_pairs * TABLE_ENTRY_BYTES
+        self.frame_traffic.append(SortTraffic(table_read=table_bytes, table_write=table_bytes))
+        return sort_tiles(assignment)
 
     def observe_raster(
         self, frame_index: int, sorted_tiles: SortedTiles, raster: RasterResult
@@ -216,22 +191,6 @@ class HierarchicalSortStrategy:
         for t in self.frame_traffic:
             total.add(t)
         return total
-
-
-def _hierarchical_order(depths: np.ndarray, ids: np.ndarray, num_buckets: int) -> np.ndarray:
-    """Coarse bucket by depth range, then fine-sort within each bucket."""
-    n = depths.shape[0]
-    if n < 2:
-        return np.arange(n, dtype=np.int64)
-    lo, hi = float(depths.min()), float(depths.max())
-    if hi - lo < 1e-12:
-        return np.argsort(ids, kind="stable")
-    buckets = np.minimum(
-        ((depths - lo) / (hi - lo) * num_buckets).astype(np.int64), num_buckets - 1
-    )
-    # Stable sort by (bucket, depth, id) == exact order because buckets are
-    # monotone in depth; the two-level structure is what costs the 2nd pass.
-    return np.lexsort((ids, depths, buckets))
 
 
 def _replay_cached_order(assignment: TileAssignment, cached: SortedTiles) -> SortedTiles:

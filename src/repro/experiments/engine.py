@@ -35,9 +35,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Iterator, Mapping
 
-import numpy as np
-
-from ..hw.config import DramConfig
 from ..hw.system import get_system
 from ..runtime.cache import ResultCache, stable_key
 from ..runtime.parallel import parallel_map
@@ -47,8 +44,6 @@ from .runner import (
     DEFAULT_FRAMES,
     ExperimentResult,
     RunnerConfig,
-    build_system_model,
-    get_workload_model,
     resolve_frames,
     runner_config,
     simulate_system,
@@ -292,132 +287,6 @@ def execute_plan(plan: ExperimentPlan) -> ExperimentResult:
 
 
 # ----------------------------------------------------------------------
-# BatchedRollout: stacked multi-cell evaluation through the model core
-# ----------------------------------------------------------------------
-#: SimJob fields that must agree for cells to share one stacked rollout.
-#: ``speed`` and ``frames`` shape the captured workload list itself and
-#: ``model_kwargs`` branch Python control flow inside the models, so they
-#: group rather than stack; only the pure sweep knobs become cell axes.
-ROLLOUT_GROUP_FIELDS = ("system", "scene", "resolution", "frames", "speed", "model_kwargs")
-
-#: SimJob fields stacked onto the extra leading cell axis.
-ROLLOUT_AXIS_FIELDS = ("bandwidth_gbps", "cores")
-
-
-@dataclass
-class RolloutStats:
-    """Accounting for one :class:`BatchedRollout` execution."""
-
-    groups: int = 0
-    stacked: int = 0
-    fallback: int = 0
-
-
-class BatchedRollout:
-    """Evaluate many :class:`SimJob` cells as stacked array rollouts.
-
-    Cells agreeing on :data:`ROLLOUT_GROUP_FIELDS` form a *group*; within a
-    group the varying sweep knobs (:data:`ROLLOUT_AXIS_FIELDS`) become one
-    extra leading ``(cells, 1)`` array axis substituted into the system
-    model, so the whole group's reports come out of a single pass through
-    the elementwise equation core
-    (:meth:`~repro.hw.system.SystemModel.simulate_rollout`) — with the
-    workload capture and model construction amortized across the group.
-    Per-cell reports are byte-identical to per-cell :meth:`SimJob.simulate`
-    runs.
-
-    A model that cannot stack a varying knob (e.g. a pinned-core variant
-    under a cores sweep) falls back to per-cell simulation *for that group*,
-    never for the process.  With ``strict=True``, all cells must form one
-    group; mismatches raise ``ValueError`` naming the conflicting fields.
-    """
-
-    def __init__(self, jobs: list[SimJob], strict: bool = False) -> None:
-        self.stats = RolloutStats()
-        self._originals: dict[SimJob, SimJob] = {}  # original -> resolved
-        groups: dict[tuple, list[SimJob]] = {}
-        for job in jobs:
-            resolved = job.resolved()
-            self._originals[job] = resolved
-            key = tuple(getattr(resolved, f) for f in ROLLOUT_GROUP_FIELDS)
-            members = groups.setdefault(key, [])
-            if resolved not in members:
-                members.append(resolved)
-        if strict and len(groups) > 1:
-            first, second = (members[0] for members in list(groups.values())[:2])
-            mismatched = [
-                f for f in ROLLOUT_GROUP_FIELDS
-                if getattr(first, f) != getattr(second, f)
-            ]
-            raise ValueError(
-                "cells cannot stack into one rollout: "
-                f"{mismatched} differ (e.g. {first} vs {second}); "
-                f"cells must agree on {list(ROLLOUT_GROUP_FIELDS)}"
-            )
-        self.groups = list(groups.values())
-        self.stats.groups = len(self.groups)
-
-    def execute(self) -> dict[SimJob, Any]:
-        """Evaluate every cell; returns reports keyed by the *input* jobs."""
-        by_resolved: dict[SimJob, Any] = {}
-        for group in self.groups:
-            by_resolved.update(self._execute_group(group))
-        return {
-            original: by_resolved[resolved]
-            for original, resolved in self._originals.items()
-        }
-
-    def _execute_group(self, group: list[SimJob]) -> dict[SimJob, Any]:
-        """One group: mirror ``_simulate_system_uncached`` step for step,
-        with the per-cell parameters handed to the model as cell axes."""
-        template = group[0]
-        wm = get_workload_model(
-            template.scene, num_frames=template.frames, speed=template.speed
-        )
-        model, tile = build_system_model(
-            template.system,
-            dram=DramConfig(bandwidth_gbps=template.bandwidth_gbps),
-            cores=template.cores,
-            **template.kwargs,
-        )
-        workloads = wm.sequence_workloads(template.resolution, tile)
-        reports = model.simulate_rollout(
-            workloads,
-            {
-                "bandwidth_gbps": np.array(
-                    [job.bandwidth_gbps for job in group], dtype=np.float64
-                ),
-                "cores": np.array(
-                    [float(job.cores) for job in group], dtype=np.float64
-                ),
-            },
-            scene=template.scene,
-        )
-        if reports is None:
-            self.stats.fallback += len(group)
-            return {job: job.simulate() for job in group}
-        self.stats.stacked += len(group)
-        return dict(zip(group, reports))
-
-
-def rollout_sim_misses(cells: list) -> tuple[dict, "RolloutStats | None"]:
-    """Default batched-miss handler: stack the :class:`SimJob` cells.
-
-    This is the handler :func:`execute_cells` applies under ``batched=True``
-    when the caller supplies none.  Callers whose cells are not SimJobs
-    (e.g. the sweep executor) pass their own handler with the same
-    contract: take the miss cells, return ``(values keyed by cell, stats)``
-    covering whichever cells the handler could evaluate; the rest fall
-    through to the normal per-cell fan-out.
-    """
-    sim_cells = [cell for cell in cells if isinstance(cell, SimJob)]
-    if not sim_cells:
-        return {}, None
-    rollout = BatchedRollout(sim_cells)
-    return rollout.execute(), rollout.stats
-
-
-# ----------------------------------------------------------------------
 # execute_cells: the shared fan-out primitive
 # ----------------------------------------------------------------------
 @dataclass
@@ -437,7 +306,6 @@ class CellBatch:
     hits: int
     computed: int
     elapsed_s: float
-    rollout: "RolloutStats | None" = None
 
     @property
     def deduplicated(self) -> int:
@@ -451,8 +319,6 @@ def execute_cells(
     jobs: int = 1,
     cache: ResultCache | None = None,
     store: bool = True,
-    batched: bool = False,
-    rollout_misses: "Callable[[list], tuple[dict, RolloutStats | None]] | None" = None,
 ) -> CellBatch:
     """Evaluate a batch of cells: dedup, cache probe, parallel fan-out, merge.
 
@@ -467,15 +333,6 @@ def execute_cells(
     for callers whose ``evaluate`` already persists its own result (the
     engine's workers write through ``simulate_system``), avoiding a second
     serialization of every report.
-
-    ``batched=True`` routes cache misses through a rollout handler —
-    compatible cells evaluate as one stacked array pass instead of one
-    process each, with byte-identical reports — before any remaining misses
-    (unstackable groups fall back inside the rollout; unhandled cells
-    always) take the normal ``evaluate`` fan-out.  The default handler
-    (:func:`rollout_sim_misses`) stacks :class:`SimJob` cells; callers with
-    differently shaped cells pass their own ``rollout_misses`` with the
-    same ``cells -> (values_by_cell, stats)`` contract.
     """
     start = time.perf_counter()
     keys: list[str] = []
@@ -501,26 +358,6 @@ def execute_cells(
         else:
             misses.append((key, cell))
 
-    rollout_stats: RolloutStats | None = None
-    n_misses = len(misses)
-    if batched:
-        handler = rollout_misses if rollout_misses is not None else rollout_sim_misses
-        handled, rollout_stats = handler([cell for _, cell in misses])
-        if handled:
-            for key, cell in misses:
-                if cell not in handled:
-                    continue
-                value = handled[cell]
-                values[key] = value
-                # The rollout computes in the parent process, so nothing
-                # else persists these cells — write them regardless of
-                # ``store`` (which exists to avoid double-writing what a
-                # worker already stored).
-                if cache is not None:
-                    namespace, payload = spec_by_key[key]
-                    cache.put(namespace, payload, value)
-            misses = [(key, cell) for key, cell in misses if cell not in handled]
-
     computed = parallel_map(evaluate, [cell for _, cell in misses], jobs)
     for (key, _), value in zip(misses, computed):
         values[key] = value
@@ -535,9 +372,8 @@ def execute_cells(
         requested=len(cells),
         unique=len(unique_cells),
         hits=len(cached_keys),
-        computed=n_misses,
+        computed=len(misses),
         elapsed_s=time.perf_counter() - start,
-        rollout=rollout_stats,
     )
 
 
@@ -648,16 +484,11 @@ class ExperimentEngine:
         Result cache for cells (``reports``), workload captures
         (``workloads``), and whole experiment results (``experiments``);
         ``None`` disables persistence.
-    batched:
-        Evaluate compatible simulation cells as stacked
-        :class:`BatchedRollout` passes instead of one worker call each
-        (byte-identical reports; see :func:`execute_cells`).
     """
 
     jobs: int = 1
     frames: int | None = None
     cache: ResultCache | None = field(default_factory=ResultCache)
-    batched: bool = False
 
     # ------------------------------------------------------------------
     # Registry-level entry point
@@ -752,7 +583,6 @@ class ExperimentEngine:
                 jobs=self.jobs,
                 cache=self.cache,
                 store=False,
-                batched=self.batched,
             )
 
             n_sim = len(sim_cells)

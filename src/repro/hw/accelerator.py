@@ -50,7 +50,6 @@ from .system import (
     TrafficBatch,
     register_system,
     register_variant,
-    stacked_copy,
 )
 
 #: Gaussian-table entry bytes (32-bit ID with valid bit + 32-bit depth).
@@ -121,26 +120,6 @@ class NeoModel(SystemModel):
             self.name = "neo-s"
         elif not self.defer_depth_update and self.name == "neo":
             self.name = "neo-eager-depth"
-
-    # ------------------------------------------------------------------
-    def stacked(self, axes) -> "NeoModel | None":
-        """Neo stacks DRAM bandwidth onto the cell axis.
-
-        The factory fixes engine parallelism via :class:`NeoConfig` and
-        drops the generic ``cores`` knob, so a varying cores axis is
-        stacked by ignoring it — per-cell results are constant along it,
-        exactly as per-cell runs produce.
-        """
-        axes = dict(axes)
-        bandwidth = axes.pop("bandwidth_gbps", None)
-        axes.pop("cores", None)
-        if axes:
-            return None
-        if bandwidth is None:
-            return self
-        return stacked_copy(
-            self, dram=stacked_copy(self.dram, bandwidth_gbps=bandwidth)
-        )
 
     # ------------------------------------------------------------------
     def _traffic_split(self, batch: FrameBatch) -> tuple[TrafficBatch, np.ndarray]:

@@ -95,16 +95,6 @@ class OrinGpuModel(SystemModel):
             self.name = "orin-agx-neo-sw"
 
     # ------------------------------------------------------------------
-    def stacked(self, axes) -> "OrinGpuModel | None":
-        """The GPU carries its own memory system (``dram_policy="native"``)
-        and its factory drops the ``cores`` knob, so both sweep axes stack
-        trivially: every cell's report is the same as the scalar run's.
-        """
-        if set(axes) <= {"bandwidth_gbps", "cores"}:
-            return self
-        return None
-
-    # ------------------------------------------------------------------
     def batch_traffic(self, batch: FrameBatch) -> TrafficBatch:
         """DRAM bytes per stage for every frame in the batch."""
         cfg = self.config

@@ -35,7 +35,6 @@ from .system import (
     TrafficBatch,
     register_system,
     register_variant,
-    stacked_copy,
 )
 
 #: Sort-entry bytes (32-bit key, 32-bit Gaussian ID).
@@ -75,32 +74,6 @@ class GSCoreModel(SystemModel):
     config: GSCoreConfig = field(default_factory=GSCoreConfig)
     dram: DramConfig = field(default_factory=DramConfig)
     name: str = "gscore"
-
-    # ------------------------------------------------------------------
-    def stacked(self, axes) -> "GSCoreModel | None":
-        """GSCore stacks bandwidth and — when the factory honored the
-        ``cores`` knob — the core count.  Pinned-config variants
-        (``gscore-32c``) validate the knob per cell instead of reading it,
-        so a varying cores axis cannot stack there and the caller falls
-        back to per-cell simulation.
-        """
-        axes = dict(axes)
-        bandwidth = axes.pop("bandwidth_gbps", None)
-        cores = axes.pop("cores", None)
-        if axes:
-            return None
-        if cores is not None and not getattr(self, "_stacks_cores", False):
-            return None
-        model = self
-        if bandwidth is not None:
-            model = stacked_copy(
-                model, dram=stacked_copy(self.dram, bandwidth_gbps=bandwidth)
-            )
-        if cores is not None:
-            model = stacked_copy(
-                model, config=stacked_copy(self.config, cores=cores)
-            )
-        return model
 
     # ------------------------------------------------------------------
     def batch_traffic(self, batch: FrameBatch) -> TrafficBatch:
@@ -175,7 +148,6 @@ def _build_gscore(dram=None, cores: int = 16, config=None, **kwargs) -> GSCoreMo
     """
     if dram is None:
         dram = DramConfig()
-    honors_cores = config is None
     if config is None:
         config = GSCoreConfig(cores=cores)
     elif cores != 16 and cores != config.cores:
@@ -183,9 +155,7 @@ def _build_gscore(dram=None, cores: int = 16, config=None, **kwargs) -> GSCoreMo
             f"this system pins {config.cores} cores; got cores={cores} — "
             "sweep core counts on the base 'gscore' system instead"
         )
-    model = GSCoreModel(config=config, dram=dram, **kwargs)
-    model._stacks_cores = honors_cores
-    return model
+    return GSCoreModel(config=config, dram=dram, **kwargs)
 
 
 register_variant(

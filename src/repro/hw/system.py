@@ -27,8 +27,6 @@ Two things live here, deliberately together because they form one contract:
 
 from __future__ import annotations
 
-import copy
-
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterator, Mapping
 
@@ -133,21 +131,6 @@ class ReportBatch:
     compute_time_s: np.ndarray
 
 
-def stacked_copy(obj: Any, **overrides: Any) -> Any:
-    """Shallow-copy a (frozen) dataclass instance with raw field overrides.
-
-    ``copy.copy`` + ``object.__setattr__`` skips ``__init__`` and
-    ``__post_init__`` on purpose: batched rollouts substitute *array*-valued
-    parameters (e.g. a ``(cells, 1)`` bandwidth column) into configs whose
-    scalar validation already ran per cell — re-running it on an array would
-    raise on the ambiguous truth value, and there is nothing left to check.
-    """
-    new = copy.copy(obj)
-    for name, value in overrides.items():
-        object.__setattr__(new, name, value)
-    return new
-
-
 # ----------------------------------------------------------------------
 # SystemModel: the shared simulation core
 # ----------------------------------------------------------------------
@@ -233,107 +216,6 @@ class SystemModel:
             for w, (feature, sorting, raster, memory, compute) in zip(workloads, columns)
         ]
         return report
-
-    # -- batched multi-rollout (stacked parameter axis) ----------------
-    def stacked(self, axes: Mapping[str, np.ndarray]) -> "SystemModel | None":
-        """A copy of this model whose sweep parameters carry a cell axis.
-
-        ``axes`` maps parameter name (``"bandwidth_gbps"``, ``"cores"``) to
-        a ``(cells, 1)`` float64 column holding each cell's value; only
-        parameters that actually *vary* across the stacked cells appear.
-        Returns ``None`` when the model cannot stack one of them — callers
-        fall back to per-cell simulation for that group, never fail.
-
-        Each subclass overrides this for exactly the knobs its factory
-        reads; a knob the factory provably ignores is stacked by ignoring
-        it (per-cell results are constant along that axis, matching what
-        per-cell runs produce).  The base model declares no support.
-        """
-        return None if axes else self
-
-    def simulate_rollout(
-        self,
-        workloads: list[FrameWorkload],
-        cell_axes: Mapping[str, np.ndarray],
-        scene: str = "scene",
-    ) -> "list[SequenceReport] | None":
-        """Simulate many parameter cells over one workload list at once.
-
-        ``cell_axes`` maps parameter name to a length-``cells`` array of
-        per-cell values.  The varying parameters are reshaped to
-        ``(cells, 1)`` columns and substituted into a stacked copy of the
-        model, so the elementwise traffic/latency equations broadcast the
-        batch's ``(frames,)`` fields to ``(cells, frames)`` in a single
-        evaluation.  Because every equation is an elementwise IEEE-754 op
-        on float64, element ``(c, f)`` sees exactly the scalar operands
-        cell ``c``'s own ``simulate`` call would — the returned per-cell
-        reports are *byte-identical* to per-cell runs (pinned by
-        ``tests/test_batched_rollout.py``).
-
-        Returns ``None`` when the model cannot stack a varying parameter.
-        """
-        if not workloads:
-            raise ValueError("need at least one workload")
-        if not cell_axes:
-            raise ValueError("need at least one cell axis")
-        columns = {
-            name: np.asarray(values, dtype=np.float64).reshape(-1, 1)
-            for name, values in cell_axes.items()
-        }
-        cell_counts = {col.shape[0] for col in columns.values()}
-        if len(cell_counts) != 1:
-            raise ValueError("cell axes must have equal length")
-        (cells,) = cell_counts
-        varying = {
-            name: col
-            for name, col in columns.items()
-            if np.any(col != col.flat[0])
-        }
-        model = self.stacked(varying)
-        if model is None:
-            return None
-
-        batch = FrameBatch.from_workloads(workloads)
-        rep = model.batch_report(batch)
-        shape = (cells, batch.num_frames)
-        # Broadcast + tolist mirrors simulate()'s unpack: whole columns to
-        # Python floats in one C pass, bit-exact.  Parameters the model
-        # ignored (or that did not vary) leave a (frames,) column, which
-        # broadcasts to identical rows — exactly the per-cell outcome.
-        stacked_columns = [
-            np.broadcast_to(col, shape).tolist()
-            for col in (
-                rep.traffic.feature_extraction,
-                rep.traffic.sorting,
-                rep.traffic.rasterization,
-                rep.memory_time_s,
-                rep.compute_time_s,
-            )
-        ]
-        reports = []
-        for c in range(cells):
-            report = SequenceReport(
-                system=self.name,
-                scene=scene,
-                resolution=(workloads[0].width, workloads[0].height),
-            )
-            report.frames = [
-                FrameReport(
-                    frame_index=w.frame_index,
-                    traffic=StageTraffic(
-                        feature_extraction=feature,
-                        sorting=sorting,
-                        rasterization=raster,
-                    ),
-                    memory_time_s=memory,
-                    compute_time_s=compute,
-                )
-                for w, feature, sorting, raster, memory, compute in zip(
-                    workloads, *(col[c] for col in stacked_columns)
-                )
-            ]
-            reports.append(report)
-        return reports
 
     # -- single-frame conveniences -------------------------------------
     def frame_traffic(self, workload: FrameWorkload) -> StageTraffic:

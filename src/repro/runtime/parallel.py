@@ -1,15 +1,10 @@
-"""Parallel execution of experiment drivers and per-frame renders.
+"""Process-parallel fan-out: order-preserving task maps and sharded renders.
 
-Two fan-out axes, both with deterministic merges:
+Two fan-out primitives, both with deterministic merges:
 
-* **Experiment-level** — :class:`ParallelRunner` routes registered
-  experiments through the shared
-  :class:`~repro.experiments.engine.ExperimentEngine`, which dedupes
-  identical simulation cells across experiments, consults the
-  :class:`~repro.runtime.cache.ResultCache` before dispatch so warm entries
-  never reach a worker, and fans cache-miss cells out cell-granularly.
-  Results come back in the caller's requested order regardless of
-  completion order.
+* **Task-level** — :func:`parallel_map` is the order-preserving map the
+  :class:`~repro.experiments.engine.ExperimentEngine` and the sweep
+  executor fan their cache-miss cells out through.
 * **Frame-level** — :func:`parallel_render_sequence` shards a camera
   trajectory into contiguous frame ranges and renders each shard in its own
   worker.  Frames rendered by a stateless sorting strategy are independent,
@@ -17,21 +12,14 @@ Two fan-out axes, both with deterministic merges:
   :meth:`~repro.pipeline.renderer.Renderer.render_sequence`.  Stateful
   strategies (Neo's reuse-and-update chain) carry inter-frame state and are
   transparently rendered serially.
-
-Experiment drivers are dispatched *by name* (workers re-resolve them through
-the registry), so everything crossing the process boundary is picklable.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from .cache import ResultCache
-
-if TYPE_CHECKING:  # circular at runtime: experiments imports runtime.cache
-    from ..experiments.runner import ExperimentResult
+if TYPE_CHECKING:
     from ..pipeline.renderer import FrameRecord, Renderer
     from ..scene.camera import Camera
 
@@ -45,7 +33,7 @@ def _mp_context() -> multiprocessing.context.BaseContext:
 def parallel_map(func, tasks: list, jobs: int) -> list:
     """Order-preserving map of a picklable function over a task list.
 
-    The shared fan-out primitive behind :class:`ParallelRunner` and the
+    The shared fan-out primitive behind the experiment engine and the
     sweep executor (:mod:`repro.sweeps`): ``jobs <= 1`` (or a single task)
     runs in-process, anything else goes through a :mod:`multiprocessing`
     pool sized to ``min(jobs, len(tasks))``.  Results always come back in
@@ -57,58 +45,6 @@ def parallel_map(func, tasks: list, jobs: int) -> list:
     ctx = _mp_context()
     with ctx.Pool(processes=min(jobs, len(tasks))) as pool:
         return pool.map(func, tasks)
-
-
-# ----------------------------------------------------------------------
-# Experiment-level parallelism
-# ----------------------------------------------------------------------
-@dataclass
-class RunOutcome:
-    """One experiment's result plus provenance for reporting."""
-
-    name: str
-    result: "ExperimentResult"
-    elapsed_s: float
-    from_cache: bool
-
-
-@dataclass
-class ParallelRunner:
-    """Runs experiment drivers with disk-backed caching and parallel fan-out.
-
-    Since the plan/execute refactor this is a thin client of the
-    :class:`~repro.experiments.engine.ExperimentEngine`: experiments declare
-    their simulation cells, the engine dedupes identical cells *across*
-    experiments and fans the misses out cell-granularly, and drivers whose
-    work is not cell-shaped run whole in a worker.  Kept for API continuity
-    (``benchmarks/ci_smoke.py`` and external callers); new code should use
-    the engine directly.
-
-    Parameters
-    ----------
-    jobs:
-        Worker processes; ``1`` runs everything in-process.
-    frames:
-        Frame-count override threaded into each driver's
-        :class:`~repro.experiments.runner.RunnerConfig` (``None`` keeps the
-        driver default).
-    cache:
-        Result cache, or ``None`` to disable persistence entirely.
-    """
-
-    jobs: int = 1
-    frames: int | None = None
-    cache: ResultCache | None = field(default_factory=ResultCache)
-
-    def run(self, names: list[str]) -> list[RunOutcome]:
-        """Execute experiments by registry name; output order matches input."""
-        from ..experiments.engine import ExperimentEngine
-
-        engine = ExperimentEngine(jobs=self.jobs, frames=self.frames, cache=self.cache)
-        return [
-            RunOutcome(o.name, o.result, o.elapsed_s, o.from_cache)
-            for o in engine.run(names).outcomes
-        ]
 
 
 # ----------------------------------------------------------------------

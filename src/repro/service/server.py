@@ -18,11 +18,6 @@ mechanisms turn many concurrent clients into bounded, shared work:
   own policy).  Coalesced joins and cache hits add no work and are always
   admitted.  Each waiter applies its own per-request timeout without
   cancelling the shared execution (``asyncio.shield``).
-* **Batched rollouts** (``--batched``) — each worker pass drains the
-  admitted queue and routes the drained cells through the engine's
-  ``execute_cells(batched=True)`` path, stacking compatible cells from any
-  mix of tenants into one array rollout.  Reports stay byte-identical to
-  per-cell execution, so ``repro loadgen --verify`` holds either way.
 * **Warm scene residency** — workers run in one process, so the workload
   models' in-process memo (:func:`~repro.experiments.runner.get_workload_model`)
   keeps every scene loaded after its first use: load once, serve many
@@ -43,14 +38,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
-from ..experiments.engine import SimJob, execute_cells
+from ..experiments.engine import SimJob
 from ..runtime.cache import ResultCache, stable_key
 from . import protocol
-
-
-def _simulate_job(job: SimJob):
-    """Module-level evaluate for ``execute_cells`` (no bound state)."""
-    return job.simulate()
 
 
 @dataclass
@@ -67,12 +57,7 @@ class ServiceConfig:
     default_timeout_s: float = 60.0
     #: Root for per-tenant result namespaces; ``None`` disables persistence.
     cache_dir: str | None = None
-    #: Drain queued executions per worker pass and stack compatible cells
-    #: into one array rollout (see ``execute_cells(batched=True)``).
-    #: Reports stay byte-identical to per-cell execution.
-    batched: bool = False
-    #: Test hook: replaces ``SimJob.simulate`` for queued executions (and
-    #: disables rollout stacking — the hook is per-job by contract).
+    #: Test hook: replaces ``SimJob.simulate`` for queued executions.
     simulate_fn: Callable[[SimJob], Any] | None = None
 
     def public_dict(self) -> dict[str, Any]:
@@ -101,10 +86,6 @@ class ServiceMetrics:
     #: Executions whose scene workload was already resident in-process.
     warm_scene_hits: int = 0
     scene_loads: int = 0
-    #: Executions evaluated inside a stacked rollout (``batched`` mode).
-    rollout_stacked: int = 0
-    #: Executions a rollout could not stack (per-cell fallback inside the batch).
-    rollout_fallback: int = 0
     #: Response writes that failed because the client had gone away.
     disconnects: int = 0
 
@@ -370,70 +351,30 @@ class SimulationServer:
             return self.config.simulate_fn(job)
         return job.simulate()
 
-    def _simulate_batch(self, jobs: list[SimJob]):
-        """Per-job ``(ok, report-or-exception)`` pairs plus rollout stats.
-
-        Runs on an executor thread.  In batched mode the whole drained
-        batch goes through ``execute_cells(batched=True)`` — compatible
-        cells stack into one array rollout, byte-identical to per-cell
-        simulation — and any batch-level failure degrades to the per-job
-        path so one bad cell cannot poison its batchmates' futures.
-        """
-        if self.config.batched and self.config.simulate_fn is None and len(jobs) > 1:
-            try:
-                cells = execute_cells(list(jobs), _simulate_job, cache=None, batched=True)
-            except Exception:
-                pass
-            else:
-                return [(True, value) for value in cells.values], cells.rollout
-        results = []
-        for job in jobs:
-            try:
-                results.append((True, self._simulate(job)))
-            except Exception as exc:  # held per job, re-raised via the future
-                results.append((False, exc))
-        return results, None
-
     async def _worker(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
             execution = await self._queue.get()
-            batch = [execution]
-            if self.config.batched:
-                # Drain whatever queued while we were busy: everything
-                # admitted so far shares this pass (and its rollouts).
-                while True:
-                    try:
-                        batch.append(self._queue.get_nowait())
-                    except asyncio.QueueEmpty:
-                        break
-            for member in batch:
-                self.metrics.executions += 1
-                scene_key = (member.job.scene, member.job.frames, member.job.speed)
-                if scene_key in self._resident_scenes:
-                    self.metrics.warm_scene_hits += 1
-                else:
-                    self._resident_scenes.add(scene_key)
-                    self.metrics.scene_loads += 1
+            job = execution.job
+            self.metrics.executions += 1
+            scene_key = (job.scene, job.frames, job.speed)
+            if scene_key in self._resident_scenes:
+                self.metrics.warm_scene_hits += 1
+            else:
+                self._resident_scenes.add(scene_key)
+                self.metrics.scene_loads += 1
             try:
-                results, rollout = await loop.run_in_executor(
-                    self._executor, self._simulate_batch, [m.job for m in batch]
-                )
-            except Exception as exc:  # executor failure: fail the whole batch
-                results, rollout = [(False, exc)] * len(batch), None
-            if rollout is not None:
-                self.metrics.rollout_stacked += rollout.stacked
-                self.metrics.rollout_fallback += rollout.fallback
-            for member, (ok, outcome) in zip(batch, results):
-                if not member.future.done():
-                    if ok:
-                        member.future.set_result(outcome)
-                    else:
-                        member.future.set_exception(outcome)
-                # Only now do later identical requests start a new execution
-                # (or, with a cache, hit the row their waiters just wrote).
-                self._inflight.pop(member.key, None)
-                self._queue.task_done()
+                report = await loop.run_in_executor(self._executor, self._simulate, job)
+            except Exception as exc:  # held per job, re-raised via the future
+                if not execution.future.done():
+                    execution.future.set_exception(exc)
+            else:
+                if not execution.future.done():
+                    execution.future.set_result(report)
+            # Only now do later identical requests start a new execution
+            # (or, with a cache, hit the row their waiters just wrote).
+            self._inflight.pop(execution.key, None)
+            self._queue.task_done()
 
 
 def serve(config: ServiceConfig, announce: Callable[[str], None] = print) -> None:

@@ -12,7 +12,7 @@ processes, and aggregates everything into a
 writers.  ``repro sweep run/list/report`` is the CLI surface.
 """
 
-from .executor import SweepOutcome, SweepRunner, evaluate_point, rollout_sweep_misses
+from .executor import SweepOutcome, SweepRunner, evaluate_point
 from .registry import PREDEFINED, get_sweep_spec, list_sweep_specs, resolve_spec
 from .report import SweepReport, read_csv_rows
 from .spec import STRATEGIES, HardwareConfig, SweepPoint, SweepSpec
@@ -31,5 +31,4 @@ __all__ = [
     "list_sweep_specs",
     "read_csv_rows",
     "resolve_spec",
-    "rollout_sweep_misses",
 ]

@@ -33,7 +33,7 @@ from typing import Any
 import numpy as np
 
 from ..core.strategies import make_strategy
-from ..experiments.engine import RolloutStats, execute_cells
+from ..experiments.engine import execute_cells
 from ..experiments.runner import build_system_model
 from ..hw.config import DramConfig
 from ..hw.workload import WorkloadModel
@@ -97,13 +97,6 @@ def _reference_images(
 # ----------------------------------------------------------------------
 def evaluate_point(point: SweepPoint) -> dict[str, Any]:
     """Compute one grid point's metrics row (pure, deterministic)."""
-    model, workloads = _point_model(point)
-    seq = model.simulate(workloads, scene=point.scene)
-    return _point_row(point, seq, workloads)
-
-
-def _point_model(point: SweepPoint):
-    """The point's system model plus its captured workload sequence."""
     hw = point.hardware
     wm = _workload_model(
         point.scene,
@@ -117,16 +110,8 @@ def _point_model(point: SweepPoint):
     model, tile = build_system_model(
         hw.system, dram=DramConfig(bandwidth_gbps=hw.bandwidth_gbps), cores=hw.cores
     )
-    return model, wm.sequence_workloads(hw.resolution, tile)
-
-
-def _point_row(point: SweepPoint, seq, workloads) -> dict[str, Any]:
-    """Assemble the metrics row from a simulated sequence report.
-
-    Shared by the per-point and batched-rollout paths so both produce
-    byte-identical rows from byte-identical reports.
-    """
-    hw = point.hardware
+    workloads = wm.sequence_workloads(hw.resolution, tile)
+    seq = model.simulate(workloads, scene=point.scene)
     row: dict[str, Any] = {
         "point": point.label,
         "scene": point.scene,
@@ -186,77 +171,6 @@ def _point_row(point: SweepPoint, seq, workloads) -> dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Batched rollouts over the sweep grid
-# ----------------------------------------------------------------------
-#: SweepPoint fields that must agree for points to share one stacked
-#: rollout: everything that shapes the captured workload sequence or the
-#: model construction.  The remaining hardware knobs
-#: (``bandwidth_gbps``/``cores``) become the rollout's cell axes, exactly
-#: as :data:`~repro.experiments.engine.ROLLOUT_AXIS_FIELDS` does for
-#: :class:`~repro.experiments.engine.SimJob` cells.  ``strategy`` and the
-#: quality fields are deliberately absent — they only affect the
-#: functional (render) side of the row, which never stacks.
-SWEEP_ROLLOUT_GROUP_FIELDS = (
-    "scene",
-    "num_gaussians",
-    "trajectory",
-    "speed",
-    "frames",
-    "capture_width",
-    "capture_height",
-)
-
-
-def rollout_sweep_misses(points: list[SweepPoint]) -> tuple[dict, RolloutStats | None]:
-    """Batched-miss handler for :func:`~repro.experiments.engine.execute_cells`.
-
-    Groups cache-miss points on :data:`SWEEP_ROLLOUT_GROUP_FIELDS` plus the
-    hardware ``(system, resolution)`` pair, simulates each group as one
-    stacked pass through
-    :meth:`~repro.hw.system.SystemModel.simulate_rollout` with
-    bandwidth/cores as cell axes, and assembles rows through the same
-    :func:`_point_row` the per-point path uses — so batched rows are
-    byte-identical to unbatched ones.  Points whose quality metrics are
-    requested still render per-point (image comparison cannot stack), and
-    a model that cannot stack a knob falls back to per-point simulation
-    for that group only.
-    """
-    groups: dict[tuple, list[SweepPoint]] = {}
-    for point in points:
-        key = tuple(getattr(point, f) for f in SWEEP_ROLLOUT_GROUP_FIELDS)
-        key += (point.hardware.system, point.hardware.resolution)
-        groups.setdefault(key, []).append(point)
-    if not groups:
-        return {}, None
-
-    stats = RolloutStats(groups=len(groups))
-    values: dict[SweepPoint, dict[str, Any]] = {}
-    for group in groups.values():
-        model, workloads = _point_model(group[0])
-        reports = model.simulate_rollout(
-            workloads,
-            {
-                "bandwidth_gbps": np.array(
-                    [p.hardware.bandwidth_gbps for p in group], dtype=np.float64
-                ),
-                "cores": np.array(
-                    [float(p.hardware.cores) for p in group], dtype=np.float64
-                ),
-            },
-            scene=group[0].scene,
-        )
-        if reports is None:
-            stats.fallback += len(group)
-            for point in group:
-                values[point] = evaluate_point(point)
-            continue
-        stats.stacked += len(group)
-        for point, seq in zip(group, reports):
-            values[point] = _point_row(point, seq, workloads)
-    return values, stats
-
-
-# ----------------------------------------------------------------------
 # Grid execution
 # ----------------------------------------------------------------------
 @dataclass
@@ -273,8 +187,6 @@ class SweepOutcome:
     hits: int
     misses: int
     elapsed_s: float
-    #: Stacking accounting when the runner ran batched (``None`` otherwise).
-    rollout: RolloutStats | None = None
 
     @property
     def all_cached(self) -> bool:
@@ -298,28 +210,15 @@ class SweepRunner:
     cache:
         Result cache consulted per point, or ``None`` to recompute
         everything.
-    batched:
-        Route cache misses through :func:`rollout_sweep_misses` — points
-        sharing a workload capture stack into one array rollout instead of
-        evaluating one process each.  Rows stay byte-identical to the
-        unbatched path.
     """
 
     jobs: int = 1
     cache: ResultCache | None = field(default_factory=ResultCache)
-    batched: bool = False
 
     def run(self, spec: SweepSpec) -> SweepOutcome:
         """Execute every grid point and aggregate rows in grid order."""
         points = spec.points()
-        batch = execute_cells(
-            points,
-            evaluate_point,
-            jobs=self.jobs,
-            cache=self.cache,
-            batched=self.batched,
-            rollout_misses=rollout_sweep_misses,
-        )
+        batch = execute_cells(points, evaluate_point, jobs=self.jobs, cache=self.cache)
 
         report = SweepReport(
             name=spec.name,
@@ -333,5 +232,4 @@ class SweepRunner:
             hits=batch.hits,
             misses=batch.computed,
             elapsed_s=batch.elapsed_s,
-            rollout=batch.rollout,
         )

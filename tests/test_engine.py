@@ -227,6 +227,30 @@ class TestEngineRun:
         with pytest.raises(KeyError):
             ExperimentEngine(jobs=1, cache=None).run(["fig99"])
 
+    def test_parallel_rows_match_serial_and_warm_cache(self, tmp_path):
+        names = ["fig03", "table3", "table4"]
+        serial = ExperimentEngine(jobs=1, frames=3, cache=None).run(names)
+        cache = ResultCache(tmp_path / "cache")
+        parallel = ExperimentEngine(jobs=2, frames=3, cache=cache).run(names)
+        assert [o.name for o in parallel.outcomes] == names
+        for s, p in zip(serial.outcomes, parallel.outcomes):
+            assert not p.from_cache
+            assert s.result.rows == p.result.rows
+
+        warm = ExperimentEngine(jobs=2, frames=3, cache=cache).run(names)
+        for s, w in zip(serial.outcomes, warm.outcomes):
+            assert w.from_cache
+            assert s.result.rows == w.result.rows
+
+    def test_frames_change_invalidates_experiment_cache(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        first = ExperimentEngine(jobs=1, frames=3, cache=cache).run(["table3"])
+        assert not first.outcomes[0].from_cache
+        other_frames = ExperimentEngine(jobs=1, frames=4, cache=cache).run(["table3"])
+        assert not other_frames.outcomes[0].from_cache
+        again = ExperimentEngine(jobs=1, frames=3, cache=cache).run(["table3"])
+        assert again.outcomes[0].from_cache
+
     def test_duplicate_names_collapse(self):
         run = ExperimentEngine(jobs=1, cache=None).run(["table3", "table3"])
         assert [o.name for o in run.outcomes] == ["table3", "table3"]

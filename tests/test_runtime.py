@@ -15,7 +15,7 @@ from repro.experiments.runner import (
 )
 from repro.hw.workload import WorkloadModel
 from repro.pipeline.renderer import Renderer
-from repro.runtime import ParallelRunner, ResultCache, code_version, parallel_map, stable_key
+from repro.runtime import ResultCache, code_version, parallel_map, stable_key
 from repro.runtime.parallel import _contiguous_shards
 
 
@@ -403,36 +403,6 @@ class TestRunnerConfig:
         key_now = stable_key(payload)
         monkeypatch.setattr(cache_mod, "_code_version_cache", "deadbeefdeadbeef")
         assert stable_key(payload) != key_now
-
-
-class TestParallelRunner:
-    def test_parallel_rows_match_serial_and_warm_cache(self, tmp_path):
-        names = ["fig03", "table3", "table4"]
-        serial = ParallelRunner(jobs=1, frames=3, cache=None).run(names)
-        cache = ResultCache(tmp_path / "cache")
-        parallel = ParallelRunner(jobs=2, frames=3, cache=cache).run(names)
-        assert [o.name for o in parallel] == names
-        for s, p in zip(serial, parallel):
-            assert not p.from_cache
-            assert s.result.rows == p.result.rows
-
-        warm = ParallelRunner(jobs=2, frames=3, cache=cache).run(names)
-        for s, w in zip(serial, warm):
-            assert w.from_cache
-            assert s.result.rows == w.result.rows
-
-    def test_frames_change_invalidates_experiment_cache(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        first = ParallelRunner(jobs=1, frames=3, cache=cache).run(["table3"])
-        assert not first[0].from_cache
-        other_frames = ParallelRunner(jobs=1, frames=4, cache=cache).run(["table3"])
-        assert not other_frames[0].from_cache
-        again = ParallelRunner(jobs=1, frames=3, cache=cache).run(["table3"])
-        assert again[0].from_cache
-
-    def test_unknown_experiment(self):
-        with pytest.raises(KeyError):
-            ParallelRunner(jobs=1, cache=None).run(["fig99"])
 
 
 class TestParallelMap:

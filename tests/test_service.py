@@ -433,12 +433,11 @@ class TestMalformedJobs:
             SimJob.make("neo", "family", "hd", speed=-1.0)
 
 
-class TestBatchedRollouts:
+class TestWorker:
     def test_worker_drains_queue_and_reports_stay_byte_identical(self):
-        # Queue four stackable cells before the worker starts: batched mode
-        # must drain them in one pass, stack the compatible groups, and
-        # resolve every future with a report byte-identical to direct
-        # per-cell simulation.
+        # Queue four distinct cells before the worker starts: the worker
+        # must run each one, resolve every future with a report
+        # byte-identical to direct simulation, and leave nothing in flight.
         async def scenario():
             from concurrent.futures import ThreadPoolExecutor
 
@@ -450,9 +449,7 @@ class TestBatchedRollouts:
                 for bw in (20.0, 35.0, 52.0)
             ]
             jobs.append(SimJob.make("gscore", "family", "hd", frames=2).resolved())
-            server = SimulationServer(
-                ServiceConfig(port=0, workers=1, cache_dir=None, batched=True)
-            )
+            server = SimulationServer(ServiceConfig(port=0, workers=1, cache_dir=None))
             server._executor = ThreadPoolExecutor(max_workers=1)
             loop = asyncio.get_running_loop()
             executions = [
@@ -465,36 +462,20 @@ class TestBatchedRollouts:
             worker = asyncio.create_task(server._worker())
             try:
                 reports = await asyncio.gather(*(e.future for e in executions))
+                await server._queue.join()
             finally:
                 worker.cancel()
                 server._executor.shutdown(wait=False)
             return server, jobs, reports
 
         server, jobs, reports = asyncio.run(scenario())
-        assert server.metrics.executions == len(jobs)
-        assert server.metrics.rollout_stacked == len(jobs)
-        assert server.metrics.rollout_fallback == 0
+        assert len(set(jobs)) == 4
+        assert server.metrics.executions == 4
         assert not server._inflight
         for job, report in zip(jobs, reports):
             direct = protocol.canonical_bytes(protocol.report_to_payload(job.simulate()))
             served = protocol.canonical_bytes(protocol.report_to_payload(report))
             assert served == direct
-
-    def test_batched_flag_surfaces_in_stats_config(self):
-        async def scenario():
-            server = await start_server(workers=1, batched=True)
-            client = await connect(server)
-            try:
-                response = await client.request({"op": "stats"})
-            finally:
-                await client.close()
-                await server.stop()
-            return response
-
-        response = asyncio.run(scenario())
-        assert response["status"] == "ok"
-        assert response["config"]["batched"] is True
-        assert "rollout_stacked" in response["metrics"]
 
 
 class TestLoadGen:

@@ -11,9 +11,15 @@ from repro.core.strategies import (
     PeriodicSortStrategy,
     make_strategy,
 )
+from repro.core.gaussian_table import TABLE_ENTRY_BYTES
+from repro.core.reuse_update import SortTraffic
 from repro.metrics.image import psnr
+from repro.pipeline.culling import frustum_cull
+from repro.pipeline.projection import project_gaussians
 from repro.pipeline.renderer import Renderer
-from repro.pipeline.sorting import is_depth_sorted
+from repro.pipeline.sorting import is_depth_sorted, sort_tiles
+from repro.pipeline.tiling import TileGrid, assign_to_tiles
+from repro.scene.datasets import archetype_trajectory, load_scene
 
 
 class TestFactory:
@@ -104,9 +110,34 @@ class TestBackground:
 
 
 class TestHierarchical:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HierarchicalSortStrategy(num_buckets=1)
+    @pytest.mark.parametrize("tile_size", [16, 64])
+    def test_equals_exact_sort_with_two_table_passes(self, tile_size):
+        # The coarse-bucket + fine-sort order is the exact (depth, id) sort,
+        # and each frame streams the table twice: read and written per pass.
+        for scene_name in ("family", "train"):
+            scene = load_scene(scene_name, num_gaussians=1500)
+            for archetype in ("orbit", "shake", "teleport"):
+                cameras = archetype_trajectory(
+                    scene_name, archetype, num_frames=4, width=320, height=180
+                )
+                strategy = HierarchicalSortStrategy()
+                for index, camera in enumerate(cameras):
+                    culled = frustum_cull(scene, camera)
+                    projected = project_gaussians(scene, camera, culled.visible_ids)
+                    assignment = assign_to_tiles(
+                        projected, TileGrid(camera.width, camera.height, tile_size)
+                    )
+                    got = strategy.sort_frame(assignment, index)
+                    want = sort_tiles(assignment)
+                    np.testing.assert_array_equal(got.stream.values, want.stream.values)
+                    np.testing.assert_array_equal(got.stream.offsets, want.stream.offsets)
+                    np.testing.assert_array_equal(got.ids, want.ids)
+                    np.testing.assert_array_equal(got.depths, want.depths)
+                    table_bytes = 2 * assignment.num_pairs * TABLE_ENTRY_BYTES
+                    assert strategy.frame_traffic[index] == SortTraffic(
+                        table_read=table_bytes, table_write=table_bytes
+                    )
+                assert len(strategy.frame_traffic) == len(cameras)
 
     def test_order_is_exact(self, small_scene, camera):
         strategy = HierarchicalSortStrategy()

@@ -188,47 +188,6 @@ class TestExecutor:
             assert "mean_psnr_db" not in row
             assert row["fps"] > 0
 
-    def test_batched_rows_byte_identical_and_stacked(self):
-        # Four points sharing one workload capture, differing only in the
-        # stackable hardware knobs, must collapse into one rollout group —
-        # and produce byte-identical rows either way.
-        spec = SweepSpec.from_dict(
-            {
-                **TINY.to_dict(),
-                "trajectories": ["orbit"],
-                "measure_quality": False,
-                "hardware": [
-                    {"system": "neo", "resolution": "hd", "bandwidth_gbps": 20},
-                    {"system": "neo", "resolution": "hd", "bandwidth_gbps": 52},
-                    {"system": "gscore", "resolution": "hd", "cores": 8},
-                    {"system": "gscore", "resolution": "hd", "cores": 16},
-                ],
-            }
-        )
-        plain = SweepRunner(jobs=1, cache=None).run(spec)
-        batched = SweepRunner(jobs=1, cache=None, batched=True).run(spec)
-        assert plain.rollout is None
-        assert batched.rollout is not None
-        assert batched.rollout.groups == 2
-        assert batched.rollout.stacked == spec.num_points
-        assert batched.rollout.fallback == 0
-        assert json.dumps(batched.report.to_dict(), sort_keys=True) == json.dumps(
-            plain.report.to_dict(), sort_keys=True
-        )
-
-    def test_batched_quality_points_still_render_identically(self, tmp_path):
-        # measure_quality rows add the functional (render) columns, which
-        # never stack; the batched path must still produce them unchanged
-        # and populate the cache so a warm run is all hits.
-        cache = ResultCache(tmp_path / "cache")
-        plain = SweepRunner(jobs=1, cache=None).run(TINY)
-        batched = SweepRunner(jobs=1, cache=cache, batched=True).run(TINY)
-        assert json.dumps(batched.report.to_dict(), sort_keys=True) == json.dumps(
-            plain.report.to_dict(), sort_keys=True
-        )
-        warm = SweepRunner(jobs=1, cache=cache, batched=True).run(TINY)
-        assert warm.all_cached
-
 
 class TestReportSerialization:
     @pytest.fixture(scope="class")
