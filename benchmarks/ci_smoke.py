@@ -1,15 +1,14 @@
 """CI benchmark smoke: fig03 serial vs parallel, with equality checks.
 
-Two determinism-under-parallelism probes, timed and written to a JSON
-artifact:
+Timed probes written to a JSON artifact:
 
 * **Experiment level** — a few fast drivers (``fig03`` plus companions, so
   the pool genuinely fans out) through the
   :class:`~repro.experiments.ExperimentEngine` at ``jobs=1`` vs ``jobs=N``
   with caching disabled; row lists must be identical.
-* **Frame level** — a short trajectory through
-  :meth:`~repro.pipeline.renderer.Renderer.render_sequence` serial vs
-  sharded; images must be bitwise-identical.
+* **Vectorized core** — every base system's vectorized sequence core
+  against the per-frame scalar loop: bit-identical reports above a
+  speedup floor.
 
 Not a pytest module on purpose: it is invoked directly by the workflow's
 benchmark job (``python benchmarks/ci_smoke.py --out timing.json``).
@@ -44,37 +43,6 @@ def experiment_smoke(experiments: list[str], jobs: int, frames: int) -> dict:
         "speedup": timings["serial"] / timings["parallel"] if timings["parallel"] else 0.0,
         "rows_identical": rows["serial"] == rows["parallel"],
         "num_rows": sum(len(r) for r in rows["serial"]),
-    }
-
-
-def render_smoke(jobs: int, num_frames: int = 8) -> dict:
-    import numpy as np
-
-    from repro.pipeline.renderer import Renderer
-    from repro.scene.datasets import default_trajectory, load_scene
-
-    scene = load_scene("family", num_gaussians=1500)
-    cameras = default_trajectory("family", num_frames=num_frames, width=320, height=180)
-    renderer = Renderer(scene)
-
-    start = time.perf_counter()
-    serial = renderer.render_sequence(cameras)
-    serial_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel = renderer.render_sequence(cameras, jobs=jobs)
-    parallel_s = time.perf_counter() - start
-
-    identical = all(
-        np.array_equal(a.image, b.image) and a.stats.blend_ops == b.stats.blend_ops
-        for a, b in zip(serial, parallel)
-    )
-    return {
-        "num_frames": num_frames,
-        "serial_s": serial_s,
-        "parallel_s": parallel_s,
-        "speedup": serial_s / parallel_s if parallel_s else 0.0,
-        "frames_identical": identical,
     }
 
 
@@ -128,14 +96,12 @@ def run_smoke(experiments: list[str], jobs: int, frames: int, cache_dir: str | N
         "jobs": jobs,
         "cpu_count": os.cpu_count(),
         "experiment_level": experiment_smoke(experiments, jobs, frames),
-        "frame_level": render_smoke(jobs),
         "vectorized_core": vectorized_smoke(),
     }
     if cache_dir:
         summary["cached_level"] = cached_smoke(experiments, frames, cache_dir)
     summary["ok"] = (
         summary["experiment_level"]["rows_identical"]
-        and summary["frame_level"]["frames_identical"]
         and summary["vectorized_core"]["identical"]
         and summary["vectorized_core"]["above_floor"]
     )

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments import execute_plan
+
 #: Scenes/frames used by the bench drivers: the full six-scene set is the
 #: paper configuration; trim via ``--bench-scenes`` if iterating.
 BENCH_FRAMES = 8
@@ -22,6 +24,8 @@ def bench_frames() -> int:
     return BENCH_FRAMES
 
 
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run an experiment driver exactly once under the benchmark timer."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+def run_once(benchmark, plan, **params):
+    """Build and execute one experiment plan exactly once under the benchmark timer."""
+    return benchmark.pedantic(
+        lambda: execute_plan(plan(**params)), rounds=1, iterations=1
+    )

@@ -15,7 +15,7 @@ from conftest import run_once
 
 
 def test_extension_bandwidth_sweep(benchmark, bench_frames):
-    result = run_once(benchmark, bandwidth_sweep.run, num_frames=bench_frames)
+    result = run_once(benchmark, bandwidth_sweep.plan, num_frames=bench_frames)
     print("\n" + result.to_text())
 
     neo_bw = bandwidth_sweep.realtime_bandwidth(result, "neo")

@@ -8,7 +8,7 @@ from conftest import run_once
 
 
 def test_fig03_gscore_resolution(benchmark, bench_frames):
-    result = run_once(benchmark, fig03.run, num_frames=bench_frames)
+    result = run_once(benchmark, fig03.plan, num_frames=bench_frames)
     print("\n" + result.to_text())
 
     by_res = {

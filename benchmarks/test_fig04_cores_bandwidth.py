@@ -10,7 +10,7 @@ pytestmark = pytest.mark.slow
 
 
 def test_fig04_cores_bandwidth(benchmark, bench_frames):
-    result = run_once(benchmark, fig04.run, num_frames=bench_frames)
+    result = run_once(benchmark, fig04.plan, num_frames=bench_frames)
     print("\n" + result.to_text())
 
     # Paper: at 51.2 GB/s, 4x cores buys only ~1.12x; at 16 cores, 4x

@@ -10,7 +10,7 @@ pytestmark = pytest.mark.slow
 
 
 def test_fig05_traffic_breakdown(benchmark, bench_frames):
-    result = run_once(benchmark, fig05.run, num_frames=bench_frames)
+    result = run_once(benchmark, fig05.plan, num_frames=bench_frames)
     print("\n" + result.to_text())
 
     # Paper: sorting dominates — up to 91% of GPU traffic and 63-69% of

@@ -6,7 +6,7 @@ from conftest import run_once
 
 
 def test_fig06_shared_gaussians(benchmark):
-    result = run_once(benchmark, fig06.run)
+    result = run_once(benchmark, fig06.plan)
     print("\n" + result.to_text())
 
     # Paper: in all six scenes, over 90% of tiles retain more than 78% of

@@ -6,7 +6,7 @@ from conftest import run_once
 
 
 def test_fig07_order_difference(benchmark):
-    result = run_once(benchmark, fig07.run)
+    result = run_once(benchmark, fig07.plan)
     print("\n" + result.to_text())
 
     # Paper: 99% of the ordering stays largely consistent; the largest

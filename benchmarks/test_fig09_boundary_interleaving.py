@@ -7,7 +7,7 @@ from conftest import run_once
 
 def test_fig09_boundary_interleaving(benchmark):
     result = run_once(
-        benchmark, fig09.run, length=512, chunk_size=64, iterations=8, shuffle_distance=48
+        benchmark, fig09.plan, length=512, chunk_size=64, iterations=8, shuffle_distance=48
     )
     print("\n" + result.to_text())
 

@@ -6,7 +6,7 @@ from conftest import run_once
 
 
 def test_fig10_software_only(benchmark, bench_frames):
-    result = run_once(benchmark, fig10.run, num_frames=bench_frames)
+    result = run_once(benchmark, fig10.plan, num_frames=bench_frames)
     print("\n" + result.to_text())
     ratios = fig10.summary(result)
     print(ratios)

@@ -10,7 +10,7 @@ pytestmark = pytest.mark.slow
 
 
 def test_fig15_end_to_end(benchmark, bench_frames):
-    result = run_once(benchmark, fig15.run, num_frames=bench_frames)
+    result = run_once(benchmark, fig15.plan, num_frames=bench_frames)
     print("\n" + result.to_text())
     ratios = fig15.speedups(result)
     print(ratios)

@@ -6,7 +6,7 @@ from conftest import run_once
 
 
 def test_fig16_traffic(benchmark, bench_frames):
-    result = run_once(benchmark, fig16.run, num_frames=bench_frames)
+    result = run_once(benchmark, fig16.plan, num_frames=bench_frames)
     print("\n" + result.to_text())
     cuts = fig16.reductions(result)
     print(cuts)

@@ -6,7 +6,7 @@ from conftest import run_once
 
 
 def test_fig17a_large_scenes(benchmark, bench_frames):
-    result = run_once(benchmark, fig17.run_large_scenes, num_frames=bench_frames)
+    result = run_once(benchmark, fig17.plan_large_scenes, num_frames=bench_frames)
     print("\n" + result.to_text())
 
     # Paper: Neo averages ~65 FPS on Mill-19 while Orin and GSCore drop
@@ -21,7 +21,7 @@ def test_fig17a_large_scenes(benchmark, bench_frames):
 
 
 def test_fig17b_camera_speed(benchmark, bench_frames):
-    result = run_once(benchmark, fig17.run_camera_speed, num_frames=bench_frames)
+    result = run_once(benchmark, fig17.plan_camera_speed, num_frames=bench_frames)
     print("\n" + result.to_text())
 
     # Paper: even at 16x camera speed Neo stays above the 60 FPS SLO;

@@ -6,7 +6,7 @@ from conftest import run_once
 
 
 def test_fig18_ablation(benchmark, bench_frames):
-    result = run_once(benchmark, fig18.run, num_frames=bench_frames)
+    result = run_once(benchmark, fig18.plan, num_frames=bench_frames)
     print("\n" + result.to_text())
 
     speedups = {r["variant"]: r["speedup_vs_gscore"] for r in result.rows}

@@ -10,7 +10,7 @@ pytestmark = pytest.mark.slow
 
 
 def test_fig19_sorting_methods(benchmark):
-    result = run_once(benchmark, fig19.run, num_frames=20)
+    result = run_once(benchmark, fig19.plan, num_frames=20)
     summary = fig19.method_summary(result)
     for method, stats in summary.items():
         print(method, stats)

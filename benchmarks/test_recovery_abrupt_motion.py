@@ -13,7 +13,7 @@ from conftest import run_once
 
 
 def test_recovery_abrupt_motion(benchmark):
-    result = run_once(benchmark, recovery.run, jump_degrees=10.0)
+    result = run_once(benchmark, recovery.plan, jump_degrees=10.0)
     print("\n" + result.to_text())
 
     rows = result.rows

@@ -6,7 +6,7 @@ from conftest import run_once
 
 
 def test_table2_quality(benchmark):
-    result = run_once(benchmark, table2.run, num_frames=3)
+    result = run_once(benchmark, table2.plan, num_frames=3)
     print("\n" + result.to_text())
 
     # Paper: PSNR delta <= 0.1 dB and LPIPS delta <= 0.001 on every scene —

@@ -8,7 +8,7 @@ from conftest import run_once
 
 
 def test_table3_area_power(benchmark):
-    result = run_once(benchmark, table3.run)
+    result = run_once(benchmark, table3.plan)
     print("\n" + result.to_text())
 
     gscore = result.filter(device="GSCore")[0]

@@ -8,7 +8,7 @@ from conftest import run_once
 
 
 def test_table4_breakdown(benchmark):
-    result = run_once(benchmark, table4.run)
+    result = run_once(benchmark, table4.plan)
     print("\n" + result.to_text())
 
     rows = {r["component"]: r for r in result.rows}

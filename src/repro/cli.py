@@ -3,8 +3,8 @@
 Usage::
 
     repro list                            # available experiments/scenes
-    repro run fig15                       # regenerate one figure/table
     repro experiments --list              # experiment ids + descriptions
+    repro experiments fig15               # regenerate one figure/table
     repro experiments --all --jobs 4      # engine: cell dedup + parallel fan-out
     repro experiments --all --only 'fig1*' --out out/   # subset + artifacts
     repro experiments fig03 --no-cache    # force recomputation
@@ -83,17 +83,6 @@ def _cmd_systems(args) -> int:
     print(f"config fields ({spec.config_cls.__name__}):")
     for name, default in spec.config_fields().items():
         print(f"  {name:22s} default {default}")
-    return 0
-
-
-def _cmd_run(args) -> int:
-    from .experiments import list_experiments, run_experiment
-
-    names = list_experiments() if args.experiment == "all" else [args.experiment]
-    for name in names:
-        result = run_experiment(name)
-        print(result.to_text())
-        print()
     return 0
 
 
@@ -449,15 +438,20 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .experiments.runner import simulate_system
+    from .experiments.engine import SimJob
 
-    report = simulate_system(
-        args.system,
-        args.scene,
-        args.resolution,
-        num_frames=args.frames,
-        bandwidth_gbps=args.bandwidth,
-    )
+    try:
+        job = SimJob.make(
+            args.system,
+            args.scene,
+            args.resolution,
+            frames=args.frames,
+            bandwidth_gbps=args.bandwidth,
+        )
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    report = job.simulate()
     traffic = report.total_traffic
     print(f"system:      {report.system}")
     print(f"scene:       {report.scene} @ {args.resolution}")
@@ -482,9 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list experiments, scenes, and systems")
-
-    run_p = sub.add_parser("run", help="regenerate a paper figure/table (or 'all')")
-    run_p.add_argument("experiment", help="experiment id, e.g. fig15, table2, all")
 
     exp_p = sub.add_parser(
         "experiments",
@@ -717,7 +708,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
         "list": _cmd_list,
-        "run": _cmd_run,
         "experiments": _cmd_experiments,
         "sweep": _cmd_sweep,
         "cache": _cmd_cache,

@@ -9,11 +9,9 @@ from .engine import (
     execute_plan,
 )
 from .registry import (
-    EXPERIMENTS,
     PLANS,
     experiment_descriptions,
     list_experiments,
-    run_experiment,
 )
 from .runner import (
     DEFAULT_FRAMES,
@@ -25,12 +23,10 @@ from .runner import (
     resolve_frames,
     runner_config,
     set_runner_config,
-    simulate_system,
 )
 
 __all__ = [
     "DEFAULT_FRAMES",
-    "EXPERIMENTS",
     "PLANS",
     "CellResults",
     "ExperimentEngine",
@@ -46,8 +42,6 @@ __all__ = [
     "get_workload_model",
     "list_experiments",
     "resolve_frames",
-    "run_experiment",
     "runner_config",
     "set_runner_config",
-    "simulate_system",
 ]

@@ -21,7 +21,7 @@ even at 4x the edge budget.
 from __future__ import annotations
 
 from ..scene.datasets import MILL19, scene_spec
-from .engine import ExperimentPlan, execute_plan
+from .engine import ExperimentPlan
 from .runner import ExperimentResult, get_runner_config, resolve_frames
 
 BANDWIDTHS_GBPS = (17.8, 25.6, 38.4, 51.2, 76.8, 102.4, 204.8)
@@ -79,18 +79,6 @@ def plan(
         return result
 
     return ExperimentPlan("bandwidth_sweep", DESCRIPTION, (), aggregate)
-
-
-def run(
-    scene: str = "family",
-    resolution: str = "qhd",
-    num_frames: int | None = None,
-    bandwidths=BANDWIDTHS_GBPS,
-) -> ExperimentResult:
-    """Neo and GSCore FPS across DRAM bandwidths at QHD."""
-    return execute_plan(
-        plan(scene=scene, resolution=resolution, num_frames=num_frames, bandwidths=bandwidths)
-    )
 
 
 def realtime_bandwidth(result: ExperimentResult, system: str = "neo", slo_fps: float = 60.0) -> float:

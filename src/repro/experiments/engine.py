@@ -1,13 +1,13 @@
 """Plan/execute core shared by every experiment driver and the sweep executor.
 
-Every figure/table driver used to hand-code a serial loop over independent
-:func:`~repro.experiments.runner.simulate_system` cells.  This module splits
-that into a *plan* — an :class:`ExperimentPlan` declaring the grid of
-:class:`SimJob` cells plus a pure ``aggregate(cells) -> ExperimentResult``
-function — and an *execution core* that collects cells from one or many
-experiments at once, dedupes identical cells across figures (fig03/fig04/
-fig15/table2 all re-simulate overlapping GSCore/Neo cells), serves hits from
-the :class:`~repro.runtime.cache.ResultCache`, and fans misses out through
+Every figure/table driver is a *plan* — an :class:`ExperimentPlan`
+declaring the grid of :class:`SimJob` cells plus a pure
+``aggregate(cells) -> ExperimentResult`` function.  A plan runs either
+in-process through :func:`execute_plan` or through the
+:class:`ExperimentEngine`, which collects cells from many experiments at
+once, dedupes identical cells across figures (fig03/fig04/fig15/table2 all
+re-simulate overlapping GSCore/Neo cells), serves hits from the
+:class:`~repro.runtime.cache.ResultCache`, and fans misses out through
 :func:`~repro.runtime.parallel.parallel_map` with the runtime's
 parallel-vs-serial byte-identical contract.
 
@@ -17,13 +17,15 @@ Layering::
     repro sweep run   (CLI) --> SweepRunner  ------+--> execute_cells
                                                         (dedup, cache probe,
                                                          parallel fan-out,
-                                                         ordered merge)
+                                                         ordered merge, store)
 
-:func:`execute_cells` is the single fan-out primitive: anything with a
-``cache_spec()`` (a :class:`SimJob`, a whole-experiment task, a sweep
-``SweepPoint``) can be batched through it.  Aggregation stays in the parent
-process and is pure, so serial, parallel, cold, and warm executions all
-produce row-identical :class:`~repro.experiments.runner.ExperimentResult`\\ s.
+:meth:`SimJob.simulate` is the only way to evaluate a cell and never
+touches the report cache; :func:`execute_cells` is the only code that
+caches one.  Anything with a ``cache_spec()`` (a :class:`SimJob`, a
+whole-experiment task, a sweep ``SweepPoint``) can be batched through it.
+Aggregation stays in the parent process and is pure, so serial, parallel,
+cold, and warm executions all produce row-identical
+:class:`~repro.experiments.runner.ExperimentResult`\\ s.
 """
 
 from __future__ import annotations
@@ -35,18 +37,20 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Iterator, Mapping
 
+from ..hw.config import DramConfig
+from ..hw.stages import SequenceReport
 from ..hw.system import get_system
 from ..runtime.cache import ResultCache, stable_key
 from ..runtime.parallel import parallel_map
 from ..scene.camera import RESOLUTIONS
 from ..scene.datasets import SCENE_SPECS
+from . import runner
 from .runner import (
     DEFAULT_FRAMES,
     ExperimentResult,
     RunnerConfig,
     resolve_frames,
     runner_config,
-    simulate_system,
 )
 
 
@@ -186,15 +190,15 @@ class SimJob:
             self.model_kwargs,
         )
 
-    def cache_payload(self) -> dict[str, Any]:
-        """Parameter dict matching :func:`simulate_system`'s report cache key.
+    def cache_spec(self) -> tuple[str, dict[str, Any]]:
+        """(namespace, payload) of this cell's report-cache entry.
 
-        Kept field-for-field identical so engine-simulated cells and direct
-        ``simulate_system`` calls share disk cache entries.
+        The one place the report key is built: :func:`execute_cells` and the
+        service both store and probe reports under it.
         """
         if self.frames is None:
-            raise ValueError("cache_payload() needs concrete frames; call resolved() first")
-        return {
+            raise ValueError("cache_spec() needs concrete frames; call resolved() first")
+        return "reports", {
             "kind": "report",
             "system": self.system,
             "scene": self.scene,
@@ -206,22 +210,25 @@ class SimJob:
             "kwargs": self.kwargs,
         }
 
-    def cache_spec(self) -> tuple[str, dict[str, Any]]:
-        """(namespace, payload) for :func:`execute_cells`."""
-        return "reports", self.cache_payload()
+    def simulate(self) -> SequenceReport:
+        """Evaluate this cell: capture the workload, build the model, simulate.
 
-    def simulate(self):
-        """Evaluate this cell through :func:`simulate_system` (active config)."""
-        return simulate_system(
+        Reads and writes no report cache: :func:`execute_cells` and the
+        service own report persistence.  ``frames=None`` and the workload
+        capture's cache come from the active config.  ``get_workload_model``
+        and ``build_system_model`` are looked up on :mod:`.runner` at call
+        time, so interposing on the module attribute (profiling spans) sees
+        them.  ``dram_policy="edge"`` systems use this cell's bandwidth;
+        ``"native"`` systems (the GPU) always run at their own memory system.
+        """
+        wm = runner.get_workload_model(self.scene, num_frames=self.frames, speed=self.speed)
+        model, tile = runner.build_system_model(
             self.system,
-            self.scene,
-            self.resolution,
-            num_frames=self.frames,
-            speed=self.speed,
+            dram=DramConfig(bandwidth_gbps=self.bandwidth_gbps),
             cores=self.cores,
-            bandwidth_gbps=self.bandwidth_gbps,
             **self.kwargs,
         )
+        return model.simulate(wm.sequence_workloads(self.resolution, tile), scene=self.scene)
 
 
 class CellResults(Mapping):
@@ -273,10 +280,9 @@ class ExperimentPlan:
 def execute_plan(plan: ExperimentPlan) -> ExperimentResult:
     """Evaluate one plan in-process under the active config (serial path).
 
-    This is what every driver's ``run()`` delegates to: cells are deduped
-    within the plan and evaluated through :func:`simulate_system` (so the
-    active config's cache and the in-process workload memo apply exactly as
-    they did before the plan/execute split), then aggregated.
+    Cells are deduped within the plan and evaluated through
+    :meth:`SimJob.simulate` (no report cache; the in-process workload memo
+    and the active config's workload cache still apply), then aggregated.
     """
     reports: dict[SimJob, Any] = {}
     for job in plan.cells:
@@ -318,7 +324,6 @@ def execute_cells(
     evaluate: Callable[[Any], Any],
     jobs: int = 1,
     cache: ResultCache | None = None,
-    store: bool = True,
 ) -> CellBatch:
     """Evaluate a batch of cells: dedup, cache probe, parallel fan-out, merge.
 
@@ -327,12 +332,8 @@ def execute_cells(
     cell objects).  Identical cells — equal stable cache keys — are evaluated
     once and their value is shared; previously cached cells never reach a
     worker.  Results come back aligned with the input order, so callers'
-    merges are deterministic regardless of ``jobs``.
-
-    ``store=False`` skips the parent-side cache write for computed cells —
-    for callers whose ``evaluate`` already persists its own result (the
-    engine's workers write through ``simulate_system``), avoiding a second
-    serialization of every report.
+    merges are deterministic regardless of ``jobs``.  Every computed value
+    is stored here, in the parent: ``evaluate`` never persists anything.
     """
     start = time.perf_counter()
     keys: list[str] = []
@@ -361,7 +362,7 @@ def execute_cells(
     computed = parallel_map(evaluate, [cell for _, cell in misses], jobs)
     for (key, _), value in zip(misses, computed):
         values[key] = value
-        if store and cache is not None:
+        if cache is not None:
             namespace, payload = spec_by_key[key]
             cache.put(namespace, payload, value)
 
@@ -405,12 +406,10 @@ def _evaluate_engine_task(task, frames: int | None = None, cache_root: str | Non
     """Worker body shared by cell and whole-experiment tasks.
 
     Installs the engine's :class:`~repro.experiments.runner.RunnerConfig` so
-    workload captures and nested ``simulate_system`` calls hit the same disk
-    cache the parent uses (configs don't survive the process boundary).
-    Persistence happens here, worker-side — ``simulate_system`` writes cell
-    reports, whole-experiment results are put explicitly — so the engine's
-    :func:`execute_cells` batch runs with ``store=False`` and nothing is
-    serialized twice.
+    workload captures and nested sweeps (``bandwidth_sweep``) hit the same
+    disk cache the parent uses (configs don't survive the process boundary).
+    Results are returned, never stored: the parent's :func:`execute_cells`
+    persists them.
     """
     cache = ResultCache(cache_root) if cache_root is not None else None
     with runner_config(RunnerConfig(frames=frames, cache=cache)):
@@ -419,11 +418,13 @@ def _evaluate_engine_task(task, frames: int | None = None, cache_root: str | Non
         from . import registry
 
         start = time.perf_counter()
-        result = registry.EXPERIMENTS[task.name]()
-        value = {"name": result.name, "description": result.description, "rows": result.rows}
-        if cache is not None:
-            cache.put(*task.cache_spec(), value)
-        return {**value, "elapsed_s": time.perf_counter() - start}
+        result = execute_plan(registry.PLANS[task.name]())
+        return {
+            "name": result.name,
+            "description": result.description,
+            "rows": result.rows,
+            "elapsed_s": time.perf_counter() - start,
+        }
 
 
 @dataclass
@@ -503,10 +504,10 @@ class ExperimentEngine:
         from . import registry
 
         start = time.perf_counter()
-        unknown = [n for n in names if n.lower() not in registry.EXPERIMENTS]
+        unknown = [n for n in names if n.lower() not in registry.PLANS]
         if unknown:
             raise KeyError(
-                f"unknown experiments {unknown}; options: {sorted(registry.EXPERIMENTS)}"
+                f"unknown experiments {unknown}; options: {sorted(registry.PLANS)}"
             )
         names = [n.lower() for n in names]
 
@@ -572,9 +573,6 @@ class ExperimentEngine:
             if dispatch_cell_less_by_name:
                 tasks += [ExperimentTask(plan.name, self.frames) for plan in whole_plans]
 
-            # store=False: the worker persists everything itself (cells via
-            # simulate_system, whole results explicitly), so the parent never
-            # serializes a report a second time.
             batch = execute_cells(
                 tasks,
                 evaluate=partial(
@@ -582,7 +580,6 @@ class ExperimentEngine:
                 ),
                 jobs=self.jobs,
                 cache=self.cache,
-                store=False,
             )
 
             n_sim = len(sim_cells)

@@ -7,7 +7,7 @@ above the 60 FPS SLO at HD, collapsing at FHD and QHD.
 from __future__ import annotations
 
 from ..scene.datasets import TANKS_AND_TEMPLES
-from .engine import ExperimentPlan, SimJob, execute_plan
+from .engine import ExperimentPlan, SimJob
 from .runner import ExperimentResult
 
 RESOLUTIONS = ("hd", "fhd", "qhd")
@@ -44,15 +44,3 @@ def plan(
         return result
 
     return ExperimentPlan("fig03", DESCRIPTION, cells, aggregate)
-
-
-def run(
-    scenes=TANKS_AND_TEMPLES,
-    num_frames: int | None = None,
-    cores: int = 4,
-    bandwidth_gbps: float = 51.2,
-) -> ExperimentResult:
-    """GSCore FPS per scene per resolution (paper config: 4 cores, 51.2 GB/s)."""
-    return execute_plan(
-        plan(scenes=scenes, num_frames=num_frames, cores=cores, bandwidth_gbps=bandwidth_gbps)
-    )

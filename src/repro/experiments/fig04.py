@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..scene.datasets import TANKS_AND_TEMPLES
-from .engine import ExperimentPlan, SimJob, execute_plan
+from .engine import ExperimentPlan, SimJob
 from .runner import ExperimentResult
 
 CORE_COUNTS = (4, 8, 16)
@@ -62,11 +62,6 @@ def plan(scenes=TANKS_AND_TEMPLES, num_frames: int | None = None) -> ExperimentP
         return result
 
     return ExperimentPlan("fig04", DESCRIPTION, cells, aggregate)
-
-
-def run(scenes=TANKS_AND_TEMPLES, num_frames: int | None = None) -> ExperimentResult:
-    """Mean GSCore FPS at QHD for every (cores, bandwidth) combination."""
-    return execute_plan(plan(scenes=scenes, num_frames=num_frames))
 
 
 def core_scaling_at(result: ExperimentResult, bandwidth_gbps: float) -> float:

@@ -8,7 +8,7 @@ GSCore traffic at QHD.
 from __future__ import annotations
 
 from ..scene.datasets import TANKS_AND_TEMPLES
-from .engine import ExperimentPlan, SimJob, execute_plan
+from .engine import ExperimentPlan, SimJob
 from .runner import PAPER_TRAFFIC_FRAMES, ExperimentResult
 
 RESOLUTIONS = ("hd", "fhd", "qhd")
@@ -55,8 +55,3 @@ def plan(scenes=TANKS_AND_TEMPLES, num_frames: int | None = None) -> ExperimentP
         return result
 
     return ExperimentPlan("fig05", DESCRIPTION, cells, aggregate)
-
-
-def run(scenes=TANKS_AND_TEMPLES, num_frames: int | None = None) -> ExperimentResult:
-    """Stage-level traffic (GB / 60 frames), averaged over scenes."""
-    return execute_plan(plan(scenes=scenes, num_frames=num_frames))

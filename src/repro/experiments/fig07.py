@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..scene.datasets import TANKS_AND_TEMPLES
-from .engine import ExperimentPlan, execute_plan
+from .engine import ExperimentPlan
 from .runner import ExperimentResult, get_workload_model
 
 NUM_FRAMES = 6
@@ -50,22 +50,3 @@ def plan(
         return result
 
     return ExperimentPlan("fig07", DESCRIPTION, (), aggregate)
-
-
-def run(
-    scenes=TANKS_AND_TEMPLES,
-    resolution: str = "qhd",
-    tile_size: int = 64,
-    num_frames: int = NUM_FRAMES,
-    num_gaussians: int = CAPTURE_GAUSSIANS,
-) -> ExperimentResult:
-    """Order-difference percentiles per scene (positions at nominal occupancy)."""
-    return execute_plan(
-        plan(
-            scenes=scenes,
-            resolution=resolution,
-            tile_size=tile_size,
-            num_frames=num_frames,
-            num_gaussians=num_gaussians,
-        )
-    )

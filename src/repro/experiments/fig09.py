@@ -16,7 +16,7 @@ from ..core.dynamic_partial_sort import (
     max_displacement,
     sortedness,
 )
-from .engine import ExperimentPlan, execute_plan
+from .engine import ExperimentPlan
 from .runner import ExperimentResult
 
 DESCRIPTION = "Fixed vs interleaved chunk boundaries: convergence of partial sorting"
@@ -40,7 +40,12 @@ def plan(
     shuffle_distance: int = 96,
     seed: int = 7,
 ) -> ExperimentPlan:
-    """No simulation cells: a pure numpy convergence study."""
+    """No simulation cells: a pure numpy convergence study.
+
+    Starts from a locally-perturbed permutation (each element within
+    ``shuffle_distance`` of its sorted position, like a mildly-stale Gaussian
+    table) and reports sortedness / maximum displacement per iteration.
+    """
 
     def aggregate(_cells) -> ExperimentResult:
         rng = np.random.default_rng(seed)
@@ -80,27 +85,3 @@ def plan(
         return result
 
     return ExperimentPlan("fig09", DESCRIPTION, (), aggregate)
-
-
-def run(
-    length: int = 512,
-    chunk_size: int = 64,
-    iterations: int = 8,
-    shuffle_distance: int = 96,
-    seed: int = 7,
-) -> ExperimentResult:
-    """Convergence of fixed vs. interleaved partial sorting.
-
-    Starts from a locally-perturbed permutation (each element within
-    ``shuffle_distance`` of its sorted position, like a mildly-stale Gaussian
-    table) and reports sortedness / maximum displacement per iteration.
-    """
-    return execute_plan(
-        plan(
-            length=length,
-            chunk_size=chunk_size,
-            iterations=iterations,
-            shuffle_distance=shuffle_distance,
-            seed=seed,
-        )
-    )

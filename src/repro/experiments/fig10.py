@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..scene.datasets import TANKS_AND_TEMPLES
-from .engine import ExperimentPlan, SimJob, execute_plan
+from .engine import ExperimentPlan, SimJob
 from .runner import PAPER_TRAFFIC_FRAMES, ExperimentResult
 
 VARIANTS = (("orin", "original-3dgs"), ("orin-neo-sw", "neo-sw"))
@@ -58,15 +58,6 @@ def plan(
         return result
 
     return ExperimentPlan("fig10", DESCRIPTION, cells, aggregate)
-
-
-def run(
-    scenes=TANKS_AND_TEMPLES,
-    resolution: str = "qhd",
-    num_frames: int | None = None,
-) -> ExperimentResult:
-    """Latency and traffic of original 3DGS vs Neo-SW on the GPU model."""
-    return execute_plan(plan(scenes=scenes, resolution=resolution, num_frames=num_frames))
 
 
 def summary(result: ExperimentResult) -> dict[str, float]:

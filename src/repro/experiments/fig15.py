@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..scene.datasets import TANKS_AND_TEMPLES
-from .engine import ExperimentPlan, SimJob, execute_plan
+from .engine import ExperimentPlan, SimJob
 from .runner import ExperimentResult
 
 RESOLUTIONS = ("hd", "fhd", "qhd")
@@ -46,11 +46,6 @@ def plan(scenes=TANKS_AND_TEMPLES, num_frames: int | None = None) -> ExperimentP
         return result
 
     return ExperimentPlan("fig15", DESCRIPTION, cells, aggregate)
-
-
-def run(scenes=TANKS_AND_TEMPLES, num_frames: int | None = None) -> ExperimentResult:
-    """FPS for every (scene, resolution, system), plus MEAN rows."""
-    return execute_plan(plan(scenes=scenes, num_frames=num_frames))
 
 
 def speedups(result: ExperimentResult) -> dict[str, dict[str, float]]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..scene.datasets import TANKS_AND_TEMPLES
-from .engine import ExperimentPlan, SimJob, execute_plan
+from .engine import ExperimentPlan, SimJob
 from .runner import PAPER_TRAFFIC_FRAMES, ExperimentResult
 
 SYSTEMS = ("orin", "gscore", "neo")
@@ -46,15 +46,6 @@ def plan(
         return result
 
     return ExperimentPlan("fig16", DESCRIPTION, cells, aggregate)
-
-
-def run(
-    scenes=TANKS_AND_TEMPLES,
-    resolution: str = "qhd",
-    num_frames: int | None = None,
-) -> ExperimentResult:
-    """GB of DRAM traffic per scene per system (60-frame totals)."""
-    return execute_plan(plan(scenes=scenes, resolution=resolution, num_frames=num_frames))
 
 
 def reductions(result: ExperimentResult) -> dict[str, float]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..scene.datasets import MILL19, TANKS_AND_TEMPLES
-from .engine import ExperimentPlan, SimJob, execute_plan
+from .engine import ExperimentPlan, SimJob
 from .runner import ExperimentResult
 
 SPEEDS = (1.0, 2.0, 4.0, 8.0, 16.0)
@@ -84,30 +84,11 @@ def plan_camera_speed(
     )
 
 
-def run_large_scenes(
-    scenes=MILL19, resolution: str = "qhd", num_frames: int | None = None
-) -> ExperimentResult:
-    """Fig. 17(a): throughput on the large-scale aerial scenes."""
-    return execute_plan(
-        plan_large_scenes(scenes=scenes, resolution=resolution, num_frames=num_frames)
-    )
-
-
-def run_camera_speed(
-    scene: str = "family",
-    resolution: str = "qhd",
-    num_frames: int | None = None,
-    speeds=SPEEDS,
-) -> ExperimentResult:
-    """Fig. 17(b): Neo throughput under increasingly rapid camera motion."""
-    return execute_plan(
-        plan_camera_speed(scene=scene, resolution=resolution, num_frames=num_frames,
-                          speeds=speeds)
-    )
-
-
 def plan(num_frames: int | None = None) -> ExperimentPlan:
     """Both panels as one plan (sub-plan composition; rows tagged by panel).
+
+    Panel (a) rows carry per-system FPS on the large scenes; panel (b)
+    rows carry Neo's FPS at each camera-speed multiplier.
 
     The merged cell list is the union of the panels' cells, so panel (a)
     dedupes against fig15/fig16's Mill-19-free grids only via the engine,
@@ -143,12 +124,3 @@ def plan(num_frames: int | None = None) -> ExperimentPlan:
         return merged
 
     return ExperimentPlan("fig17", DESCRIPTION, cells, aggregate)
-
-
-def run(num_frames: int | None = None) -> ExperimentResult:
-    """Both panels merged into one result (rows tagged by panel).
-
-    Panel (a) rows carry per-system FPS on the large scenes; panel (b)
-    rows carry Neo's FPS at each camera-speed multiplier.
-    """
-    return execute_plan(plan(num_frames=num_frames))

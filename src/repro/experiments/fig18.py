@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..scene.datasets import TANKS_AND_TEMPLES
-from .engine import ExperimentPlan, SimJob, execute_plan
+from .engine import ExperimentPlan, SimJob
 from .runner import ExperimentResult
 
 VARIANTS = ("gscore", "neo-s", "neo")
@@ -56,12 +56,3 @@ def plan(
         return result
 
     return ExperimentPlan("fig18", DESCRIPTION, cells, aggregate)
-
-
-def run(
-    scenes=TANKS_AND_TEMPLES,
-    resolution: str = "qhd",
-    num_frames: int | None = None,
-) -> ExperimentResult:
-    """Speedup and relative traffic of each variant, normalized to GSCore."""
-    return execute_plan(plan(scenes=scenes, resolution=resolution, num_frames=num_frames))

@@ -33,7 +33,7 @@ from ..hw.workload import FrameWorkload, WorkloadModel
 from ..metrics.image import psnr
 from ..pipeline.renderer import Renderer
 from ..scene.datasets import default_trajectory, load_scene
-from .engine import ExperimentPlan, execute_plan
+from .engine import ExperimentPlan
 from .runner import ExperimentResult
 
 #: 60 FPS service-level objective from the paper (ms).
@@ -95,7 +95,11 @@ def plan(
     lag: int = 2,
     resolution: str = "qhd",
 ) -> ExperimentPlan:
-    """No simulation cells: the work is functional renders per strategy."""
+    """No simulation cells: the work is functional renders per strategy.
+
+    Rows carry per-frame latency (ms, Neo hardware) and PSNR-vs-exact per
+    method.
+    """
 
     def aggregate(_cells) -> ExperimentResult:
         scene = load_scene(scene_name, num_gaussians=num_gaussians)
@@ -132,31 +136,6 @@ def plan(
         return result
 
     return ExperimentPlan("fig19", DESCRIPTION, (), aggregate)
-
-
-def run(
-    scene_name: str = "family",
-    num_frames: int = 24,
-    width: int = 256,
-    height: int = 144,
-    num_gaussians: int = 2500,
-    period: int = 8,
-    lag: int = 2,
-    resolution: str = "qhd",
-) -> ExperimentResult:
-    """Per-frame latency (ms, Neo hardware) and PSNR-vs-exact per method."""
-    return execute_plan(
-        plan(
-            scene_name=scene_name,
-            num_frames=num_frames,
-            width=width,
-            height=height,
-            num_gaussians=num_gaussians,
-            period=period,
-            lag=lag,
-            resolution=resolution,
-        )
-    )
 
 
 def method_summary(result: ExperimentResult) -> dict[str, dict[str, float]]:

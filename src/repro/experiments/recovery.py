@@ -15,11 +15,10 @@ import numpy as np
 from ..core.strategies import NeoSortStrategy
 from ..metrics.image import psnr
 from ..pipeline.renderer import Renderer
-from ..pipeline.sorting import order_quality
 from ..scene.camera import Camera
 from ..scene.trajectory import TrajectoryConfig, orbit_trajectory
 from ..scene.datasets import load_scene, scene_spec
-from .engine import ExperimentPlan, execute_plan
+from .engine import ExperimentPlan
 from .runner import ExperimentResult
 
 DESCRIPTION = "Accuracy restoration after an abrupt camera jump"
@@ -59,14 +58,23 @@ def jump_trajectory(
 
 
 def mean_order_quality(record) -> float:
-    """Mean adjacent-pair depth-sortedness across nonempty tiles."""
+    """Mean adjacent-pair depth-sortedness across tiles with >= 2 entries.
+
+    One segmented pass over the flat depth stream: each tile scores
+    :func:`~repro.pipeline.sorting.order_quality` (the share of its adjacent
+    pairs in non-decreasing depth order), and the scores are averaged in
+    tile order.
+    """
     sorted_tiles = record.sorted_tiles
-    scores = [
-        order_quality(depths)
-        for tile in range(sorted_tiles.num_tiles)
-        if (depths := sorted_tiles.depths_for(tile)).shape[0] > 1
-    ]
-    return float(np.mean(scores)) if scores else 1.0
+    stream = sorted_tiles.stream
+    counts = stream.counts()
+    scored = counts >= 2
+    if not np.any(scored):
+        return 1.0
+    tile_of = stream.tile_of()
+    in_order = (np.diff(sorted_tiles.depths) >= 0) & (tile_of[1:] == tile_of[:-1])
+    good = np.bincount(tile_of[:-1][in_order], minlength=stream.num_tiles)
+    return float(np.mean(good[scored] / (counts[scored] - 1)))
 
 
 def plan(
@@ -78,7 +86,10 @@ def plan(
     height: int = 126,
     num_gaussians: int = 2000,
 ) -> ExperimentPlan:
-    """No simulation cells: the work is a pair of functional renders."""
+    """No simulation cells: the work is a pair of functional renders.
+
+    Rows carry per-frame PSNR-vs-exact and ordering quality around the jump.
+    """
     if not 0 < jump_frame < num_frames - 3:
         raise ValueError("jump_frame must leave room to observe recovery")
 
@@ -109,29 +120,6 @@ def plan(
         return result
 
     return ExperimentPlan("recovery", DESCRIPTION, (), aggregate)
-
-
-def run(
-    scene_name: str = "family",
-    num_frames: int = 16,
-    jump_frame: int = 6,
-    jump_degrees: float = 10.0,
-    width: int = 224,
-    height: int = 126,
-    num_gaussians: int = 2000,
-) -> ExperimentResult:
-    """Per-frame PSNR-vs-exact and ordering quality around a camera jump."""
-    return execute_plan(
-        plan(
-            scene_name=scene_name,
-            num_frames=num_frames,
-            jump_frame=jump_frame,
-            jump_degrees=jump_degrees,
-            width=width,
-            height=height,
-            num_gaussians=num_gaussians,
-        )
-    )
 
 
 def recovery_frames(result: ExperimentResult, threshold_db: float = 45.0) -> int:

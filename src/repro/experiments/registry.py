@@ -1,10 +1,10 @@
 """Registry mapping paper figure/table IDs to their experiment drivers.
 
-Each driver module exposes three things the registry surfaces:
+Each driver module exposes two things the registry surfaces:
 
-* ``run(**params) -> ExperimentResult`` — the serial entry point;
-* ``plan(**params) -> ExperimentPlan`` — the declarative form the
-  :class:`~repro.experiments.engine.ExperimentEngine` collects cells from;
+* ``plan(**params) -> ExperimentPlan`` — the figure itself, run in-process
+  by :func:`~repro.experiments.engine.execute_plan` or collected into the
+  :class:`~repro.experiments.engine.ExperimentEngine`;
 * ``DESCRIPTION`` — a one-line summary shown by ``repro experiments --list``.
 """
 
@@ -32,7 +32,6 @@ from . import (
     table4,
 )
 from .engine import ExperimentPlan
-from .runner import ExperimentResult, RunnerConfig, runner_config
 
 #: Experiment ID -> driver module.
 _MODULES = {
@@ -55,36 +54,15 @@ _MODULES = {
     "table4": table4,
 }
 
-#: Experiment ID -> zero-argument driver producing an ExperimentResult.
-EXPERIMENTS: dict[str, Callable[[], ExperimentResult]] = {
-    name: module.run for name, module in _MODULES.items()
-}
-
 #: Experiment ID -> zero-argument factory producing the default ExperimentPlan.
 PLANS: dict[str, Callable[[], ExperimentPlan]] = {
     name: module.plan for name, module in _MODULES.items()
 }
 
 
-def run_experiment(name: str, config: RunnerConfig | None = None) -> ExperimentResult:
-    """Run one registered experiment by its paper ID.
-
-    ``config`` scopes a :class:`~repro.experiments.runner.RunnerConfig`
-    (frame-count override, result cache) to this run; ``None`` uses the
-    process-wide active configuration.
-    """
-    key = name.lower()
-    if key not in EXPERIMENTS:
-        raise KeyError(f"unknown experiment {name!r}; options: {sorted(EXPERIMENTS)}")
-    if config is None:
-        return EXPERIMENTS[key]()
-    with runner_config(config):
-        return EXPERIMENTS[key]()
-
-
 def list_experiments() -> list[str]:
     """All registered experiment IDs, sorted."""
-    return sorted(EXPERIMENTS)
+    return sorted(PLANS)
 
 
 def experiment_descriptions() -> dict[str, str]:

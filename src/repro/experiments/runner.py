@@ -6,8 +6,7 @@ functional pipeline, and returns an :class:`ExperimentResult` whose rows
 mirror the figure's data series.  Workload models are cached per
 (scene, frames, speed, count) in-process, and — when the active
 :class:`RunnerConfig` carries a :class:`~repro.runtime.cache.ResultCache` —
-captured geometry and :class:`~repro.hw.stages.SequenceReport`\\ s persist
-across invocations on disk.
+captured geometry persists across invocations on disk.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from ..hw.config import DramConfig
-from ..hw.stages import SequenceReport
-from ..hw.system import get_system, registered_systems
+from ..hw.system import get_system
 from ..hw.workload import WorkloadModel
 
 if TYPE_CHECKING:
@@ -47,8 +45,10 @@ class RunnerConfig:
         an import-time constant) so the CLI can override it and cache keys
         can include the resolved value.
     cache:
-        Disk-backed result cache consulted by :func:`get_workload_model` and
-        :func:`simulate_system`; ``None`` disables persistence.
+        Disk-backed cache for captured workloads (:func:`get_workload_model`)
+        and nested sweeps; ``None`` disables persistence.  Cell reports are
+        never read from it: :func:`~repro.experiments.engine.execute_cells`
+        owns the report cache.
     """
 
     frames: int | None = None
@@ -249,70 +249,6 @@ def _workload_model_cached(
     return wm
 
 
-def simulate_system(
-    system: str,
-    scene: str,
-    resolution: str,
-    num_frames: int | None = None,
-    speed: float = 1.0,
-    cores: int = 16,
-    bandwidth_gbps: float = 51.2,
-    **model_kwargs,
-) -> SequenceReport:
-    """Simulate one (system, scene, resolution) cell.
-
-    ``system`` is any name in the hardware registry (:data:`SYSTEMS`, i.e.
-    :func:`repro.hw.system.registered_systems`; enumerate with ``repro
-    systems list``).  ``dram_policy="edge"`` systems use the given DRAM
-    bandwidth; ``"native"`` systems (the GPU) always run at their own
-    memory system, e.g. Orin's 204.8 GB/s.  Reports are served from the
-    active config's :class:`~repro.runtime.cache.ResultCache` when possible.
-    """
-    num_frames = resolve_frames(num_frames)
-    cache = _active_config.cache
-    payload = {
-        "kind": "report",
-        "system": system,
-        "scene": scene,
-        "resolution": resolution,
-        "frames": num_frames,
-        "speed": speed,
-        "cores": cores,
-        "bandwidth": bandwidth_gbps,
-        "kwargs": model_kwargs,
-    }
-    if cache is not None:
-        cached = cache.get("reports", payload)
-        if cached is not None:
-            return cached
-    report = _simulate_system_uncached(
-        system,
-        scene,
-        resolution,
-        num_frames,
-        speed,
-        cores,
-        bandwidth_gbps,
-        **model_kwargs,
-    )
-    if cache is not None:
-        cache.put("reports", payload, report)
-    return report
-
-
-def __getattr__(name: str):
-    """Module attribute hook: ``SYSTEMS`` reads the live registry.
-
-    The system names :func:`build_system_model` understands — resolved on
-    every access (PEP 562) rather than snapshotted at import, so backends
-    registered after this module loads still appear and the tuple can never
-    drift from the actual dispatch.
-    """
-    if name == "SYSTEMS":
-        return registered_systems()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def build_system_model(
     system: str,
     dram: DramConfig | None = None,
@@ -321,9 +257,9 @@ def build_system_model(
 ):
     """Instantiate a hardware model by name; returns ``(model, tile_size)``.
 
-    Shared by :func:`simulate_system` and the sweep executor
-    (:mod:`repro.sweeps.executor`).  Dispatch goes through the system
-    registry (:func:`repro.hw.system.get_system`): an unknown name raises
+    Shared by :meth:`~repro.experiments.engine.SimJob.simulate` and the
+    sweep executor (:mod:`repro.sweeps.executor`).  Dispatch goes through the
+    system registry (:func:`repro.hw.system.get_system`): an unknown name raises
     ``KeyError`` listing the registered options, and derived variants
     (``neo-s``, ``gscore-32c``, ...) apply their declarative overlays here.
     ``dram_policy="edge"`` systems take the given DRAM configuration; the
@@ -334,20 +270,3 @@ def build_system_model(
     spec = get_system(system)
     model = spec.build(dram=dram, cores=cores, **model_kwargs)
     return model, model.tile_size
-
-
-def _simulate_system_uncached(
-    system: str,
-    scene: str,
-    resolution: str,
-    num_frames: int,
-    speed: float,
-    cores: int,
-    bandwidth_gbps: float,
-    **model_kwargs,
-) -> SequenceReport:
-    wm = get_workload_model(scene, num_frames=num_frames, speed=speed)
-    dram = DramConfig(bandwidth_gbps=bandwidth_gbps)
-    model, tile = build_system_model(system, dram=dram, cores=cores, **model_kwargs)
-    workloads = wm.sequence_workloads(resolution, tile)
-    return model.simulate(workloads, scene=scene)

@@ -18,7 +18,7 @@ from ..core.strategies import NeoSortStrategy
 from ..metrics.image import lpips_proxy, psnr
 from ..pipeline.renderer import ExactSortStrategy, Renderer
 from ..scene.datasets import TANKS_AND_TEMPLES, default_trajectory, load_scene
-from .engine import ExperimentPlan, execute_plan
+from .engine import ExperimentPlan
 from .runner import ExperimentResult
 
 DESCRIPTION = "Quality: original 3DGS vs Neo (PSNR dB / LPIPS proxy)"
@@ -52,25 +52,6 @@ def plan(
         return _measure(scenes, num_frames, width, height, num_gaussians)
 
     return ExperimentPlan("table2", DESCRIPTION, (), aggregate)
-
-
-def run(
-    scenes=TANKS_AND_TEMPLES,
-    num_frames: int = 5,
-    width: int = 224,
-    height: int = 126,
-    num_gaussians: int = 2500,
-) -> ExperimentResult:
-    """Per-scene PSNR/LPIPS of exact sorting and Neo against a golden render."""
-    return execute_plan(
-        plan(
-            scenes=scenes,
-            num_frames=num_frames,
-            width=width,
-            height=height,
-            num_gaussians=num_gaussians,
-        )
-    )
 
 
 def _measure(scenes, num_frames, width, height, num_gaussians) -> ExperimentResult:

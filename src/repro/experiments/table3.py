@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..hw.area_power import gscore_summary, neo_summary
-from .engine import ExperimentPlan, execute_plan
+from .engine import ExperimentPlan
 from .runner import ExperimentResult
 
 DESCRIPTION = "Accelerator area/power at 7 nm, 1 GHz"
@@ -27,8 +27,3 @@ def plan() -> ExperimentPlan:
         return result
 
     return ExperimentPlan("table3", DESCRIPTION, (), aggregate)
-
-
-def run() -> ExperimentResult:
-    """Total area (mm^2) and power (mW) for both accelerators."""
-    return execute_plan(plan())

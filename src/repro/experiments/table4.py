@@ -7,7 +7,7 @@ the ITUs) costs only ~9 % of total area and power.
 from __future__ import annotations
 
 from ..hw.area_power import engine_summaries, neo_breakdown, neo_summary
-from .engine import ExperimentPlan, execute_plan
+from .engine import ExperimentPlan
 from .runner import ExperimentResult
 
 DESCRIPTION = "Neo component-level area (mm^2) / power (mW) breakdown"
@@ -37,11 +37,6 @@ def plan() -> ExperimentPlan:
         return result
 
     return ExperimentPlan("table4", DESCRIPTION, (), aggregate)
-
-
-def run() -> ExperimentResult:
-    """Component rows plus engine roll-ups and the total."""
-    return execute_plan(plan())
 
 
 def added_hardware_share() -> dict[str, float]:

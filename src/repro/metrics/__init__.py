@@ -5,8 +5,6 @@ from .similarity import (
     SimilarityStats,
     frame_similarity,
     sequence_similarity,
-    tile_order_differences,
-    tile_shared_fraction,
 )
 from .stats import (
     empirical_cdf,
@@ -30,7 +28,5 @@ __all__ = [
     "relative_error",
     "sequence_similarity",
     "ssim",
-    "tile_order_differences",
-    "tile_shared_fraction",
     "to_luminance",
 ]

@@ -46,73 +46,6 @@ class SimilarityStats:
         return {int(p): float(v) for p, v in zip(percentiles, values)}
 
 
-def tile_shared_fraction(prev_ids: np.ndarray, cur_ids: np.ndarray) -> float:
-    """Proportion of the previous frame's tile Gaussians still present."""
-    if prev_ids.shape[0] == 0:
-        return 1.0
-    return float(np.mean(np.isin(prev_ids, cur_ids)))
-
-
-def tile_order_differences(prev_ids: np.ndarray, cur_ids: np.ndarray) -> np.ndarray:
-    """Absolute sort-position shifts of Gaussians shared by both lists.
-
-    Both inputs must be depth-sorted ID lists; the displacement of a shared
-    Gaussian is the distance between its positions in the two lists,
-    restricted to the shared subset (membership churn excluded).
-    """
-    shared, prev_pos, cur_pos = np.intersect1d(
-        prev_ids, cur_ids, assume_unique=False, return_indices=True
-    )
-    if shared.shape[0] < 2:
-        return np.empty(0)
-    prev_rank = np.argsort(np.argsort(prev_pos, kind="stable"))
-    cur_rank = np.argsort(np.argsort(cur_pos, kind="stable"))
-    return np.abs(prev_rank - cur_rank).astype(np.float64)
-
-
-def frame_similarity(prev: SortedTiles, cur: SortedTiles) -> SimilarityStats:
-    """Similarity statistics between two consecutive functional frames.
-
-    Computed as one segmented array program over the frames' flat ID streams
-    instead of a per-tile Python loop: both streams are keyed by
-    ``tile * M + id`` (``M`` = one past the largest ID), sorted once, and the
-    shared set, per-tile retention counts, and segmented double-argsort
-    ranks all come from batched ``searchsorted``/``bincount``/``lexsort``
-    passes.  Output is bit-identical to the frozen per-tile loop preserved
-    in :mod:`repro.metrics.reference`: sums of 0/1 indicators are exact in
-    any order, the retention division sees identical operands, and shared
-    entries emerge in the same (ascending tile, ascending ID) order
-    ``np.intersect1d`` produced.  Inputs the composite key cannot represent
-    (negative IDs, duplicate IDs within a tile, key overflow) fall back to
-    the scalar loop.
-    """
-    if prev.num_tiles != cur.num_tiles:
-        raise ValueError("frames must cover the same tile grid")
-    stats = _frame_similarity_segmented(prev, cur)
-    if stats is None:
-        stats = _frame_similarity_loop(prev, cur)
-    return stats
-
-
-def _frame_similarity_loop(prev: SortedTiles, cur: SortedTiles) -> SimilarityStats:
-    """Per-tile fallback for inputs outside the composite-key domain."""
-    fractions = []
-    diffs = []
-    for tile in range(prev.num_tiles):
-        prev_ids = prev.ids_for(tile)
-        if prev_ids.shape[0] == 0:
-            continue
-        cur_ids = cur.ids_for(tile)
-        fractions.append(tile_shared_fraction(prev_ids, cur_ids))
-        d = tile_order_differences(prev_ids, cur_ids)
-        if d.size:
-            diffs.append(d)
-    return SimilarityStats(
-        shared_fractions=np.asarray(fractions),
-        order_differences=np.concatenate(diffs) if diffs else np.empty(0),
-    )
-
-
 def _segment_ranks(local_pos: np.ndarray, seg_id: np.ndarray, seg_starts: np.ndarray) -> np.ndarray:
     """Rank of each entry's position within its segment (double argsort).
 
@@ -128,8 +61,24 @@ def _segment_ranks(local_pos: np.ndarray, seg_id: np.ndarray, seg_starts: np.nda
     return ranks
 
 
-def _frame_similarity_segmented(prev: SortedTiles, cur: SortedTiles) -> SimilarityStats | None:
-    """Segmented frame similarity; ``None`` if the inputs need the fallback."""
+def frame_similarity(prev: SortedTiles, cur: SortedTiles) -> SimilarityStats:
+    """Similarity statistics between two consecutive functional frames.
+
+    Computed as one segmented array program over the frames' flat ID streams
+    instead of a per-tile Python loop: both streams are keyed by
+    ``tile * M + id`` (``M`` = one past the largest ID), sorted once, and the
+    shared set, per-tile retention counts, and segmented double-argsort
+    ranks all come from batched ``searchsorted``/``bincount``/``lexsort``
+    passes.  Output is bit-identical to the frozen per-tile loop preserved
+    in :mod:`repro.metrics.reference`: sums of 0/1 indicators are exact in
+    any order, the retention division sees identical operands, and shared
+    entries emerge in the same (ascending tile, ascending ID) order
+    ``np.intersect1d`` produced.  Inputs the composite key cannot represent
+    (negative IDs, duplicate IDs within a tile, key overflow) raise
+    ``ValueError``; the pipeline never produces them.
+    """
+    if prev.num_tiles != cur.num_tiles:
+        raise ValueError("frames must cover the same tile grid")
     num_tiles = prev.num_tiles
     prev_counts = prev.stream.counts()
 
@@ -142,10 +91,12 @@ def _frame_similarity_segmented(prev: SortedTiles, cur: SortedTiles) -> Similari
         lo = min(lo, int(cur.ids.min()))
         hi = max(hi, int(cur.ids.max()))
     if lo < 0:
-        return None
+        raise ValueError(f"Gaussian IDs must be non-negative, got {lo}")
     m = hi + 2  # strict upper bound on any ID, so keys cannot collide
     if num_tiles and num_tiles * m >= np.iinfo(np.int64).max:
-        return None
+        raise ValueError(
+            f"tile * id key overflows int64 ({num_tiles} tiles, largest ID {hi})"
+        )
 
     kp = prev.stream.tile_of() * m + prev.ids
     kc = cur.stream.tile_of() * m + cur.ids
@@ -154,7 +105,7 @@ def _frame_similarity_segmented(prev: SortedTiles, cur: SortedTiles) -> Similari
     skp = kp[op]
     skc = kc[oc]
     if np.any(skp[1:] == skp[:-1]) or np.any(skc[1:] == skc[:-1]):
-        return None  # duplicate IDs within a tile: intersect1d semantics differ
+        raise ValueError("duplicate Gaussian IDs within a tile")
 
     if skc.shape[0]:
         pos = np.searchsorted(skc, skp)

@@ -48,9 +48,6 @@ class ExactSortStrategy:
     """Baseline: re-sort every tile from scratch each frame (reference 3DGS)."""
 
     name = "exact"
-    #: Frames are independent under exact sorting, so trajectories may be
-    #: sharded across processes (see :func:`repro.runtime.parallel_render_sequence`).
-    stateless = True
 
     def sort_frame(self, assignment: TileAssignment, frame_index: int) -> SortedTiles:
         return sort_tiles(assignment)
@@ -255,15 +252,6 @@ class Renderer:
             timings=timings,
         )
 
-    def render_sequence(self, cameras: list[Camera], jobs: int = 1) -> list[FrameRecord]:
-        """Render a camera trajectory, threading frame indices through.
-
-        With ``jobs > 1`` and a stateless strategy, frames are sharded
-        across a process pool; the merged records are bitwise-identical to
-        the serial path.  Stateful strategies always render serially.
-        """
-        if jobs > 1:
-            from ..runtime.parallel import parallel_render_sequence
-
-            return parallel_render_sequence(self, cameras, jobs)
+    def render_sequence(self, cameras: list[Camera]) -> list[FrameRecord]:
+        """Render a camera trajectory, threading frame indices through."""
         return [self.render(camera, frame_index=i) for i, camera in enumerate(cameras)]

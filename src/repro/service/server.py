@@ -25,9 +25,10 @@ mechanisms turn many concurrent clients into bounded, shared work:
 
 Results persist into per-tenant :class:`~repro.runtime.cache.ResultCache`
 namespaces (``tenants/<tenant>/reports``); a tenant opts into the shared
-namespace with ``shared_cache=true``.  The server itself never installs a
-disk cache into the runner config, so simulation workers cannot leak rows
-across tenants behind the service's back.
+namespace with ``shared_cache=true``.  :meth:`SimJob.simulate` never
+touches the report cache, so the server's own probe and store under
+:meth:`SimJob.cache_spec` are the only report persistence: simulation
+workers cannot leak rows across tenants behind the service's back.
 """
 
 from __future__ import annotations
@@ -276,15 +277,15 @@ class SimulationServer:
             self.metrics.errors += 1
             return {"id": request_id, "status": "error", "error": str(exc)}
 
-        payload = job.cache_payload()
+        spec = job.cache_spec()
         if cache is not None:
-            hit = cache.get("reports", payload)
+            hit = cache.get(*spec)
             if hit is not None:
                 self.metrics.cache_hits += 1
                 self.metrics.completed += 1
                 return self._ok(request_id, hit, "cache", start)
 
-        key = stable_key(payload)
+        key = stable_key(spec[1])
         execution = self._inflight.get(key)
         if execution is None:
             if self._queue.full():
@@ -325,7 +326,7 @@ class SimulationServer:
         if cache is not None:
             # Each waiter persists into *its own* namespace: every tenant
             # that touched the cell gets a row, and no one else does.
-            cache.put("reports", payload, report)
+            cache.put(*spec, report)
         self.metrics.completed += 1
         return self._ok(request_id, report, origin, start)
 

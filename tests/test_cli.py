@@ -10,8 +10,8 @@ class TestParser:
     def test_subcommands(self):
         parser = build_parser()
         assert parser.parse_args(["list"]).command == "list"
-        args = parser.parse_args(["run", "fig15"])
-        assert args.experiment == "fig15"
+        args = parser.parse_args(["experiments", "fig15"])
+        assert args.names == ["fig15"]
         args = parser.parse_args(["simulate", "neo", "family", "qhd"])
         assert args.system == "neo"
         assert args.bandwidth == 51.2
@@ -91,13 +91,27 @@ class TestMain:
         assert "fig15" in out and "family" in out
 
     def test_run_table3(self, capsys):
-        assert main(["run", "table3"]) == 0
+        assert main(["experiments", "table3", "--no-cache"]) == 0
         assert "GSCore" in capsys.readouterr().out
 
     def test_simulate(self, capsys):
         assert main(["simulate", "neo", "horse", "hd", "--frames", "3"]) == 0
         out = capsys.readouterr().out
         assert "FPS" in out and "sorting" in out
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["nosuch", "hd"], "unknown scene 'nosuch'"),
+            (["family", "hd", "--frames", "0"], "frames must be"),
+            (["family", "hd", "--bandwidth", "-5"], "bandwidth_gbps must be"),
+        ],
+    )
+    def test_simulate_rejects_invalid_cell(self, capsys, extra, message):
+        assert main(["simulate", "neo", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
 
     def test_list_names_registered_systems(self, capsys):
         from repro.hw.system import registered_systems

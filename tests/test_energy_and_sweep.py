@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import bandwidth_sweep
+from repro.experiments import bandwidth_sweep, execute_plan
 from repro.hw import GSCoreModel, NeoModel, OrinGpuModel, WorkloadModel
 from repro.hw.energy import EnergyReport, efficiency_comparison, energy_report
 from repro.hw.stages import SequenceReport
@@ -61,7 +61,7 @@ class TestEnergy:
 class TestBandwidthSweep:
     @pytest.fixture(scope="class")
     def result(self):
-        return bandwidth_sweep.run(num_frames=4)
+        return execute_plan(bandwidth_sweep.plan(num_frames=4))
 
     def test_monotone_in_bandwidth(self, result):
         neo = result.column("neo_fps")
@@ -89,5 +89,6 @@ class TestBandwidthSweep:
     def test_scene_case_insensitive(self):
         # Regression for the sweep port: the old driver resolved scene case
         # through scene_spec(); the wrapper must keep doing so.
-        result = bandwidth_sweep.run(scene="Family", num_frames=2, bandwidths=(51.2,))
+        plan = bandwidth_sweep.plan(scene="Family", num_frames=2, bandwidths=(51.2,))
+        result = execute_plan(plan)
         assert result.rows[0]["neo_fps"] > 0

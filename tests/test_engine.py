@@ -2,13 +2,14 @@
 
 Covers the SimJob value object, the shared execute_cells core (dedup, cache
 probe, parallel fan-out), cross-figure cell dedup, serial-vs-parallel
-byte-identical artifacts, the golden all-17-experiments plan/run equivalence,
-and the new `repro experiments` CLI surface.
+byte-identical artifacts, the golden all-17-experiments in-process vs engine
+equivalence, and the `repro experiments` CLI surface.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import pytest
@@ -20,10 +21,10 @@ from repro.experiments import (
     RunnerConfig,
     SimJob,
     execute_cells,
+    execute_plan,
     experiment_descriptions,
     list_experiments,
     runner_config,
-    simulate_system,
 )
 from repro.experiments import (
     bandwidth_sweep,
@@ -44,7 +45,6 @@ from repro.experiments import (
     table3,
     table4,
 )
-from repro.experiments import runner as runner_mod
 from repro.runtime import ResultCache
 
 FAST_SCENES = ("family", "horse")
@@ -74,18 +74,9 @@ class TestSimJob:
         pinned = SimJob("neo", "family", "hd", frames=7)
         assert pinned.resolved() is pinned
 
-    def test_cache_payload_requires_resolved_frames(self):
+    def test_cache_spec_requires_resolved_frames(self):
         with pytest.raises(ValueError):
-            SimJob("neo", "family", "hd").cache_payload()
-
-    def test_cache_key_interops_with_simulate_system(self, tmp_path):
-        # A report written by simulate_system must be a cache hit for the
-        # SimJob spelling of the same cell (shared disk entries).
-        cache = ResultCache(tmp_path / "cache")
-        with runner_config(RunnerConfig(cache=cache)):
-            simulate_system("neo", "horse", "hd", num_frames=3, speed=1.25)
-        job = SimJob("neo", "horse", "hd", frames=3, speed=1.25)
-        assert cache.get(*job.cache_spec()) is not None
+            SimJob("neo", "family", "hd").cache_spec()
 
 
 # ----------------------------------------------------------------------
@@ -135,19 +126,25 @@ class TestExecuteCells:
 # ----------------------------------------------------------------------
 # Cross-figure dedup
 # ----------------------------------------------------------------------
+def _count_simulations(monkeypatch) -> list[SimJob]:
+    """Record every cell evaluated in this process through SimJob.simulate."""
+    calls: list[SimJob] = []
+    real = SimJob.simulate
+
+    def counting(job):
+        calls.append(job)
+        return real(job)
+
+    monkeypatch.setattr(SimJob, "simulate", counting)
+    return calls
+
+
 class TestCrossFigureDedup:
     def test_shared_cells_simulate_exactly_once(self, monkeypatch):
         # fig03's QHD column (gscore, 4 cores, 51.2 GB/s) is also fig04's
         # (bandwidth=51.2, cores=4) point: the engine must simulate each of
         # those shared cells exactly once across the two figures.
-        calls: list[tuple] = []
-        real = runner_mod._simulate_system_uncached
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(runner_mod, "_simulate_system_uncached", counting)
+        calls = _count_simulations(monkeypatch)
         engine = ExperimentEngine(jobs=1, cache=None)
         run = engine.run_plans(
             [
@@ -165,14 +162,7 @@ class TestCrossFigureDedup:
     def test_dedup_across_fig15_fig16_fig18(self, monkeypatch):
         # fig16 (scene x {orin,gscore,neo} @ qhd) and fig18's gscore/neo qhd
         # cells are all contained in fig15's resolution sweep.
-        calls: list[tuple] = []
-        real = runner_mod._simulate_system_uncached
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(runner_mod, "_simulate_system_uncached", counting)
+        calls = _count_simulations(monkeypatch)
         engine = ExperimentEngine(jobs=1, cache=None)
         run = engine.run_plans(
             [
@@ -197,8 +187,10 @@ class TestCrossFigureDedup:
                 fig16.plan(scenes=FAST_SCENES, num_frames=3),
             ]
         )
-        assert run.outcomes[0].result.rows == fig15.run(scenes=FAST_SCENES, num_frames=3).rows
-        assert run.outcomes[1].result.rows == fig16.run(scenes=FAST_SCENES, num_frames=3).rows
+        fig15_rows = execute_plan(fig15.plan(scenes=FAST_SCENES, num_frames=3)).rows
+        fig16_rows = execute_plan(fig16.plan(scenes=FAST_SCENES, num_frames=3)).rows
+        assert run.outcomes[0].result.rows == fig15_rows
+        assert run.outcomes[1].result.rows == fig16_rows
 
 
 # ----------------------------------------------------------------------
@@ -274,24 +266,29 @@ class TestEngineRun:
         assert not outcome.from_cache
         assert outcome.elapsed_s > 0.0
 
-    def test_cell_cache_shared_with_simulate_system(self, tmp_path, monkeypatch):
-        # Cells computed by the engine must be cache hits for direct
-        # simulate_system calls (and vice versa).
-        cache = ResultCache(tmp_path / "cache")
-        engine = ExperimentEngine(jobs=1, frames=3, cache=cache)
-        engine.run_plans([fig03.plan(scenes=("horse",), num_frames=3)])
+    def test_miss_stores_one_report_per_cell_from_the_parent(self, tmp_path, monkeypatch):
+        # Workers only compute: every report put comes from the parent's
+        # execute_cells, once per unique cell, even with a forked pool.
+        log = tmp_path / "puts.log"
+        real_put = ResultCache.put
 
-        monkeypatch.setattr(
-            runner_mod,
-            "_simulate_system_uncached",
-            lambda *a, **k: pytest.fail("expected a report cache hit"),
+        def logging_put(cache, namespace, payload, value):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{namespace} {os.getpid()}\n")
+            return real_put(cache, namespace, payload, value)
+
+        monkeypatch.setattr(ResultCache, "put", logging_put)
+        cache = ResultCache(tmp_path / "cache")
+        run = ExperimentEngine(jobs=2, cache=cache).run_plans(
+            [fig03.plan(scenes=("horse",), num_frames=3)]
         )
-        runner_mod._workload_model_cached.cache_clear()
-        with runner_config(RunnerConfig(cache=cache)):
-            report = simulate_system(
-                "gscore", "horse", "hd", num_frames=3, cores=4, bandwidth_gbps=51.2
-            )
-        assert report.fps > 0
+        assert run.cells.computed == 3
+        report_puts = [
+            line.split()[1] for line in log.read_text().splitlines()
+            if line.split()[0] == "reports"
+        ]
+        assert report_puts == [str(os.getpid())] * 3
+        assert cache.info()["namespaces"]["reports"]["entries"] == 3
 
 
 # ----------------------------------------------------------------------
@@ -306,7 +303,7 @@ class TestArtifacts:
         assert "-" in lines[2]  # first row has no 'b' cell
 
     def test_json_csv_writers_deterministic(self, tmp_path):
-        result = table3.run()
+        result = execute_plan(table3.plan())
         a = result.write_json(tmp_path / "a.json").read_bytes()
         b = result.write_json(tmp_path / "b.json").read_bytes()
         assert a == b
@@ -335,7 +332,7 @@ class TestArtifacts:
 
 
 # ----------------------------------------------------------------------
-# Golden: every registered experiment, plan path vs direct run()
+# Golden: every registered experiment, in-process vs through the engine
 # ----------------------------------------------------------------------
 #: Fast parameterizations: every driver exercised end-to-end, test-sized.
 GOLDEN_PARAMS = {
@@ -371,14 +368,14 @@ class TestGoldenAllExperiments:
     def test_all_17_row_identical_run_vs_engine(self):
         # The acceptance bar for the plan/execute refactor: for every
         # registered experiment, the declarative plan executed through the
-        # engine (parallel, deduped) produces rows identical to the driver's
-        # own serial run() at the same parameters.
+        # engine (parallel, deduped) produces rows identical to the same plan
+        # executed serially in-process.
         plans = [module.plan(**kwargs) for module, kwargs in GOLDEN_PARAMS.values()]
         engine_run = ExperimentEngine(jobs=2, cache=None).run_plans(plans)
         for (name, (module, kwargs)), outcome in zip(
             GOLDEN_PARAMS.items(), engine_run.outcomes
         ):
-            direct = module.run(**kwargs)
+            direct = execute_plan(module.plan(**kwargs))
             assert outcome.result.name == direct.name, name
             assert outcome.result.rows == direct.rows, name
 

@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.metrics.similarity import (
-    SimilarityStats,
-    frame_similarity,
-    sequence_similarity,
-    tile_order_differences,
-    tile_shared_fraction,
-)
+from repro.metrics.reference import tile_order_differences, tile_shared_fraction
+from repro.metrics.similarity import SimilarityStats, frame_similarity, sequence_similarity
 from repro.pipeline.renderer import Renderer
+from repro.pipeline.sorting import SortedTiles
 
 
 class TestTileMetrics:
@@ -74,11 +70,34 @@ class TestFrameSimilarity:
         assert pct[90] <= pct[95] <= pct[99]
 
     def test_tile_count_mismatch_rejected(self, two_frames):
-        from repro.pipeline.sorting import SortedTiles
-
         short = SortedTiles.from_tile_lists([], [], [])
         with pytest.raises(ValueError):
             frame_similarity(two_frames[0], short)
+
+
+def _frame(*tiles: list[int]) -> SortedTiles:
+    """Sorted frame whose tile ``t`` holds the Gaussian IDs ``tiles[t]``."""
+    ids = [np.asarray(t, dtype=np.int64) for t in tiles]
+    return SortedTiles.from_tile_lists(
+        [np.arange(a.shape[0]) for a in ids], ids, [np.arange(a.shape[0], dtype=float) for a in ids]
+    )
+
+
+class TestKeyDomain:
+    """Inputs the ``tile * M + id`` key cannot represent are rejected by name."""
+
+    def test_negative_ids_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            frame_similarity(_frame([1, -2]), _frame([1, 2]))
+
+    def test_duplicate_ids_within_a_tile_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            frame_similarity(_frame([1, 2], [3]), _frame([2, 2], [3]))
+
+    def test_key_overflow_rejected(self):
+        huge = 2**62
+        with pytest.raises(ValueError, match="overflow"):
+            frame_similarity(_frame([1], [huge]), _frame([1], [huge]))
 
 
 class TestSequenceSimilarity:

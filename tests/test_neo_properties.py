@@ -11,10 +11,13 @@ Invariants checked:
   chunk-sorted (not fully sorted) a-side and invalid entries on both sides;
 * after every ``sort_frame``, each tile's valid table IDs contain the
   tile's current IDs;
-* under a static camera, Neo's sorted IDs equal the exact sort by frame 2.
+* under a static camera, Neo's sorted IDs equal the exact sort by frame 2;
+* with fresh depths and ``chunk_size >= 2 x`` max tile occupancy, every
+  frame's render list, minus lazily deleted entries, is the exact sort.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +33,7 @@ from repro.core.reuse_update import ReuseUpdateSorter
 from repro.pipeline import Renderer
 from repro.pipeline.sorting import sort_tiles
 from repro.scene import Camera, load_scene, look_at
+from repro.scene.datasets import archetype_trajectory
 
 #: Keys drawn from a small grid so ties are common.
 tied_keys = st.lists(st.integers(0, 12).map(lambda k: k * 0.5), max_size=80)
@@ -186,3 +190,47 @@ def test_static_camera_converges_to_exact_sort(angle, chunk_size, passes):
             exact = sort_tiles(record.assignment)
             assert np.array_equal(record.sorted_tiles.stream.offsets, exact.stream.offsets)
             assert np.array_equal(record.sorted_tiles.ids, exact.ids)
+
+
+_MOTION_SCENE = load_scene("family", num_gaussians=3000)
+
+#: Above twice the largest tile occupancy of every sequence below (906).
+_WHOLE_TILE_CHUNK = 16384
+
+
+def _tiles_off_exact_sort(trajectory: str, tile_size: int, defer: bool) -> list[int]:
+    """Per frame: tiles whose Neo render list is not the exact sort.
+
+    Entries that are not current pairs of their tile (lazily deleted ones
+    still awaiting their merge) are dropped before comparing.
+    """
+    cameras = archetype_trajectory("family", trajectory, num_frames=6, width=320, height=180)
+    sorter = ReuseUpdateSorter(chunk_size=_WHOLE_TILE_CHUNK, defer_depth_update=defer)
+    renderer = Renderer(_MOTION_SCENE, tile_size=tile_size, strategy=sorter)
+    differing = []
+    for record in renderer.render_sequence(cameras):
+        exact = sort_tiles(record.assignment)
+        # Even frames offset the chunk grid by C/2, so a whole tile fits in
+        # one chunk only when C >= 2 x its occupancy.
+        assert 2 * int(exact.stream.counts().max()) <= _WHOLE_TILE_CHUNK
+        neo = record.sorted_tiles
+        off = 0
+        for tile in range(exact.num_tiles):
+            current = exact.ids_for(tile)
+            ids = neo.ids_for(tile)
+            off += not np.array_equal(ids[np.isin(ids, current)], current)
+        differing.append(off)
+    return differing
+
+
+@pytest.mark.parametrize("tile_size", [16, 64])
+@pytest.mark.parametrize("trajectory", ["orbit", "shake", "teleport"])
+def test_whole_tile_chunks_with_fresh_depths_match_exact_sort(trajectory, tile_size):
+    assert _tiles_off_exact_sort(trajectory, tile_size, defer=False) == [0] * 6
+
+
+@pytest.mark.parametrize("trajectory", ["orbit", "shake", "teleport"])
+def test_stale_depths_leave_tiles_off_exact_sort(trajectory):
+    # The deferred depth update sorts on one-frame-stale depths, so the
+    # same whole-tile chunks do not reproduce the exact order.
+    assert sum(_tiles_off_exact_sort(trajectory, 16, defer=True)) > 0

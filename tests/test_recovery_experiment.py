@@ -1,20 +1,24 @@
 """Tests for the accuracy-restoration experiment (section 4.3)."""
 
+import numpy as np
 import pytest
 
-from repro.experiments import recovery
+from repro.core.strategies import NeoSortStrategy
+from repro.experiments import execute_plan, recovery
+from repro.pipeline.renderer import Renderer
+from repro.pipeline.sorting import order_quality
+from repro.scene.datasets import load_scene
 
 
 @pytest.fixture(scope="module")
 def result():
-    return recovery.run(num_frames=12, jump_frame=5, num_gaussians=1200,
-                        width=160, height=90)
+    return execute_plan(
+        recovery.plan(num_frames=12, jump_frame=5, num_gaussians=1200, width=160, height=90)
+    )
 
 
 class TestJumpTrajectory:
     def test_jump_is_discontinuous(self):
-        import numpy as np
-
         cameras = recovery.jump_trajectory(
             "family", num_frames=10, jump_frame=4, jump_degrees=10.0,
             width=160, height=90,
@@ -42,4 +46,27 @@ class TestRecovery:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            recovery.run(num_frames=6, jump_frame=5)
+            recovery.plan(num_frames=6, jump_frame=5)
+
+
+class TestMeanOrderQuality:
+    def test_mean_order_quality_matches_per_tile_formula(self):
+        # The segmented pass must equal the per-tile order_quality mean bit
+        # for bit, on a Neo sequence whose small chunks and camera jump leave
+        # tiles unsorted.
+        scene = load_scene("family", num_gaussians=1000)
+        cameras = recovery.jump_trajectory("family", 8, 4, 20.0, 128, 72)
+        strategy = NeoSortStrategy(chunk_size=8)
+        records = Renderer(scene, strategy=strategy).render_sequence(cameras)
+        qualities = []
+        for record in records:
+            tiles = record.sorted_tiles
+            scores = [
+                order_quality(depths)
+                for tile in range(tiles.num_tiles)
+                if (depths := tiles.depths_for(tile)).shape[0] > 1
+            ]
+            expected = float(np.mean(scores)) if scores else 1.0
+            assert recovery.mean_order_quality(record) == expected
+            qualities.append(expected)
+        assert min(qualities) < 1.0

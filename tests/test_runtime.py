@@ -4,19 +4,15 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.strategies import NeoSortStrategy
 from repro.experiments.runner import (
     RunnerConfig,
     _workload_model_cached,
     get_workload_model,
     resolve_frames,
     runner_config,
-    simulate_system,
 )
 from repro.hw.workload import WorkloadModel
-from repro.pipeline.renderer import Renderer
 from repro.runtime import ResultCache, code_version, parallel_map, stable_key
-from repro.runtime.parallel import _contiguous_shards
 
 
 def _square(x):
@@ -27,100 +23,6 @@ def _pid(_):
     import os
 
     return os.getpid()
-
-
-def _assert_records_identical(serial, parallel):
-    assert len(serial) == len(parallel)
-    for a, b in zip(serial, parallel):
-        assert np.array_equal(a.image, b.image)
-        assert a.stats.frame_index == b.stats.frame_index
-        assert a.stats.num_pairs == b.stats.num_pairs
-        assert a.stats.blend_ops == b.stats.blend_ops
-        assert a.stats.subtile_tests == b.stats.subtile_tests
-        assert a.stats.subtile_hits == b.stats.subtile_hits
-        assert np.array_equal(a.stats.occupancy, b.stats.occupancy)
-
-
-class TestParallelRender:
-    def test_bitwise_equal_to_serial(self, small_scene, camera_path):
-        renderer = Renderer(small_scene)
-        serial = renderer.render_sequence(camera_path)
-        parallel = renderer.render_sequence(camera_path, jobs=2)
-        _assert_records_identical(serial, parallel)
-
-    def test_more_jobs_than_frames(self, small_scene, camera_path):
-        renderer = Renderer(small_scene)
-        serial = renderer.render_sequence(camera_path)
-        parallel = renderer.render_sequence(camera_path, jobs=16)
-        _assert_records_identical(serial, parallel)
-
-    def test_stateful_strategy_falls_back_to_serial(self, small_scene, camera_path):
-        # Neo's reuse chain carries inter-frame state; jobs>1 must not
-        # shard it (results would diverge), just render serially.
-        serial = Renderer(small_scene, strategy=NeoSortStrategy()).render_sequence(camera_path)
-        parallel = Renderer(small_scene, strategy=NeoSortStrategy()).render_sequence(
-            camera_path, jobs=2
-        )
-        _assert_records_identical(serial, parallel)
-
-    def test_workers_receive_only_their_shard(self, small_scene, camera_path, monkeypatch):
-        # The pool's initargs must carry the renderer alone; each task must
-        # carry exactly its shard's cameras — never the full trajectory.
-        from repro.runtime import parallel as par
-
-        captured = {}
-
-        class SpyCtx:
-            def Pool(self, processes, initializer=None, initargs=()):
-                captured["initargs"] = initargs
-
-                class SpyPool:
-                    def __enter__(self):
-                        return self
-
-                    def __exit__(self, *exc):
-                        return False
-
-                    def map(self, fn, tasks):
-                        captured["tasks"] = list(tasks)
-                        initializer(*initargs)
-                        return [fn(task) for task in tasks]
-
-                return SpyPool()
-
-        monkeypatch.setattr(par, "_mp_context", lambda: SpyCtx())
-        renderer = Renderer(small_scene)
-        serial = renderer.render_sequence(camera_path)
-        sharded = par.parallel_render_sequence(renderer, camera_path, jobs=2)
-        _assert_records_identical(serial, sharded)
-
-        assert captured["initargs"] == (renderer,)
-        starts = [start for start, _ in captured["tasks"]]
-        sizes = [len(cams) for _, cams in captured["tasks"]]
-        assert sum(sizes) == len(camera_path)
-        assert starts == [0] + list(np.cumsum(sizes)[:-1])
-
-    def test_spawn_context_matches_serial(self, small_scene, camera_path, monkeypatch):
-        # Spawn pickles initargs and tasks for every worker; the sharded
-        # payloads must survive that boundary and stay bitwise-identical.
-        import multiprocessing
-
-        from repro.runtime import parallel as par
-
-        monkeypatch.setattr(
-            par, "_mp_context", lambda: multiprocessing.get_context("spawn")
-        )
-        renderer = Renderer(small_scene)
-        serial = renderer.render_sequence(camera_path)
-        parallel = renderer.render_sequence(camera_path, jobs=2)
-        _assert_records_identical(serial, parallel)
-
-    def test_contiguous_shards_cover_in_order(self):
-        shards = _contiguous_shards(10, 3)
-        assert [i for shard in shards for i in shard] == list(range(10))
-        assert all(len(s) >= 3 for s in shards)
-        assert _contiguous_shards(2, 8) == [[0], [1]]
-        assert _contiguous_shards(1, 1) == [[0]]
 
 
 class TestStableKey:
@@ -358,26 +260,6 @@ class TestRunnerConfig:
         with runner_config(RunnerConfig(frames=3)):
             wm = get_workload_model("horse", num_gaussians=150)
         assert wm.num_frames == 3
-
-    def test_simulate_system_report_served_from_disk(self, tmp_path, monkeypatch):
-        cache = ResultCache(tmp_path / "cache")
-        kwargs = dict(num_frames=3, speed=1.375)  # unique args: distinct lru key
-        with runner_config(RunnerConfig(cache=cache)):
-            cold = simulate_system("neo", "horse", "hd", **kwargs)
-        assert cache.info()["namespaces"]["reports"]["entries"] >= 1
-
-        # Drop the in-process memo and poison capture: a second call can only
-        # succeed if the report comes back from disk.
-        _workload_model_cached.cache_clear()
-        monkeypatch.setattr(
-            WorkloadModel,
-            "from_scene",
-            staticmethod(lambda *a, **k: pytest.fail("cache miss: re-captured workload")),
-        )
-        with runner_config(RunnerConfig(cache=cache)):
-            warm = simulate_system("neo", "horse", "hd", **kwargs)
-        assert warm.fps == cold.fps
-        assert warm.total_traffic.total == cold.total_traffic.total
 
     def test_workload_geometry_served_from_disk(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path / "cache")

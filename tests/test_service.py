@@ -453,7 +453,7 @@ class TestWorker:
             server._executor = ThreadPoolExecutor(max_workers=1)
             loop = asyncio.get_running_loop()
             executions = [
-                _Execution(stable_key(job.cache_payload()), job, loop.create_future())
+                _Execution(stable_key(job.cache_spec()[1]), job, loop.create_future())
                 for job in jobs
             ]
             for execution in executions:

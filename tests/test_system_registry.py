@@ -14,7 +14,7 @@ Two contracts pinned here:
 import pytest
 
 from repro.experiments.engine import SimJob
-from repro.experiments.runner import SYSTEMS, build_system_model, simulate_system
+from repro.experiments.runner import build_system_model
 from repro.hw import reference
 from repro.hw.config import DramConfig, NeoConfig
 from repro.hw.system import (
@@ -115,8 +115,7 @@ class TestFrameBatch:
 
 class TestRegistry:
     def test_systems_tuple_derived_from_registry(self):
-        assert SYSTEMS == registered_systems()
-        assert set(SYSTEMS) >= {"orin", "orin-neo-sw", "gscore", "neo", "neo-s"}
+        assert set(registered_systems()) >= {"orin", "orin-neo-sw", "gscore", "neo", "neo-s"}
 
     def test_new_variants_registered(self):
         for name in ("neo-lite", "gscore-32c", "neo-eager-depth"):
@@ -187,15 +186,6 @@ class TestRegistry:
         model, _ = build_system_model("gscore", cores=8)
         assert model.config.cores == 8
 
-    def test_systems_attribute_reads_live_registry(self, scratch_registry):
-        import repro.experiments.runner as runner
-
-        assert runner.SYSTEMS == registered_systems()
-        register_variant(
-            "test-late", base="neo", description="late registration", overrides={}
-        )
-        assert "test-late" in runner.SYSTEMS
-
     def test_default_tile_size_for_configless_models(self):
         class Bare(SystemModel):
             pass
@@ -261,7 +251,7 @@ class TestVariantModels:
         scaled, _ = build_system_model("gscore-32c")
         assert scaled.simulate(workloads).fps > base.simulate(workloads).fps
 
-    def test_simulate_system_accepts_variants(self):
-        report = simulate_system("neo-lite", "family", "hd", num_frames=2)
+    def test_simjob_simulates_variants(self):
+        report = SimJob.make("neo-lite", "family", "hd", frames=2).simulate()
         assert report.system == "neo-lite"
         assert report.fps > 0
