@@ -17,12 +17,7 @@ from .runner import (
     DEFAULT_FRAMES,
     PAPER_TRAFFIC_FRAMES,
     ExperimentResult,
-    RunnerConfig,
-    get_runner_config,
     get_workload_model,
-    resolve_frames,
-    runner_config,
-    set_runner_config,
 )
 
 __all__ = [
@@ -33,15 +28,10 @@ __all__ = [
     "ExperimentPlan",
     "ExperimentResult",
     "PAPER_TRAFFIC_FRAMES",
-    "RunnerConfig",
     "SimJob",
     "execute_cells",
     "execute_plan",
     "experiment_descriptions",
-    "get_runner_config",
     "get_workload_model",
     "list_experiments",
-    "resolve_frames",
-    "runner_config",
-    "set_runner_config",
 ]

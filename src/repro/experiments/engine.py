@@ -33,8 +33,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Iterator, Mapping
 
 from ..hw.config import DramConfig
@@ -45,13 +44,7 @@ from ..runtime.parallel import parallel_map
 from ..scene.camera import RESOLUTIONS
 from ..scene.datasets import SCENE_SPECS
 from . import runner
-from .runner import (
-    DEFAULT_FRAMES,
-    ExperimentResult,
-    RunnerConfig,
-    resolve_frames,
-    runner_config,
-)
+from .runner import DEFAULT_FRAMES, ExperimentResult
 
 
 # ----------------------------------------------------------------------
@@ -63,13 +56,9 @@ class SimJob:
 
     A value object: two jobs with equal parameters are the *same* cell, which
     is what lets the engine dedupe overlapping cells across experiments.
-    ``frames=None`` means "the active config's frame count" and is pinned via
+    ``frames=None`` means "the run's frame count" and is pinned via
     :meth:`resolved` before execution, so cells declared by different figures
     with different spellings of the default still collapse.
-
-    ``model_kwargs`` holds extra keyword arguments for the system model as a
-    sorted tuple of items (hashable); use :meth:`make` to build jobs with
-    plain keyword arguments.
     """
 
     system: str
@@ -79,7 +68,6 @@ class SimJob:
     speed: float = 1.0
     cores: int = 16
     bandwidth_gbps: float = 51.2
-    model_kwargs: tuple[tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
         # Fail at declaration time, not deep inside a worker: every cell
@@ -108,10 +96,6 @@ class SimJob:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if not isinstance(self.model_kwargs, tuple):
-            object.__setattr__(
-                self, "model_kwargs", tuple(sorted(dict(self.model_kwargs).items()))
-            )
 
     @classmethod
     def make(
@@ -124,24 +108,9 @@ class SimJob:
         speed: float = 1.0,
         cores: int = 16,
         bandwidth_gbps: float = 51.2,
-        **model_kwargs,
     ) -> "SimJob":
-        """Build a job with model kwargs given as plain keyword arguments."""
-        return cls(
-            system,
-            scene,
-            resolution,
-            frames,
-            speed,
-            cores,
-            bandwidth_gbps,
-            tuple(sorted(model_kwargs.items())),
-        )
-
-    @property
-    def kwargs(self) -> dict[str, Any]:
-        """``model_kwargs`` as a plain dict."""
-        return dict(self.model_kwargs)
+        """Build a job with everything after the resolution given by keyword."""
+        return cls(system, scene, resolution, frames, speed, cores, bandwidth_gbps)
 
     def to_payload(self) -> dict[str, Any]:
         """JSON-safe request form of this cell (service wire format).
@@ -158,37 +127,32 @@ class SimJob:
             "speed": self.speed,
             "cores": self.cores,
             "bandwidth_gbps": self.bandwidth_gbps,
-            "kwargs": self.kwargs,
         }
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "SimJob":
-        """Rebuild a cell from :meth:`to_payload` output (missing keys default)."""
-        return cls.make(
-            payload["system"],
-            payload["scene"],
-            payload["resolution"],
-            frames=payload.get("frames"),
-            speed=payload.get("speed", 1.0),
-            cores=payload.get("cores", 16),
-            bandwidth_gbps=payload.get("bandwidth_gbps", 51.2),
-            **dict(payload.get("kwargs") or {}),
-        )
+        """Rebuild a cell from :meth:`to_payload` output.
 
-    def resolved(self) -> "SimJob":
-        """This job with ``frames=None`` pinned to the active config."""
+        Missing optional keys take their defaults; unknown keys (a typo such
+        as ``bandwith_gbps``) are rejected, not silently ignored.
+        """
+        if not isinstance(payload, Mapping):
+            raise ValueError(f"job must be an object, got {type(payload).__name__}")
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(set(payload) - known)
+        if unknown:
+            raise ValueError(f"unknown job keys {unknown}; options: {sorted(known)}")
+        return cls(**payload)
+
+    def resolved(self, frames: int | None = None) -> "SimJob":
+        """This job with ``frames=None`` pinned to ``frames``.
+
+        ``frames=None`` pins :data:`~repro.experiments.runner.DEFAULT_FRAMES`;
+        a job that already names its frames is returned unchanged.
+        """
         if self.frames is not None:
             return self
-        return SimJob(
-            self.system,
-            self.scene,
-            self.resolution,
-            resolve_frames(None),
-            self.speed,
-            self.cores,
-            self.bandwidth_gbps,
-            self.model_kwargs,
-        )
+        return replace(self, frames=DEFAULT_FRAMES if frames is None else frames)
 
     def cache_spec(self) -> tuple[str, dict[str, Any]]:
         """(namespace, payload) of this cell's report-cache entry.
@@ -207,15 +171,14 @@ class SimJob:
             "speed": self.speed,
             "cores": self.cores,
             "bandwidth": self.bandwidth_gbps,
-            "kwargs": self.kwargs,
         }
 
     def simulate(self) -> SequenceReport:
         """Evaluate this cell: capture the workload, build the model, simulate.
 
         Reads and writes no report cache: :func:`execute_cells` and the
-        service own report persistence.  ``frames=None`` and the workload
-        capture's cache come from the active config.  ``get_workload_model``
+        service own report persistence.  ``frames=None`` simulates
+        :data:`~repro.experiments.runner.DEFAULT_FRAMES`.  ``get_workload_model``
         and ``build_system_model`` are looked up on :mod:`.runner` at call
         time, so interposing on the module attribute (profiling spans) sees
         them.  ``dram_policy="edge"`` systems use this cell's bandwidth;
@@ -226,7 +189,6 @@ class SimJob:
             self.system,
             dram=DramConfig(bandwidth_gbps=self.bandwidth_gbps),
             cores=self.cores,
-            **self.kwargs,
         )
         return model.simulate(wm.sequence_workloads(self.resolution, tile), scene=self.scene)
 
@@ -236,14 +198,15 @@ class CellResults(Mapping):
 
     Aggregate functions look cells up with the same job objects their plan
     declared; jobs declared with ``frames=None`` are resolved against the
-    active config on lookup, mirroring what the engine did at dispatch time.
+    run's ``frames`` on lookup, mirroring what the engine did at dispatch time.
     """
 
-    def __init__(self, reports: dict[SimJob, Any]) -> None:
+    def __init__(self, reports: dict[SimJob, Any], frames: int | None = None) -> None:
         self._reports = reports
+        self._frames = frames
 
     def __getitem__(self, job: SimJob):
-        return self._reports[job.resolved()]
+        return self._reports[job.resolved(self._frames)]
 
     def __iter__(self) -> Iterator[SimJob]:
         return iter(self._reports)
@@ -266,8 +229,7 @@ class ExperimentPlan:
     but drivers whose work is not cell-shaped (functional renders, analytic
     tables) may compute everything inside ``aggregate`` and declare no cells.
 
-    Plan construction must stay cheap and config-independent: defer anything
-    touching the active :class:`~repro.experiments.runner.RunnerConfig` into
+    Plan construction must stay cheap: defer any simulation or rendering into
     ``aggregate`` or cell execution.
     """
 
@@ -277,19 +239,20 @@ class ExperimentPlan:
     aggregate: Callable[[CellResults], ExperimentResult]
 
 
-def execute_plan(plan: ExperimentPlan) -> ExperimentResult:
-    """Evaluate one plan in-process under the active config (serial path).
+def execute_plan(plan: ExperimentPlan, frames: int | None = None) -> ExperimentResult:
+    """Evaluate one plan in-process (serial path).
 
-    Cells are deduped within the plan and evaluated through
-    :meth:`SimJob.simulate` (no report cache; the in-process workload memo
-    and the active config's workload cache still apply), then aggregated.
+    Cells declared with ``frames=None`` run at ``frames`` (``None``:
+    :data:`~repro.experiments.runner.DEFAULT_FRAMES`).  Cells are deduped
+    within the plan and evaluated through :meth:`SimJob.simulate` (no report
+    cache; the in-process workload memo still applies), then aggregated.
     """
     reports: dict[SimJob, Any] = {}
     for job in plan.cells:
-        resolved = job.resolved()
+        resolved = job.resolved(frames)
         if resolved not in reports:
             reports[resolved] = resolved.simulate()
-    return plan.aggregate(CellResults(reports))
+    return plan.aggregate(CellResults(reports, frames))
 
 
 # ----------------------------------------------------------------------
@@ -402,29 +365,25 @@ class ExperimentTask:
         }
 
 
-def _evaluate_engine_task(task, frames: int | None = None, cache_root: str | None = None):
+def _evaluate_engine_task(task):
     """Worker body shared by cell and whole-experiment tasks.
 
-    Installs the engine's :class:`~repro.experiments.runner.RunnerConfig` so
-    workload captures and nested sweeps (``bandwidth_sweep``) hit the same
-    disk cache the parent uses (configs don't survive the process boundary).
-    Results are returned, never stored: the parent's :func:`execute_cells`
-    persists them.
+    Everything a task needs travels with it: a cell carries its resolved
+    frames, a whole-experiment task its frame override.  Results are
+    returned, never stored: the parent's :func:`execute_cells` persists them.
     """
-    cache = ResultCache(cache_root) if cache_root is not None else None
-    with runner_config(RunnerConfig(frames=frames, cache=cache)):
-        if isinstance(task, SimJob):
-            return task.simulate()
-        from . import registry
+    if isinstance(task, SimJob):
+        return task.simulate()
+    from . import registry
 
-        start = time.perf_counter()
-        result = execute_plan(registry.PLANS[task.name]())
-        return {
-            "name": result.name,
-            "description": result.description,
-            "rows": result.rows,
-            "elapsed_s": time.perf_counter() - start,
-        }
+    start = time.perf_counter()
+    result = execute_plan(registry.PLANS[task.name](), task.frames)
+    return {
+        "name": result.name,
+        "description": result.description,
+        "rows": result.rows,
+        "elapsed_s": time.perf_counter() - start,
+    }
 
 
 @dataclass
@@ -478,13 +437,12 @@ class ExperimentEngine:
         cell can run side by side even though they belong to different
         figures.
     frames:
-        Frame-count override threaded into the
-        :class:`~repro.experiments.runner.RunnerConfig` every cell and
-        aggregate runs under (``None`` keeps driver defaults).
+        Frame count for every cell declared with ``frames=None`` (``None``:
+        :data:`~repro.experiments.runner.DEFAULT_FRAMES`); drivers that pin
+        their own count ignore it.
     cache:
-        Result cache for cells (``reports``), workload captures
-        (``workloads``), and whole experiment results (``experiments``);
-        ``None`` disables persistence.
+        Result cache for cells (``reports``) and whole experiment results
+        (``experiments``); ``None`` disables persistence.
     """
 
     jobs: int = 1
@@ -563,71 +521,62 @@ class ExperimentEngine:
         outcomes: dict[int, EngineOutcome] = {}
         if not plans:
             return outcomes, CellStats()
-        cache_root = str(self.cache.root) if self.cache else None
-        with runner_config(RunnerConfig(frames=self.frames, cache=self.cache)):
-            cell_plans = [plan for plan in plans if plan.cells]
-            whole_plans = [plan for plan in plans if not plan.cells]
+        cell_plans = [plan for plan in plans if plan.cells]
+        whole_plans = [plan for plan in plans if not plan.cells]
 
-            sim_cells = [job.resolved() for plan in cell_plans for job in plan.cells]
-            tasks: list[Any] = list(sim_cells)
-            if dispatch_cell_less_by_name:
-                tasks += [ExperimentTask(plan.name, self.frames) for plan in whole_plans]
+        sim_cells = [job.resolved(self.frames) for plan in cell_plans for job in plan.cells]
+        tasks: list[Any] = list(sim_cells)
+        if dispatch_cell_less_by_name:
+            tasks += [ExperimentTask(plan.name, self.frames) for plan in whole_plans]
 
-            batch = execute_cells(
-                tasks,
-                evaluate=partial(
-                    _evaluate_engine_task, frames=self.frames, cache_root=cache_root
-                ),
-                jobs=self.jobs,
-                cache=self.cache,
+        batch = execute_cells(tasks, _evaluate_engine_task, jobs=self.jobs, cache=self.cache)
+
+        n_sim = len(sim_cells)
+        reports = dict(zip(sim_cells, batch.values[:n_sim]))
+        cells = CellResults(reports, self.frames)
+        for plan in cell_plans:
+            t0 = time.perf_counter()
+            result = plan.aggregate(cells)
+            outcomes[id(plan)] = EngineOutcome(
+                plan.name, result, time.perf_counter() - t0, from_cache=False
             )
+            if dispatch_cell_less_by_name:
+                # Registry path: plans are the default ones, so the whole
+                # result is safely keyed by (name, frames).  Explicit
+                # (possibly parameterized) plans only cache their cells.
+                self._store_whole_result(plan.name, result)
 
-            n_sim = len(sim_cells)
-            reports = dict(zip(sim_cells, batch.values[:n_sim]))
-            cells = CellResults(reports)
-            for plan in cell_plans:
+        if dispatch_cell_less_by_name:
+            for plan, value in zip(whole_plans, batch.values[n_sim:]):
+                result = ExperimentResult(
+                    name=value["name"],
+                    description=value["description"],
+                    rows=value["rows"],
+                )
+                outcomes[id(plan)] = EngineOutcome(
+                    plan.name,
+                    result,
+                    elapsed_s=value.get("elapsed_s", 0.0),
+                    from_cache=False,
+                )
+        else:
+            for plan in whole_plans:
                 t0 = time.perf_counter()
-                result = plan.aggregate(cells)
+                result = plan.aggregate(CellResults({}, self.frames))
                 outcomes[id(plan)] = EngineOutcome(
                     plan.name, result, time.perf_counter() - t0, from_cache=False
                 )
-                if dispatch_cell_less_by_name:
-                    # Registry path: plans are the default ones, so the whole
-                    # result is safely keyed by (name, frames).  Explicit
-                    # (possibly parameterized) plans only cache their cells.
-                    self._store_whole_result(plan.name, result)
 
-            if dispatch_cell_less_by_name:
-                for plan, value in zip(whole_plans, batch.values[n_sim:]):
-                    result = ExperimentResult(
-                        name=value["name"],
-                        description=value["description"],
-                        rows=value["rows"],
-                    )
-                    outcomes[id(plan)] = EngineOutcome(
-                        plan.name,
-                        result,
-                        elapsed_s=value.get("elapsed_s", 0.0),
-                        from_cache=False,
-                    )
-            else:
-                for plan in whole_plans:
-                    t0 = time.perf_counter()
-                    result = plan.aggregate(CellResults({}))
-                    outcomes[id(plan)] = EngineOutcome(
-                        plan.name, result, time.perf_counter() - t0, from_cache=False
-                    )
-
-            sim_keys = batch.keys[:n_sim]
-            sim_flags = batch.from_cache[:n_sim]
-            unique_hits = {k for k, hit in zip(sim_keys, sim_flags) if hit}
-            unique_sim = set(sim_keys)
-            return outcomes, CellStats(
-                requested=n_sim,
-                unique=len(unique_sim),
-                hits=len(unique_hits),
-                computed=len(unique_sim) - len(unique_hits),
-            )
+        sim_keys = batch.keys[:n_sim]
+        sim_flags = batch.from_cache[:n_sim]
+        unique_hits = {k for k, hit in zip(sim_keys, sim_flags) if hit}
+        unique_sim = set(sim_keys)
+        return outcomes, CellStats(
+            requested=n_sim,
+            unique=len(unique_sim),
+            hits=len(unique_hits),
+            computed=len(unique_sim) - len(unique_hits),
+        )
 
     def _store_whole_result(self, name: str, result: ExperimentResult) -> None:
         """Cache an aggregated result so warm runs skip planning entirely."""

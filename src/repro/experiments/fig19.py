@@ -29,12 +29,12 @@ from ..core.strategies import (
     PeriodicSortStrategy,
 )
 from ..hw.stages import FEATURE_2D_BYTES, FEATURE_3D_BYTES, PIXEL_BYTES
-from ..hw.workload import FrameWorkload, WorkloadModel
+from ..hw.workload import FrameWorkload
 from ..metrics.image import psnr
 from ..pipeline.renderer import Renderer
 from ..scene.datasets import default_trajectory, load_scene
 from .engine import ExperimentPlan
-from .runner import ExperimentResult
+from .runner import ExperimentResult, get_workload_model
 
 #: 60 FPS service-level objective from the paper (ms).
 SLO_MS = 16.6
@@ -109,7 +109,7 @@ def plan(
         reference = Renderer(scene).render_sequence(cameras)
 
         # Paper-scale workloads for the latency conversion.
-        wm = WorkloadModel.from_scene(scene_name, num_frames=num_frames)
+        wm = get_workload_model(scene_name, num_frames)
         workloads = wm.sequence_workloads(resolution, 64)
         bandwidth = _BANDWIDTH_GBPS * 1e9 * _EFFICIENCY
 

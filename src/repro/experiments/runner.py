@@ -3,90 +3,28 @@
 Each driver in this package regenerates one table or figure from the paper:
 it builds the required workloads, runs the relevant system models or the
 functional pipeline, and returns an :class:`ExperimentResult` whose rows
-mirror the figure's data series.  Workload models are cached per
-(scene, frames, speed, count) in-process, and — when the active
-:class:`RunnerConfig` carries a :class:`~repro.runtime.cache.ResultCache` —
-captured geometry persists across invocations on disk.
+mirror the figure's data series.  Workload models are memoized per
+(scene, frames, speed, count) in-process.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
 
 from ..hw.config import DramConfig
 from ..hw.system import get_system
 from ..hw.workload import WorkloadModel
 
-if TYPE_CHECKING:
-    from ..runtime.cache import ResultCache
-
-#: Default frames simulated per sequence (see :class:`RunnerConfig`).  The
-#: paper renders 60; traffic totals are reported via
+#: Frames simulated per sequence when a cell leaves ``frames`` unset
+#: (``repro experiments --frames`` overrides it per run).  The paper renders
+#: 60; traffic totals are reported via
 #: :meth:`SequenceReport.traffic_gb_for` so the extrapolation is explicit.
 DEFAULT_FRAMES = 12
 
 #: Frames the paper's traffic figures accumulate over.
 PAPER_TRAFFIC_FRAMES = 60
-
-
-@dataclass
-class RunnerConfig:
-    """Execution parameters shared by every experiment driver.
-
-    Attributes
-    ----------
-    frames:
-        Frames simulated per sequence for drivers that don't pin their own
-        count; ``None`` means :data:`DEFAULT_FRAMES`.  A parameter here (not
-        an import-time constant) so the CLI can override it and cache keys
-        can include the resolved value.
-    cache:
-        Disk-backed cache for captured workloads (:func:`get_workload_model`)
-        and nested sweeps; ``None`` disables persistence.  Cell reports are
-        never read from it: :func:`~repro.experiments.engine.execute_cells`
-        owns the report cache.
-    """
-
-    frames: int | None = None
-    cache: "ResultCache | None" = None
-
-
-_active_config = RunnerConfig()
-
-
-def get_runner_config() -> RunnerConfig:
-    """The configuration drivers currently resolve defaults against."""
-    return _active_config
-
-
-def set_runner_config(config: RunnerConfig) -> RunnerConfig:
-    """Install a new active configuration; returns the previous one."""
-    global _active_config
-    previous = _active_config
-    _active_config = config
-    return previous
-
-
-@contextmanager
-def runner_config(config: RunnerConfig) -> Iterator[RunnerConfig]:
-    """Scope a :class:`RunnerConfig` to a ``with`` block."""
-    previous = set_runner_config(config)
-    try:
-        yield config
-    finally:
-        set_runner_config(previous)
-
-
-def resolve_frames(num_frames: int | None = None) -> int:
-    """Resolve a driver's ``num_frames`` argument against the active config."""
-    if num_frames is not None:
-        return num_frames
-    config_frames = _active_config.frames
-    return DEFAULT_FRAMES if config_frames is None else config_frames
 
 
 @dataclass
@@ -205,48 +143,21 @@ def get_workload_model(
     speed: float = 1.0,
     num_gaussians: int | None = None,
 ) -> WorkloadModel:
-    """Workload-model capture for a scene preset.
+    """Workload-model capture for a scene preset, memoized in-process.
 
-    Memoized in-process; with a cache in the active :class:`RunnerConfig`,
-    captured frame geometry also persists to disk, so a warm invocation
-    skips culling and projection entirely.
+    ``num_frames=None`` means :data:`DEFAULT_FRAMES`.
     """
-    return _workload_model_cached(scene, resolve_frames(num_frames), speed, num_gaussians)
+    frames = DEFAULT_FRAMES if num_frames is None else num_frames
+    return _workload_model_cached(scene, frames, speed, num_gaussians)
 
 
 @lru_cache(maxsize=64)
 def _workload_model_cached(
     scene: str, num_frames: int, speed: float, num_gaussians: int | None
 ) -> WorkloadModel:
-    cache = _active_config.cache
-    payload = {
-        "kind": "workload",
-        "scene": scene,
-        "frames": num_frames,
-        "speed": speed,
-        "gaussians": num_gaussians,
-    }
-    if cache is not None:
-        cached = cache.get("workloads", payload)
-        if cached is not None:
-            return WorkloadModel(**cached)
-    wm = WorkloadModel.from_scene(
+    return WorkloadModel.from_scene(
         scene, num_frames=num_frames, speed=speed, num_gaussians=num_gaussians
     )
-    if cache is not None:
-        cache.put(
-            "workloads",
-            payload,
-            {
-                "frames": wm.frames,
-                "capture_width": wm.capture_width,
-                "capture_height": wm.capture_height,
-                "count_scale": wm.count_scale,
-                "functional_gaussians": wm.functional_gaussians,
-                "scene_name": wm.scene_name,
-            },
-        )
-    return wm
 
 
 def build_system_model(

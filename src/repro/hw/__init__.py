@@ -16,7 +16,6 @@ from .config import (
     GSCoreConfig,
     NeoConfig,
 )
-from .dram import DramModel, TrafficLedger
 from .energy import (
     DRAM_PJ_PER_BYTE,
     EnergyReport,
@@ -66,7 +65,6 @@ __all__ = [
     "AreaPowerEntry",
     "DRAM_PJ_PER_BYTE",
     "DramConfig",
-    "DramModel",
     "EnergyReport",
     "efficiency_comparison",
     "energy_report",
@@ -102,7 +100,6 @@ __all__ = [
     "SystemModel",
     "SystemSpec",
     "TrafficBatch",
-    "TrafficLedger",
     "WorkloadModel",
     "effective_pairs",
     "get_system",

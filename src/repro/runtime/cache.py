@@ -1,7 +1,7 @@
 """Disk-backed result cache for experiment artifacts.
 
-Every expensive artifact the reproduction produces — captured workload
-geometry, per-system :class:`~repro.hw.stages.SequenceReport`\\ s, and whole
+Every expensive artifact the reproduction produces — per-system
+:class:`~repro.hw.stages.SequenceReport`\\ s, sweep rows, and whole
 :class:`~repro.experiments.runner.ExperimentResult` tables — is a pure
 function of (scene, trajectory, hardware configuration, code version).  The
 :class:`ResultCache` persists those artifacts under ``.repro_cache/`` keyed
@@ -13,7 +13,7 @@ Layout::
     .repro_cache/
         experiments/<key>.json    # ExperimentResult rows (human-inspectable)
         reports/<key>.pkl         # SequenceReport objects
-        workloads/<key>.pkl       # captured WorkloadModel frame geometry
+        sweeps/<key>.json         # scenario-sweep metric rows
         tenants/<tenant>/         # per-tenant private namespaces (service)
             reports/<key>.pkl
             ...

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Any
 
@@ -66,8 +68,10 @@ class HardwareConfig:
             raise ValueError(
                 f"unknown resolution {self.resolution!r}; options: {sorted(RESOLUTIONS)}"
             )
-        if self.bandwidth_gbps <= 0:
-            raise ValueError("bandwidth_gbps must be positive")
+        if not (math.isfinite(self.bandwidth_gbps) and self.bandwidth_gbps > 0):
+            raise ValueError(
+                f"bandwidth_gbps must be finite and positive, got {self.bandwidth_gbps}"
+            )
         if self.cores < 1:
             raise ValueError("cores must be >= 1")
 
@@ -154,6 +158,11 @@ class SweepPoint:
         """(namespace, payload) for the shared execution core
         (:func:`repro.experiments.engine.execute_cells`)."""
         return "sweeps", self.cache_payload()
+
+
+def _is_int(value: Any) -> bool:
+    """True for integers, excluding ``bool`` (``True`` is not a frame count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _as_tuple(value: Any) -> tuple:
@@ -253,17 +262,22 @@ class SweepSpec:
         if unknown:
             raise ValueError(f"unknown strategies {unknown}; options: {list(STRATEGIES)}")
         for count in self.num_gaussians:
-            if count is not None and (not isinstance(count, int) or count < 8):
+            if count is not None and (not _is_int(count) or count < 8):
                 raise ValueError(f"num_gaussians entries must be ints >= 8 or null, got {count!r}")
         for speed in self.speeds:
-            if speed <= 0:
-                raise ValueError("speeds must be positive")
-        if self.frames < 2:
-            raise ValueError("frames must be >= 2 (churn metrics need a predecessor)")
+            if not (math.isfinite(speed) and speed > 0):
+                raise ValueError(f"speeds must be finite and positive, got {speed}")
+        if not _is_int(self.frames) or self.frames < 2:
+            raise ValueError(
+                f"frames must be an integer >= 2 (churn metrics need a predecessor), "
+                f"got {self.frames!r}"
+            )
         for dim in (self.capture_width, self.capture_height,
                     self.render_width, self.render_height):
-            if dim < 16:
-                raise ValueError("capture/render dimensions must be >= 16 px")
+            if not _is_int(dim) or dim < 16:
+                raise ValueError(
+                    f"capture/render dimensions must be integers >= 16 px, got {dim!r}"
+                )
 
     # ------------------------------------------------------------------
     # Grid expansion

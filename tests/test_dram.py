@@ -1,9 +1,8 @@
-"""Unit tests for the DRAM traffic/timing model."""
+"""Unit tests for the DRAM configuration the hardware models share."""
 
 import pytest
 
 from repro.hw.config import DramConfig
-from repro.hw.dram import DramModel
 
 
 class TestDramConfig:
@@ -24,49 +23,3 @@ class TestDramConfig:
         with pytest.raises(ValueError):
             DramConfig(burst_bytes=0)
 
-
-class TestDramModel:
-    def test_stream_burst_roundup(self):
-        dram = DramModel(DramConfig(burst_bytes=32))
-        charged = dram.stream(40)
-        assert charged == 64
-        assert dram.ledger.streamed_bytes == 64
-
-    def test_scatter_rounds_each_request(self):
-        dram = DramModel(DramConfig(burst_bytes=32))
-        charged = dram.scatter(num_requests=10, bytes_per_request=8)
-        assert charged == 320
-        assert dram.ledger.random_bytes == 320
-        assert dram.ledger.requests == 10
-
-    def test_scatter_costs_more_time_than_stream(self):
-        dram = DramModel(DramConfig())
-        t_stream = dram.service_time_s(streamed_bytes=10**9, random_bytes=0)
-        t_random = dram.service_time_s(streamed_bytes=0, random_bytes=10**9)
-        assert t_random > 2 * t_stream
-
-    def test_service_time_uses_ledger_by_default(self):
-        dram = DramModel(DramConfig())
-        dram.stream(51_200_000_000 // 100)
-        t = dram.service_time_s()
-        assert t == pytest.approx(0.01 / dram.config.efficiency, rel=1e-6)
-
-    def test_effective_bandwidth_mix(self):
-        dram = DramModel(DramConfig(efficiency=0.8, random_efficiency=0.4))
-        assert dram.effective_bandwidth_gbps(1.0) == pytest.approx(51.2 * 0.8)
-        assert dram.effective_bandwidth_gbps(0.0) == pytest.approx(51.2 * 0.4)
-        with pytest.raises(ValueError):
-            dram.effective_bandwidth_gbps(1.5)
-
-    def test_reset(self):
-        dram = DramModel(DramConfig())
-        dram.stream(1000)
-        dram.reset()
-        assert dram.ledger.total_bytes == 0
-
-    def test_negative_rejected(self):
-        dram = DramModel(DramConfig())
-        with pytest.raises(ValueError):
-            dram.stream(-1)
-        with pytest.raises(ValueError):
-            dram.scatter(-1, 8)

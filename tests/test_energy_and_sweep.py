@@ -87,8 +87,8 @@ class TestBandwidthSweep:
         assert "bandwidth_sweep" in list_experiments()
 
     def test_scene_case_insensitive(self):
-        # Regression for the sweep port: the old driver resolved scene case
-        # through scene_spec(); the wrapper must keep doing so.
+        # The driver resolves scene case through scene_spec() at plan time,
+        # so its cells name the registered preset.
         plan = bandwidth_sweep.plan(scene="Family", num_frames=2, bandwidths=(51.2,))
         result = execute_plan(plan)
         assert result.rows[0]["neo_fps"] > 0

@@ -18,13 +18,11 @@ from repro.cli import main
 from repro.experiments import (
     ExperimentEngine,
     ExperimentResult,
-    RunnerConfig,
     SimJob,
     execute_cells,
     execute_plan,
     experiment_descriptions,
     list_experiments,
-    runner_config,
 )
 from repro.experiments import (
     bandwidth_sweep,
@@ -60,19 +58,12 @@ class TestSimJob:
         assert a == b
         assert len({a, b}) == 1
 
-    def test_make_sorts_model_kwargs(self):
-        a = SimJob.make("neo", "family", "hd", frames=3, b=2, a=1)
-        b = SimJob.make("neo", "family", "hd", frames=3, a=1, b=2)
-        assert a == b
-        assert a.kwargs == {"a": 1, "b": 2}
-
     def test_resolved_pins_config_frames(self):
         job = SimJob("neo", "family", "hd")
-        with runner_config(RunnerConfig(frames=5)):
-            assert job.resolved().frames == 5
+        assert job.resolved(5).frames == 5
         assert job.resolved().frames == 12  # DEFAULT_FRAMES
         pinned = SimJob("neo", "family", "hd", frames=7)
-        assert pinned.resolved() is pinned
+        assert pinned.resolved(5) is pinned
 
     def test_cache_spec_requires_resolved_frames(self):
         with pytest.raises(ValueError):

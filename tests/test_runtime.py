@@ -4,14 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.experiments.runner import (
-    RunnerConfig,
-    _workload_model_cached,
-    get_workload_model,
-    resolve_frames,
-    runner_config,
-)
-from repro.hw.workload import WorkloadModel
 from repro.runtime import ResultCache, code_version, parallel_map, stable_key
 
 
@@ -39,6 +31,14 @@ class TestStableKey:
         version = code_version()
         assert len(version) == 16
         int(version, 16)  # hex
+
+    def test_code_change_invalidates_key(self, monkeypatch):
+        import repro.runtime.cache as cache_mod
+
+        payload = {"kind": "report", "system": "neo"}
+        key_now = stable_key(payload)
+        monkeypatch.setattr(cache_mod, "_code_version_cache", "deadbeefdeadbeef")
+        assert stable_key(payload) != key_now
 
 
 class TestResultCache:
@@ -245,46 +245,6 @@ class TestTenantNamespaces:
         rc = main(["cache", "info", "--cache-dir", cache_dir])
         assert rc == 0
         assert "tenants/globex/reports" in capsys.readouterr().out
-
-
-class TestRunnerConfig:
-    def test_resolve_frames_default_and_override(self):
-        assert resolve_frames(7) == 7
-        assert resolve_frames() == 12  # DEFAULT_FRAMES
-        with runner_config(RunnerConfig(frames=3)):
-            assert resolve_frames() == 3
-            assert resolve_frames(5) == 5
-        assert resolve_frames() == 12
-
-    def test_workload_model_sees_config_frames(self):
-        with runner_config(RunnerConfig(frames=3)):
-            wm = get_workload_model("horse", num_gaussians=150)
-        assert wm.num_frames == 3
-
-    def test_workload_geometry_served_from_disk(self, tmp_path, monkeypatch):
-        cache = ResultCache(tmp_path / "cache")
-        with runner_config(RunnerConfig(cache=cache)):
-            cold = get_workload_model("horse", num_frames=3, num_gaussians=151)
-        _workload_model_cached.cache_clear()
-        monkeypatch.setattr(
-            WorkloadModel,
-            "from_scene",
-            staticmethod(lambda *a, **k: pytest.fail("cache miss: re-captured workload")),
-        )
-        with runner_config(RunnerConfig(cache=cache)):
-            warm = get_workload_model("horse", num_frames=3, num_gaussians=151)
-        assert warm.num_frames == cold.num_frames
-        for a, b in zip(cold.frames, warm.frames):
-            assert np.array_equal(a.means2d, b.means2d)
-            assert np.array_equal(a.depths, b.depths)
-
-    def test_code_change_invalidates_key(self, monkeypatch):
-        import repro.runtime.cache as cache_mod
-
-        payload = {"kind": "report", "system": "neo"}
-        key_now = stable_key(payload)
-        monkeypatch.setattr(cache_mod, "_code_version_cache", "deadbeefdeadbeef")
-        assert stable_key(payload) != key_now
 
 
 class TestParallelMap:

@@ -382,6 +382,8 @@ MALFORMED_JOBS = [
     pytest.param({"frames": "many"}, id="frames-str"),
     pytest.param({"frames": 10**9}, id="frames-over-cap"),
     pytest.param({"cores": 0}, id="cores-zero"),
+    pytest.param({"kwargs": {"name": "gpu"}}, id="model-kwargs"),
+    pytest.param({"bandwith_gbps": 25.6}, id="typo-key"),
 ]
 
 

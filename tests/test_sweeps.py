@@ -87,6 +87,10 @@ class TestSpecParsing:
             ({"num_gaussians": (4,)}, "num_gaussians"),
             ({"scenes": ()}, "at least one"),
             ({"render_width": 2}, "dimensions"),
+            ({"speeds": (float("nan"),)}, "speeds"),
+            ({"speeds": (float("inf"),)}, "speeds"),
+            ({"frames": 2.5}, "frames"),
+            ({"capture_width": 240.7}, "dimensions"),
         ],
     )
     def test_validation_errors(self, overrides, message):
@@ -107,6 +111,9 @@ class TestSpecParsing:
             HardwareConfig(resolution="8k")
         with pytest.raises(ValueError, match="bandwidth"):
             HardwareConfig(bandwidth_gbps=-1.0)
+        for bandwidth in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="bandwidth"):
+                HardwareConfig(bandwidth_gbps=bandwidth)
 
     def test_invalid_json_text(self):
         with pytest.raises(ValueError, match="not valid JSON"):
