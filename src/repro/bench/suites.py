@@ -372,7 +372,7 @@ def bench_hw_system(quick: bool) -> BenchRecord:
 
 @register_bench(
     "workload_extract",
-    "row-run pair kernel + one-intersection churn vs the per-candidate scalar extraction",
+    "row-run pair kernel, bincount occupancy, ID-major merge churn vs the scalar extraction",
 )
 def bench_workload_extract(quick: bool) -> BenchRecord:
     from ..hw import reference as hw_ref
@@ -427,9 +427,8 @@ def bench_order_differences(quick: bool) -> BenchRecord:
     resolution = "qhd"
     width, height = wm._resolve(resolution)
     frames = range(1, num_frames)
-    # Prebuild both sides' inputs so the timing covers the query alone — the
-    # historical ``_pair_cache`` amortized pair building the same way the
-    # stream cache does now.
+    # Prebuild both sides' inputs so the timing covers the query alone: the
+    # scalar loop's pair lists here, the model's tile streams in its cache.
     pair_cache = {
         f: hw_ref._scalar_frame_pairs(wm, f, width, height, tile_size)
         for f in range(num_frames)

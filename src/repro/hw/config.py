@@ -32,25 +32,16 @@ class DramConfig:
     efficiency:
         Achievable fraction of peak under streaming access (row-hit
         dominated); LPDDR4 streaming efficiency is typically 0.80-0.90.
-    random_efficiency:
-        Achievable fraction under scattered access (row-miss dominated),
-        the regime the naive per-Gaussian depth refresh would hit.
-    burst_bytes:
-        Minimum transfer granularity; small requests round up to this.
     """
 
     bandwidth_gbps: float = EDGE_BANDWIDTH_GBPS
     efficiency: float = 0.85
-    random_efficiency: float = 0.30
-    burst_bytes: int = 32
 
     def __post_init__(self) -> None:
         if self.bandwidth_gbps <= 0:
             raise ValueError("bandwidth must be positive")
-        if not 0 < self.efficiency <= 1 or not 0 < self.random_efficiency <= 1:
-            raise ValueError("efficiencies must be in (0, 1]")
-        if self.burst_bytes <= 0:
-            raise ValueError("burst_bytes must be positive")
+        if not 0 < self.efficiency <= 1:
+            raise ValueError("efficiency must be in (0, 1]")
 
     def with_bandwidth(self, bandwidth_gbps: float) -> "DramConfig":
         """Copy with a different peak bandwidth (Fig. 4 sweeps)."""

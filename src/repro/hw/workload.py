@@ -16,18 +16,22 @@ radii and depths, and those re-scale analytically:
 projection only — no rasterization) and answers pair counts, occupancy,
 churn, and order-difference queries for any (resolution, tile size).
 
-Extraction is one pass per (frame, resolution, tile size), cached three
-ways — the tile stream, the (tile, ID) keys and the :class:`FrameWorkload`
-itself — so systems that share a configuration pay for it once:
+Extraction is one pass per (frame, resolution, tile size); the raw pair
+lists, their keys and the :class:`FrameWorkload` are cached, so systems
+that share a configuration pay for it once:
 
 * pairs come from :func:`repro.pipeline.tiling.pair_lists`, the same kernel
   the functional pipeline's ``assign_to_tiles`` runs.  It tests circle
   against tile on *row runs*: ``dy^2`` and ``r^2`` once per (Gaussian, tile
   row), ``dx^2`` once per (Gaussian, tile column), and only the sum and
   compare per candidate pair;
+* occupancy is one ``bincount`` of the pairs' tiles; nothing groups the
+  pairs by tile (only the Fig. 7 order differences build a tile stream);
 * churn is one intersection per frame pair.  A frame's keys are unique, so
   with ``shared`` the keys both frames hold, incoming is ``|cur| - shared``
-  and outgoing is ``|prev| - shared``.
+  and outgoing is ``|prev| - shared``.  Keys are ``ID << 32 | tile``; culled
+  IDs ascend and pairs are Gaussian-major, tiles row-major, so the keys come
+  sorted and the intersection is one linear merge.
 
 The pre-kernel expansion and the two-membership churn are frozen in
 :mod:`repro.hw.reference` (``scalar_pair_lists``,
@@ -42,10 +46,13 @@ import numpy as np
 
 from ..pipeline.culling import frustum_cull
 from ..pipeline.projection import project_gaussians
-from ..pipeline.tiling import TileStream, pair_lists
+from ..pipeline.tiling import TileGrid, TileStream, pair_lists
 from ..scene.camera import Camera, resolution as named_resolution
 from ..scene.datasets import default_trajectory, load_scene, scene_spec
 from ..scene.gaussians import GaussianScene
+
+#: The tile bits of an ``ID << 32 | tile`` pair key.
+_TILE_MASK = (1 << 32) - 1
 
 #: Capture resolution for workload extraction; small enough to be fast,
 #: large enough that tile geometry at scaled resolutions is well sampled.
@@ -156,10 +163,11 @@ class WorkloadModel:
         self.count_scale = count_scale
         self.functional_gaussians = functional_gaussians
         self.scene_name = scene_name
-        # (frame, width, height, tile_size) -> TileStream of Gaussian rows.
+        # (frame, width, height, tile_size) -> the frame's (rows, ID-major
+        # keys) pair lists.
+        self._pair_cache: dict[tuple[int, int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+        # Same key -> TileStream of Gaussian rows, for the order differences.
         self._stream_cache: dict[tuple[int, int, int, int], TileStream] = {}
-        # Same key -> the frame's (tile, ID) keys in stream order.
-        self._key_cache: dict[tuple[int, int, int, int], np.ndarray] = {}
         # Same key -> FrameWorkload, so systems sharing a configuration (GSCore
         # and Orin both tile at 16 px) extract it once.
         self._workload_cache: dict[tuple[int, int, int, int], FrameWorkload] = {}
@@ -245,25 +253,36 @@ class WorkloadModel:
         s = height / self.capture_height
         return geo.means2d * s, geo.radii * s
 
+    def _pairs(
+        self, frame: int, width: int, height: int, tile_size: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Cached ``(rows, keys)``: a frame's pairs and ``ID << 32 | tile`` keys.
+
+        Pairs are Gaussian-major, so the keys ascend as culled IDs do.
+        """
+        key = (frame, width, height, tile_size)
+        if key not in self._pair_cache:
+            means2d, radii = self.scaled_geometry(frame, (width, height))
+            tiles, rows = pair_lists(means2d, radii, width, height, tile_size)
+            keys = self.frames[frame].ids[rows] << 32 | tiles
+            self._pair_cache[key] = (rows, keys)
+        return self._pair_cache[key]
+
     def frame_stream(
         self, frame: int, resolution: str | tuple[int, int], tile_size: int
     ) -> TileStream:
         """Tile-grouped stream of Gaussian rows at the target configuration.
 
         Values index the frame's :class:`FrameGeometry` arrays; cached per
-        configuration.  This is the canonical tile-facing accessor — every
-        workload query below is a segmented program over it.
+        configuration.  Built from the cached pairs for the per-tile order
+        differences; the other queries count the raw pairs.
         """
         width, height = self._resolve(resolution)
         key = (frame, width, height, tile_size)
         if key not in self._stream_cache:
-            means2d, radii = self.scaled_geometry(frame, (width, height))
-            tiles, rows = pair_lists(means2d, radii, width, height, tile_size)
-            tiles_x = -(-width // tile_size)
-            tiles_y = -(-height // tile_size)
-            self._stream_cache[key] = TileStream.from_pairs(
-                tiles, rows, tiles_x * tiles_y
-            )
+            rows, keys = self._pairs(*key)
+            num_tiles = TileGrid(width, height, tile_size).num_tiles
+            self._stream_cache[key] = TileStream.from_pairs(keys & _TILE_MASK, rows, num_tiles)
         return self._stream_cache[key]
 
     def frame_workload(
@@ -279,13 +298,14 @@ class WorkloadModel:
     def _frame_workload(
         self, frame: int, width: int, height: int, tile_size: int
     ) -> FrameWorkload:
-        stream = self.frame_stream(frame, (width, height), tile_size)
+        _, keys = self._pairs(frame, width, height, tile_size)
+        tiles = keys & _TILE_MASK
         geo = self.frames[frame]
-        num_tiles = stream.num_tiles
+        num_tiles = TileGrid(width, height, tile_size).num_tiles
 
-        occupancy = stream.counts()
+        occupancy = np.bincount(tiles, minlength=num_tiles)
         nonempty = int(np.count_nonzero(occupancy))
-        pairs_f = stream.num_pairs
+        pairs_f = tiles.shape[0]
 
         incoming_f, outgoing_f = self._churn_counts(frame, (width, height), tile_size)
 
@@ -329,18 +349,9 @@ class WorkloadModel:
     def _pair_keys(
         self, frame: int, resolution: tuple[int, int], tile_size: int
     ) -> np.ndarray:
-        """Unique (tile, global-ID) keys for a frame's pairs (stream order), cached.
-
-        Stream order is tile-major, and projection keeps IDs ascending, so the
-        keys usually come out sorted already — which the sorts below exploit.
-        """
-        width, height = self._resolve(resolution)
-        key = (frame, width, height, tile_size)
-        if key not in self._key_cache:
-            stream = self.frame_stream(frame, (width, height), tile_size)
-            ids = self.frames[frame].ids[stream.values]
-            self._key_cache[key] = stream.tile_of() * (1 << 32) + ids
-        return self._key_cache[key]
+        """Unique ``tile << 32 | ID`` keys of a frame's pairs, in pair order."""
+        _, keys = self._pairs(frame, *self._resolve(resolution), tile_size)
+        return keys << 32 | keys >> 32
 
     def _churn_counts(
         self, frame: int, resolution: tuple[int, int], tile_size: int
@@ -353,8 +364,9 @@ class WorkloadModel:
         """
         if frame == 0:
             return 0, 0
-        cur = self._pair_keys(frame, resolution, tile_size)
-        prev = self._pair_keys(frame - 1, resolution, tile_size)
+        width, height = self._resolve(resolution)
+        _, cur = self._pairs(frame, width, height, tile_size)
+        _, prev = self._pairs(frame - 1, width, height, tile_size)
         shared = _shared_count(cur, prev)
         return cur.shape[0] - shared, prev.shape[0] - shared
 
@@ -363,26 +375,23 @@ class WorkloadModel:
     ) -> np.ndarray:
         """Per-tile share of the previous frame's Gaussians retained (Fig. 6).
 
-        Only tiles nonempty in the previous frame are reported.
+        Only tiles nonempty in the previous frame are reported, in tile order.
         """
         if frame == 0:
             raise ValueError("frame 0 has no predecessor")
         width, height = self._resolve(resolution)
-        prev_stream = self.frame_stream(frame - 1, (width, height), tile_size)
-        prev_keys = self._pair_keys(frame - 1, (width, height), tile_size)
-        cur_keys = self._pair_keys(frame, (width, height), tile_size)
-        retained = _membership(prev_keys, np.sort(cur_keys, kind="stable"))
+        _, prev_keys = self._pairs(frame - 1, width, height, tile_size)
+        _, cur_keys = self._pairs(frame, width, height, tile_size)
+        prev_tiles = prev_keys & _TILE_MASK
+        # Both key arrays are sorted runs, so the isin merge is linear.
+        retained = np.isin(prev_keys, cur_keys, assume_unique=True)
 
         # Retained counts are exact 0/1 sums, so the per-tile sum/size
-        # division reproduces the historical per-tile ``mean()`` bit-for-bit;
-        # the stream's nonempty tiles are exactly ``np.unique``'s sorted
-        # output over the old pair list.
-        counts = prev_stream.counts()
+        # division reproduces the historical per-tile ``mean()`` bit-for-bit.
+        counts = np.bincount(prev_tiles)
+        kept = np.bincount(prev_tiles, weights=retained)
         nonempty = counts > 0
-        kept = np.add.reduceat(
-            retained.astype(np.float64), prev_stream.offsets[:-1][nonempty]
-        ) if np.any(nonempty) else np.empty(0)
-        return kept / counts[nonempty]
+        return kept[nonempty] / counts[nonempty]
 
     def order_differences(
         self, frame: int, resolution: str | tuple[int, int], tile_size: int
@@ -449,21 +458,12 @@ class WorkloadModel:
         return np.abs(pct_cur - pct_prev) * nominal_occ
 
 
-def _membership(keys: np.ndarray, table_sorted: np.ndarray) -> np.ndarray:
-    """Boolean membership of ``keys`` in a pre-sorted key table."""
-    if table_sorted.shape[0] == 0:
-        return np.zeros(keys.shape[0], dtype=bool)
-    pos = np.searchsorted(table_sorted, keys)
-    safe = np.minimum(pos, table_sorted.shape[0] - 1)
-    return table_sorted[safe] == keys
-
-
 def _shared_count(a: np.ndarray, b: np.ndarray) -> int:
     """Keys common to two arrays of unique keys.
 
     A shared key is the only way two neighbours of the merged, sorted keys
     can be equal.  The stable sort is a timsort, so when both inputs are
-    sorted runs it is one linear merge.
+    sorted runs, as ID-major pair keys are, it is one linear merge.
     """
     both = np.concatenate([a, b])
     both.sort(kind="stable")

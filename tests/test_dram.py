@@ -20,6 +20,4 @@ class TestDramConfig:
             DramConfig(efficiency=0.0)
         with pytest.raises(ValueError):
             DramConfig(efficiency=1.5)
-        with pytest.raises(ValueError):
-            DramConfig(burst_bytes=0)
 

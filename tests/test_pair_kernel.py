@@ -172,3 +172,40 @@ class TestSharedCount:
             rng = np.random.default_rng(len(a) * 61 + len(b))
             a, b = rng.permutation(a), rng.permutation(b)
         assert _shared_count(a, b) == np.intersect1d(a, b).shape[0]
+
+
+class TestIdMajorKeys:
+    @pytest.mark.parametrize("scene", ["family", "train", "playground"])
+    @pytest.mark.parametrize("speed", [1.0, 4.0])
+    def test_strictly_ascending_on_captured_frames(self, scene, speed):
+        wm = WorkloadModel.from_scene(scene, num_frames=3, speed=speed, num_gaussians=1200)
+        for resolution in ("hd", "fhd", "qhd"):
+            width, height = wm._resolve(resolution)
+            for tile_size in (8, 16, 64):
+                for frame in range(wm.num_frames):
+                    means2d, radii = wm.scaled_geometry(frame, resolution)
+                    tiles, rows = pair_lists(means2d, radii, width, height, tile_size)
+                    cached_rows, keys = wm._pairs(frame, width, height, tile_size)
+                    assert keys.shape[0] > 0
+                    assert np.all(keys[1:] > keys[:-1])
+                    np.testing.assert_array_equal(cached_rows, rows)
+                    np.testing.assert_array_equal(keys & 0xFFFFFFFF, tiles)
+                    np.testing.assert_array_equal(keys >> 32, wm.frames[frame].ids[rows])
+
+
+class TestNoTileGrouping:
+    def test_workloads_and_shared_fraction_skip_the_stream(self, monkeypatch):
+        wm = WorkloadModel.from_scene("family", num_frames=3, num_gaussians=900)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("workload extraction grouped pairs by tile")
+
+        monkeypatch.setattr(TileStream, "from_pairs", refuse)
+        for resolution, tile_size in CONFIGS:
+            got = wm.sequence_workloads(resolution, tile_size)
+            assert got == hw_ref.scalar_sequence_workloads(wm, resolution, tile_size)
+            for frame in range(1, wm.num_frames):
+                np.testing.assert_array_equal(
+                    wm.shared_fraction_per_tile(frame, resolution, tile_size),
+                    hw_ref.scalar_shared_fraction_per_tile(wm, frame, resolution, tile_size),
+                )
