@@ -106,12 +106,13 @@ def _raster_results_equal(got, want) -> bool:
 
 @register_bench(
     "raster",
-    "bucketed whole-frame rasterizer vs the scalar per-Gaussian blending loop",
+    "level-major whole-frame rasterizer vs the scalar per-Gaussian blending loop",
 )
 def bench_raster(quick: bool) -> BenchRecord:
-    # Same size in both modes: bucketing amortizes per-bucket launch
-    # overhead, so a shrunken quick frame (fewer, emptier tiles) would sit
-    # far from the committed full-mode ratio and trip the CI trend gate.
+    # Same size in both modes: each level step and chunk pays a fixed
+    # launch cost shared by every tile it covers, so a shrunken quick frame
+    # (fewer, emptier tiles) would sit far from the committed full-mode
+    # ratio and trip the CI trend gate.
     gaussians, frames_n, w, h = 6000, 2, 480, 270
     repeats = 3 if quick else 5
     scene = load_scene(BENCH_SCENE, num_gaussians=gaussians)

@@ -368,14 +368,12 @@ class ReuseUpdateSorter:
         for tile, bits in raster.valid_bits.items():
             if tile < len(offsets) - 1 and bits.shape[0] == offsets[tile + 1] - offsets[tile]:
                 survived[offsets[tile] : offsets[tile + 1]] = bits
-        rendered = (
-            sorted_tiles.stream.with_values(sorted_tiles.ids)
-            .compress(survived)
-            .resized(table.num_tiles)
-        )
-        survivors = table.stream.segment_intersect(table.ids, rendered, rendered.values)
+        # The render list is the merged table with unprojected entries
+        # skipped, so rendered pair j *is* the j-th found table entry.
+        merged_pairs = table.stream.offsets[sorted_tiles.stream.num_tiles]
+        rendered_at = np.flatnonzero(self._rows[:merged_pairs] >= 0)
         valid = np.zeros(len(table), dtype=bool)
-        valid[survivors.self_indices] = True
+        valid[rendered_at[survived]] = True
 
         # Deferred depth update: rasterization fetched every rendered
         # Gaussian's features, so refreshed depths are free (traffic-wise).

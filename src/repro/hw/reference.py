@@ -308,7 +308,7 @@ def scalar_simulate(
 # Workload temporal-similarity pins
 # ----------------------------------------------------------------------
 # Frozen scalar implementations of the WorkloadModel similarity queries
-# (``_pair_keys`` / ``_churn_counts`` / ``shared_fraction_per_tile`` /
+# (pair keys / ``_churn_counts`` / ``shared_fraction_per_tile`` /
 # ``order_differences``) exactly as they existed before the tile-stream
 # segmented rewrite.  They rebuild the per-Gaussian pair lists directly from
 # the frozen ``scalar_pair_lists`` on the model's scaled geometry, so they

@@ -346,13 +346,6 @@ class WorkloadModel:
     # ------------------------------------------------------------------
     # Temporal similarity (Figs. 6-7)
     # ------------------------------------------------------------------
-    def _pair_keys(
-        self, frame: int, resolution: tuple[int, int], tile_size: int
-    ) -> np.ndarray:
-        """Unique ``tile << 32 | ID`` keys of a frame's pairs, in pair order."""
-        _, keys = self._pairs(frame, *self._resolve(resolution), tile_size)
-        return keys << 32 | keys >> 32
-
     def _churn_counts(
         self, frame: int, resolution: tuple[int, int], tile_size: int
     ) -> tuple[int, int]:

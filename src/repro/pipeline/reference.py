@@ -10,7 +10,7 @@ vectorized cores landed.  It mirrors :mod:`repro.hw.reference` and exists
 for two callers only:
 
 * the **golden equivalence tests** (``tests/test_raster_reference.py``),
-  which assert that the bucketed rasterizer, the batched tile sort, and
+  which assert that the level-major rasterizer, the batched tile sort, and
   the vectorized rank metric are *bit-identical* to these scalar loops —
   images, ``valid_bits``, and every :class:`RasterStats` counter;
 * the **benchmark subsystem** (``repro bench`` and the CI smoke job),

@@ -77,7 +77,7 @@ class FrameStats:
     blend_ops / subtile_tests / subtile_hits / gaussians_processed:
         Rasterization counters (see :class:`RasterStats`); ``blend_ops``
         is the bbox pixels the scalar loop evaluates (the hardware model's
-        workload), not the alpha evaluations the bucketed core performs.
+        workload), not the alpha evaluations the level-major core performs.
     """
 
     frame_index: int

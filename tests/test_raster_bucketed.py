@@ -1,10 +1,11 @@
-"""Randomized property suite: bucketed whole-frame rasterization vs the pin.
+"""Randomized property suite: whole-frame rasterization vs the pin.
 
-The occupancy-bucketed :func:`repro.pipeline.rasterizer.rasterize` must be
+The level-major :func:`repro.pipeline.rasterizer.rasterize` must be
 bit-identical to the frozen scalar reference — images, ``valid_bits``, and
 every :class:`RasterStats` counter — across tile sizes, subtile sizes,
 skewed occupancy distributions (one mega-tile among near-empty ones),
-all-empty frames, single-pixel tiles, and forced mid-stack termination.
+all-empty frames, single-pixel tiles, forced mid-stack termination, and
+chunk budgets small enough to split every level across chunks.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from repro.pipeline import reference as ref
 from repro.pipeline.projection import ProjectedGaussians
+from repro.pipeline import rasterizer
 from repro.pipeline.rasterizer import rasterize
 from repro.pipeline.sorting import sort_tiles
 from repro.pipeline.tiling import TileGrid, assign_to_tiles
@@ -77,9 +79,9 @@ class TestBucketedRandomized:
                 _compare(proj, grid, subtile_size=subtile, termination=termination)
 
     def test_skewed_occupancy_mega_tile(self):
-        # One tile loaded with a deep stack, the rest nearly empty: the
-        # mega-tile lands in its own occupancy bucket, the near-empty tiles
-        # in shallow ones — every combination must match the pin.
+        # One tile loaded with a deep stack, the rest nearly empty: most
+        # levels hold the mega-tile alone, the first few every tile — every
+        # combination must match the pin.
         rng = np.random.default_rng(42)
         heavy_n, light_n = 160, 24
         heavy = rng.uniform((17.0, 17.0), (30.0, 30.0), size=(heavy_n, 2))
@@ -124,7 +126,7 @@ class TestBucketedRandomized:
     def test_forced_mid_stack_termination(self, tile_size):
         # Deep stacks of near-opaque splats with an aggressive termination
         # threshold: tiles must stop partway down the stack, and the
-        # bucketed stop selection must reproduce the scalar loop's exact
+        # level-major stop selection must reproduce the scalar loop's exact
         # early-termination point and stats.  The frame is 3x3 tiles with
         # the stack centred on the middle one, scaled with the tile size.
         rng = np.random.default_rng(23)
@@ -143,3 +145,89 @@ class TestBucketedRandomized:
         assert got.stats.early_terminated_tiles > 0
         # Termination must have cut the work short of the full stack.
         assert got.stats.gaussians_processed < n * grid.num_tiles
+
+
+def _stack_frame(rng, tile_size, n=48, trim=0):
+    """Deep stack of near-opaque splats over the middle tile of 3x3 tiles.
+
+    ``trim`` shaves pixels off the right and bottom edges, so the frame is
+    not a tile multiple.
+    """
+    scale = tile_size / 16.0
+    proj = _projection(
+        rng,
+        means2d=np.tile([[24.0, 24.0]], (n, 1)) * scale
+        + rng.uniform(-3, 3, size=(n, 2)) * scale,
+        radii=np.full(n, 20.0 * scale),
+        opacities=np.full(n, 0.99),
+        depths=np.arange(1, n + 1, dtype=np.float64),
+    )
+    edge = 3 * tile_size - trim
+    return proj, TileGrid(width=edge, height=edge, tile_size=tile_size)
+
+
+class TestChunkBoundaries:
+    """Tiny chunk budgets: levels split across chunks, T carries between them.
+
+    A budget of 1 makes every member (a valid pair with a nonempty bbox)
+    its own chunk; 97 bbox pixels packs a few members per chunk, so chunk
+    boundaries also fall inside levels and terminations roll back inside a
+    chunk shared with other tiles.
+    """
+
+    @pytest.fixture
+    def chunk_sizes(self, monkeypatch):
+        """Members per ``_blend_chunk`` call, recorded as the frame blends."""
+        sizes = []
+        blend = rasterizer._blend_chunk
+
+        def spy(framebuffer, projected, rows, *args):
+            sizes.append(rows.shape[0])
+            return blend(framebuffer, projected, rows, *args)
+
+        monkeypatch.setattr(rasterizer, "_blend_chunk", spy)
+        return sizes
+
+    @pytest.mark.parametrize("budget", [1, 97])
+    @pytest.mark.parametrize("tile_size", [8, 16, 64])
+    @pytest.mark.parametrize("subtile", [8, None])
+    def test_random_frames_bitwise_identical(
+        self, monkeypatch, chunk_sizes, budget, tile_size, subtile
+    ):
+        monkeypatch.setattr(rasterizer, "_CHUNK_BBOX_PIXELS", budget)
+        rng = np.random.default_rng(7000 + 10 * tile_size + budget + (subtile or 0))
+        # 100x70 is a multiple of none of the tile sizes: edge tiles on
+        # the right and bottom.
+        proj = _random_frame(rng, 60, width=100, height=70)
+        grid = TileGrid(width=100, height=70, tile_size=tile_size)
+        for termination in (1e-4, 0.5):
+            _compare(
+                proj, grid, subtile_size=subtile, termination=termination,
+                background=(0.2, 0.4, 0.6),
+            )
+        assert len(chunk_sizes) > 2
+        if budget == 1:
+            assert set(chunk_sizes) == {1}
+
+    @pytest.mark.parametrize("one_member", [True, False])
+    @pytest.mark.parametrize("tile_size", [8, 16, 64])
+    def test_forced_termination(self, monkeypatch, chunk_sizes, one_member, tile_size):
+        # One member per chunk: a tile's last crossing ends its chunk, so
+        # its stop lands on the first level of a later chunk and the tile's
+        # remaining members must be skipped, not blended.  Eight tiles'
+        # worth of bbox pixels per chunk: the stop lands inside the chunk
+        # and the tile's later pixels are rolled back there.
+        budget = 1 if one_member else 8 * tile_size**2
+        monkeypatch.setattr(rasterizer, "_CHUNK_BBOX_PIXELS", budget)
+        rng = np.random.default_rng(23 + tile_size)
+        proj, grid = _stack_frame(rng, tile_size, trim=3)
+        full = _compare(proj, grid, termination=0.0)
+        blended = sum(chunk_sizes)
+        assert (max(chunk_sizes) == 1) == one_member
+        chunk_sizes.clear()
+        # A background shows each terminated pixel's final transmittance.
+        got = _compare(proj, grid, termination=0.5, background=(0.2, 0.4, 0.6))
+        assert full.stats.early_terminated_tiles == 0
+        assert got.stats.early_terminated_tiles > 0
+        assert got.stats.gaussians_processed < full.stats.gaussians_processed
+        assert sum(chunk_sizes) < blended

@@ -1,6 +1,6 @@
 """Golden tests: vectorized pipeline hot paths vs the frozen scalar reference.
 
-The bucketed rasterizer, the batched tile sort, and the vectorized order
+The level-major rasterizer, the batched tile sort, and the vectorized order
 metrics must be *bit-identical* to :mod:`repro.pipeline.reference` — images,
 ``valid_bits``, and every :class:`RasterStats` counter — across tile sizes,
 subtile sizes, and termination settings.
@@ -249,7 +249,8 @@ class TestWorkloadVectorizedQueries:
             for tile_size in (16, 64):
                 prev = model.frame_stream(frame - 1, "hd", tile_size)
                 tiles, rows = prev.tile_of(), prev.values
-                cur_keys = model._pair_keys(frame, model._resolve("hd"), tile_size)
+                _, keys = model._pairs(frame, *model._resolve("hd"), tile_size)
+                cur_keys = keys << 32 | keys >> 32  # ID-major -> tile-major
                 prev_ids = model.frames[frame - 1].ids[rows]
                 prev_keys = tiles.astype(np.int64) * (1 << 32) + prev_ids
                 retained = np.isin(prev_keys, cur_keys)

@@ -1,6 +1,6 @@
-"""Row significance spans of the bucketed raster core.
+"""Row significance spans of the level-major raster core.
 
-The bucketed rasterizer evaluates alpha only inside each (splat, bbox row)'s
+The rasterizer evaluates alpha only inside each (splat, bbox row)'s
 significance span (:func:`repro.pipeline.rasterizer._row_spans`).  That is
 exact only if every pixel the frozen scalar formula calls significant lies
 inside its span.  These properties check that containment on random splats
@@ -226,7 +226,7 @@ class TestRasterWork:
         assert 0 < work.significant <= work.span_pixels <= work.bbox_pixels
         assert work.span_pixels < work.bbox_pixels
         assert work.bbox_pixels == result.stats.blend_ops
-        assert work.stack_elements >= work.significant
+        assert 0 < work.levels <= sorted_tiles.stream.counts().max()
 
     def test_work_is_not_part_of_the_compared_stats(self):
         proj = _scene(np.random.default_rng(3), 40, 96, 80, degenerate=False)

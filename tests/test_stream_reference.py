@@ -39,9 +39,10 @@ class TestWorkloadQueries:
                 workload_model, frame, resolution, tile_size
             )
             width, height = workload_model._resolve(resolution)
-            stream_keys = workload_model._pair_keys(frame, (width, height), tile_size)
-            # The stream groups pairs by tile; the key *set* is unchanged.
-            np.testing.assert_array_equal(np.sort(stream_keys), np.sort(scalar))
+            _, keys = workload_model._pairs(frame, width, height, tile_size)
+            # Cached keys are ID-major; the tile-major key *set* is unchanged.
+            tile_major = keys << 32 | keys >> 32
+            np.testing.assert_array_equal(np.sort(tile_major), np.sort(scalar))
 
     @pytest.mark.parametrize("resolution,tile_size", CONFIGS)
     def test_churn_counts_match(self, workload_model, resolution, tile_size):
