@@ -373,11 +373,13 @@ def bench_hw_system(quick: bool) -> BenchRecord:
 
 @register_bench(
     "workload_extract",
-    "row-run pair kernel, bincount occupancy, ID-major merge churn vs the scalar extraction",
+    "exact per-row tile intervals, difference-array occupancy, run-overlap churn "
+    "vs the scalar extraction",
 )
 def bench_workload_extract(quick: bool) -> BenchRecord:
     from ..hw import reference as hw_ref
     from ..hw.workload import WorkloadModel
+    from ..pipeline.tiling import _tile_bounds, row_intervals
 
     # The workload of one cold ``simulate`` figure batch; quick keeps it so
     # the trend gate compares like with like, and only times fewer repeats.
@@ -404,6 +406,20 @@ def bench_workload_extract(quick: bool) -> BenchRecord:
         repeats,
     )
     opt_s, opt_out = _best_of(extract_cold, repeats)
+
+    # Work counters: the kept runs and pairs the extraction counts, against
+    # the bbox candidates a per-candidate kernel tests one by one.
+    work = {"runs": 0, "pairs": 0, "candidates": 0}
+    for res, tile in configs:
+        width, height = captured._resolve(res)
+        for frame in range(num_frames):
+            geometry = (*captured.scaled_geometry(frame, res), width, height, tile)
+            runs = row_intervals(*geometry)
+            work["runs"] += runs.rows.shape[0]
+            work["pairs"] += int(runs.counts().sum())
+            tx0, tx1, ty0, ty1 = _tile_bounds(*geometry)
+            nx, ny = np.maximum(tx1 - tx0 + 1, 0), np.maximum(ty1 - ty0 + 1, 0)
+            work["candidates"] += int((nx * ny).sum())
     return BenchRecord(
         quick=quick,
         baseline_ms=base_s * 1e3,
@@ -411,7 +427,7 @@ def bench_workload_extract(quick: bool) -> BenchRecord:
         speedup=base_s / opt_s if opt_s else float("inf"),
         floor=1.5,
         identical=opt_out == base_out,
-        detail={"frames": num_frames, "configs": [list(c) for c in configs]},
+        detail={"frames": num_frames, "configs": [list(c) for c in configs], **work},
     )
 
 

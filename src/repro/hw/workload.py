@@ -16,24 +16,29 @@ radii and depths, and those re-scale analytically:
 projection only — no rasterization) and answers pair counts, occupancy,
 churn, and order-difference queries for any (resolution, tile size).
 
-Extraction is one pass per (frame, resolution, tile size); the raw pair
-lists, their keys and the :class:`FrameWorkload` are cached, so systems
-that share a configuration pay for it once:
+Extraction is one pass per (frame, resolution, tile size).  Nothing is
+counted pair by pair: the cached unit is a frame's *runs*, the exact kept
+tile-column interval ``[lo, hi]`` of every (Gaussian, tile row) from
+:func:`repro.pipeline.tiling.row_intervals`, the same kernel whose
+expansion the functional pipeline's ``assign_to_tiles`` runs.  Runs are
+keyed ``ID << 32 | tile row``; culled IDs ascend and runs are
+Gaussian-major with tile rows ascending, so the keys come sorted.  Runs
+and each :class:`FrameWorkload` are cached per configuration, so systems
+that share one (GSCore and Orin both tile at 16 px) pay for it once.  From
+the runs:
 
-* pairs come from :func:`repro.pipeline.tiling.pair_lists`, the same kernel
-  the functional pipeline's ``assign_to_tiles`` runs.  It tests circle
-  against tile on *row runs*: ``dy^2`` and ``r^2`` once per (Gaussian, tile
-  row), ``dx^2`` once per (Gaussian, tile column), and only the sum and
-  compare per candidate pair;
-* occupancy is one ``bincount`` of the pairs' tiles; nothing groups the
-  pairs by tile (only the Fig. 7 order differences build a tile stream);
-* churn is one intersection per frame pair.  A frame's keys are unique, so
-  with ``shared`` the keys both frames hold, incoming is ``|cur| - shared``
-  and outgoing is ``|prev| - shared``.  Keys are ``ID << 32 | tile``; culled
-  IDs ascend and pairs are Gaussian-major, tiles row-major, so the keys come
-  sorted and the intersection is one linear merge.
+* pairs are ``sum(hi - lo + 1)``;
+* occupancy is one difference array per tile row (``+1`` at ``lo``, ``-1``
+  past ``hi``) and one ``cumsum``;
+* churn overlaps the two frames' matched runs.  One ``searchsorted`` finds
+  each run's partner with the same key, and the overlap of their intervals
+  is the ``shared`` pairs, so incoming is ``|cur| - shared`` and outgoing
+  is ``|prev| - shared``;
+* Fig. 6's per-tile retained counts are the same overlaps, counted per tile
+  with a difference array.
 
-The pre-kernel expansion and the two-membership churn are frozen in
+Only the Fig. 7 order differences expand runs into pairs and group them by
+tile.  The pre-kernel expansion and the two-membership churn are frozen in
 :mod:`repro.hw.reference` (``scalar_pair_lists``,
 ``scalar_frame_workload``) and pinned bit for bit.
 """
@@ -46,13 +51,13 @@ import numpy as np
 
 from ..pipeline.culling import frustum_cull
 from ..pipeline.projection import project_gaussians
-from ..pipeline.tiling import TileGrid, TileStream, pair_lists
+from ..pipeline.tiling import TileGrid, TileStream, pair_lists, row_intervals
 from ..scene.camera import Camera, resolution as named_resolution
 from ..scene.datasets import default_trajectory, load_scene, scene_spec
 from ..scene.gaussians import GaussianScene
 
-#: The tile bits of an ``ID << 32 | tile`` pair key.
-_TILE_MASK = (1 << 32) - 1
+#: The low half of an ``ID << 32 | tile`` pair key or ``ID << 32 | tile row`` run key.
+_LOW_MASK = (1 << 32) - 1
 
 #: Capture resolution for workload extraction; small enough to be fast,
 #: large enough that tile geometry at scaled resolutions is well sampled.
@@ -163,9 +168,8 @@ class WorkloadModel:
         self.count_scale = count_scale
         self.functional_gaussians = functional_gaussians
         self.scene_name = scene_name
-        # (frame, width, height, tile_size) -> the frame's (rows, ID-major
-        # keys) pair lists.
-        self._pair_cache: dict[tuple[int, int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+        # (frame, width, height, tile_size) -> the frame's kept-column runs.
+        self._run_cache: dict[tuple[int, int, int, int], _Runs] = {}
         # Same key -> TileStream of Gaussian rows, for the order differences.
         self._stream_cache: dict[tuple[int, int, int, int], TileStream] = {}
         # Same key -> FrameWorkload, so systems sharing a configuration (GSCore
@@ -256,17 +260,31 @@ class WorkloadModel:
     def _pairs(
         self, frame: int, width: int, height: int, tile_size: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Cached ``(rows, keys)``: a frame's pairs and ``ID << 32 | tile`` keys.
+        """``(rows, keys)``: a frame's pairs and their ``ID << 32 | tile`` keys.
 
-        Pairs are Gaussian-major, so the keys ascend as culled IDs do.
+        Pairs are Gaussian-major, so the keys ascend as culled IDs do.  Only
+        :meth:`frame_stream` expands pairs; the counts read :meth:`_runs`.
+        """
+        means2d, radii = self.scaled_geometry(frame, (width, height))
+        tiles, rows = pair_lists(means2d, radii, width, height, tile_size)
+        return rows, self.frames[frame].ids[rows] << 32 | tiles
+
+    def _runs(self, frame: int, width: int, height: int, tile_size: int) -> _Runs:
+        """Cached kept-column runs of a frame, keyed ``ID << 32 | tile row``.
+
+        Runs are Gaussian-major with tile rows ascending, and culled IDs
+        ascend, so the keys come strictly ascending.
         """
         key = (frame, width, height, tile_size)
-        if key not in self._pair_cache:
+        if key not in self._run_cache:
             means2d, radii = self.scaled_geometry(frame, (width, height))
-            tiles, rows = pair_lists(means2d, radii, width, height, tile_size)
-            keys = self.frames[frame].ids[rows] << 32 | tiles
-            self._pair_cache[key] = (rows, keys)
-        return self._pair_cache[key]
+            runs = row_intervals(means2d, radii, width, height, tile_size)
+            self._run_cache[key] = _Runs(
+                keys=self.frames[frame].ids[runs.rows] << 32 | runs.tile_rows,
+                lo=runs.lo,
+                hi=runs.hi,
+            )
+        return self._run_cache[key]
 
     def frame_stream(
         self, frame: int, resolution: str | tuple[int, int], tile_size: int
@@ -274,15 +292,15 @@ class WorkloadModel:
         """Tile-grouped stream of Gaussian rows at the target configuration.
 
         Values index the frame's :class:`FrameGeometry` arrays; cached per
-        configuration.  Built from the cached pairs for the per-tile order
-        differences; the other queries count the raw pairs.
+        configuration.  Only the per-tile order differences need pairs
+        grouped by tile; the other queries count runs.
         """
         width, height = self._resolve(resolution)
         key = (frame, width, height, tile_size)
         if key not in self._stream_cache:
             rows, keys = self._pairs(*key)
             num_tiles = TileGrid(width, height, tile_size).num_tiles
-            self._stream_cache[key] = TileStream.from_pairs(keys & _TILE_MASK, rows, num_tiles)
+            self._stream_cache[key] = TileStream.from_pairs(keys & _LOW_MASK, rows, num_tiles)
         return self._stream_cache[key]
 
     def frame_workload(
@@ -298,14 +316,14 @@ class WorkloadModel:
     def _frame_workload(
         self, frame: int, width: int, height: int, tile_size: int
     ) -> FrameWorkload:
-        _, keys = self._pairs(frame, width, height, tile_size)
-        tiles = keys & _TILE_MASK
+        runs = self._runs(frame, width, height, tile_size)
         geo = self.frames[frame]
-        num_tiles = TileGrid(width, height, tile_size).num_tiles
+        grid = TileGrid(width, height, tile_size)
+        num_tiles = grid.num_tiles
 
-        occupancy = np.bincount(tiles, minlength=num_tiles)
+        occupancy = runs.tile_counts(grid)
         nonempty = int(np.count_nonzero(occupancy))
-        pairs_f = tiles.shape[0]
+        pairs_f = runs.num_pairs
 
         incoming_f, outgoing_f = self._churn_counts(frame, (width, height), tile_size)
 
@@ -351,17 +369,17 @@ class WorkloadModel:
     ) -> tuple[int, int]:
         """(incoming, outgoing) pair counts vs. the previous frame.
 
-        Each frame's keys are unique, so one intersection gives both: the
-        ``shared`` pairs are the current frame's retained pairs and the
-        previous frame's surviving ones.
+        The overlaps of the two frames' matched runs are the ``shared``
+        pairs: the current frame's retained pairs and the previous frame's
+        surviving ones.
         """
         if frame == 0:
             return 0, 0
         width, height = self._resolve(resolution)
-        _, cur = self._pairs(frame, width, height, tile_size)
-        _, prev = self._pairs(frame - 1, width, height, tile_size)
-        shared = _shared_count(cur, prev)
-        return cur.shape[0] - shared, prev.shape[0] - shared
+        cur = self._runs(frame, width, height, tile_size)
+        prev = self._runs(frame - 1, width, height, tile_size)
+        shared = prev.overlap(cur).num_pairs
+        return cur.num_pairs - shared, prev.num_pairs - shared
 
     def shared_fraction_per_tile(
         self, frame: int, resolution: str | tuple[int, int], tile_size: int
@@ -373,16 +391,13 @@ class WorkloadModel:
         if frame == 0:
             raise ValueError("frame 0 has no predecessor")
         width, height = self._resolve(resolution)
-        _, prev_keys = self._pairs(frame - 1, width, height, tile_size)
-        _, cur_keys = self._pairs(frame, width, height, tile_size)
-        prev_tiles = prev_keys & _TILE_MASK
-        # Both key arrays are sorted runs, so the isin merge is linear.
-        retained = np.isin(prev_keys, cur_keys, assume_unique=True)
-
-        # Retained counts are exact 0/1 sums, so the per-tile sum/size
-        # division reproduces the historical per-tile ``mean()`` bit-for-bit.
-        counts = np.bincount(prev_tiles)
-        kept = np.bincount(prev_tiles, weights=retained)
+        grid = TileGrid(width, height, tile_size)
+        prev = self._runs(frame - 1, width, height, tile_size)
+        cur = self._runs(frame, width, height, tile_size)
+        counts = prev.tile_counts(grid)
+        kept = prev.overlap(cur).tile_counts(grid)
+        # Both counts are exact integers, so the per-tile division reproduces
+        # the historical per-tile ``mean()`` bit for bit.
         nonempty = counts > 0
         return kept[nonempty] / counts[nonempty]
 
@@ -451,16 +466,49 @@ class WorkloadModel:
         return np.abs(pct_cur - pct_prev) * nominal_occ
 
 
-def _shared_count(a: np.ndarray, b: np.ndarray) -> int:
-    """Keys common to two arrays of unique keys.
+@dataclass(frozen=True)
+class _Runs:
+    """A frame's kept-column runs (see :func:`repro.pipeline.tiling.row_intervals`).
 
-    A shared key is the only way two neighbours of the merged, sorted keys
-    can be equal.  The stable sort is a timsort, so when both inputs are
-    sorted runs, as ID-major pair keys are, it is one linear merge.
+    Run ``k`` keeps tile columns ``lo[k]..hi[k]`` of one Gaussian's tile row;
+    ``keys[k]`` is that Gaussian's ``ID << 32 | tile row``, strictly
+    ascending.
     """
-    both = np.concatenate([a, b])
-    both.sort(kind="stable")
-    return int(np.count_nonzero(both[1:] == both[:-1]))
+
+    keys: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    @property
+    def num_pairs(self) -> int:
+        """Kept tile-Gaussian pairs."""
+        return int((self.hi - self.lo).sum()) + self.keys.shape[0]
+
+    def tile_counts(self, grid: TileGrid) -> np.ndarray:
+        """Pairs per tile: one difference array per tile row, one ``cumsum``."""
+        stride = grid.tiles_x + 1
+        size = grid.tiles_y * stride
+        base = (self.keys & _LOW_MASK) * stride
+        diff = np.bincount(base + self.lo, minlength=size)
+        diff -= np.bincount(base + self.hi + 1, minlength=size)
+        return np.cumsum(diff.reshape(grid.tiles_y, stride), axis=1)[:, :-1].ravel()
+
+    def overlap(self, other: "_Runs") -> "_Runs":
+        """The pairs held by both frames, as runs keyed like ``self``'s.
+
+        A pair is shared iff its Gaussian's run in the same tile row exists
+        in both frames and both intervals hold its column.  Both key arrays
+        are sorted, so one ``searchsorted`` matches the runs.
+        """
+        if not other.keys.shape[0]:
+            return _Runs(self.keys[:0], self.lo[:0], self.hi[:0])
+        pos = np.minimum(np.searchsorted(other.keys, self.keys), other.keys.shape[0] - 1)
+        mine = np.flatnonzero(other.keys[pos] == self.keys)
+        theirs = pos[mine]
+        lo = np.maximum(self.lo[mine], other.lo[theirs])
+        hi = np.minimum(self.hi[mine], other.hi[theirs])
+        both = lo <= hi
+        return _Runs(self.keys[mine][both], lo[both], hi[both])
 
 
 def _segmented_ecdf(

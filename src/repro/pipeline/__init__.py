@@ -43,6 +43,7 @@ from .tiling import (
     TileGrid,
     assign_to_tiles,
     pair_lists,
+    row_intervals,
     tile_ranges,
 )
 
@@ -81,6 +82,7 @@ __all__ = [
     "pair_lists",
     "project_gaussians",
     "rasterize",
+    "row_intervals",
     "sort_tiles",
     "splat_radii",
     "tile_ranges",

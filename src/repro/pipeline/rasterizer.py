@@ -58,6 +58,7 @@ order as the scalar per-Gaussian loop, so images, ``valid_bits`` and every
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,26 +90,35 @@ _CHUNK_BBOX_PIXELS = 1 << 18
 
 #: Reused backing stores for the chunk's per-pixel temporaries.  Freshly
 #: mmap'd pages cost more to fault in than the math run over them, so each
-#: named role keeps one buffer, grown on demand and recycled across chunks
-#: and frames.
-_POOL: dict[str, np.ndarray] = {}
+#: named role keeps one buffer per thread, grown on demand and recycled
+#: across chunks and frames; threads that rasterize at once never share one.
+class _Scratch(threading.local):
+    """Per-thread scratch buffers by role (``__init__`` runs once per thread)."""
+
+    def __init__(self) -> None:
+        self.buffers: dict[str, np.ndarray] = {}
+
+
+_SCRATCH = _Scratch()
 
 
 def _pool(name: str, n: int, dtype=np.float64) -> np.ndarray:
     """A pooled scratch array of ``n`` elements, reused across calls."""
-    buf = _POOL.get(name)
+    buffers = _SCRATCH.buffers
+    buf = buffers.get(name)
     if buf is None or buf.size < n or buf.dtype != np.dtype(dtype):
         buf = np.empty(n, dtype=dtype)
-        _POOL[name] = buf
+        buffers[name] = buf
     return buf[:n]
 
 
 def _iota(n: int) -> np.ndarray:
     """The cached int32 sequence ``0..n-1`` (read-only by convention)."""
-    buf = _POOL.get("iota")
+    buffers = _SCRATCH.buffers
+    buf = buffers.get("iota")
     if buf is None or buf.size < n:
         buf = np.arange(max(n, 1 << 16), dtype=np.int32)
-        _POOL["iota"] = buf
+        buffers["iota"] = buf
     return buf[:n]
 
 

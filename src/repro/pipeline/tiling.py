@@ -6,10 +6,16 @@ per-tile (Gaussian ID, depth) lists produced here are the input to all
 sorting strategies, and the tile-Gaussian *pair count* is the quantity that
 drives the sorting stage's DRAM traffic in the hardware model.
 
-**Duplication kernel.**  :func:`pair_lists` is the one implementation of the
-expansion: the functional pipeline (:func:`assign_to_tiles`) and the
-hardware workload model (:mod:`repro.hw.workload`) both call it.  It tests
-each splat's circle against its bbox tiles on row runs (see its docstring).
+**Duplication kernel.**  :func:`row_intervals` is the one implementation of
+the circle-vs-tile test.  A splat's kept tiles in one tile row form a single
+interval of columns, so it returns, per (Gaussian, tile row) run, the exact
+interval ``[lo, hi]``: a closed-form estimate of each end, settled by the
+per-candidate test evaluated only at the boundary.  Interior candidates are
+never tested.  :func:`pair_lists` expands the intervals into
+``(tile, Gaussian)`` pairs for the functional pipeline
+(:func:`assign_to_tiles`) and the Fig. 7 order differences; the hardware
+workload model (:mod:`repro.hw.workload`) counts pairs, occupancy and churn
+from the intervals themselves.
 
 **Tile-stream layout.**  Per-tile data is stored as one flat
 :class:`TileStream` — a ``values`` array holding every tile-Gaussian pair
@@ -397,6 +403,121 @@ def _segment_starts(counts: np.ndarray) -> np.ndarray:
     return starts
 
 
+@dataclass(frozen=True)
+class RowIntervals:
+    """The kept tile columns of every (Gaussian, tile row) run.
+
+    Run ``k`` puts Gaussian ``rows[k]`` into tiles ``lo[k]..hi[k]``
+    (inclusive tile columns) of tile row ``tile_rows[k]``.  Runs come
+    Gaussian-major, tile rows ascending within a Gaussian; runs that keep
+    no column are absent.  All arrays are int64.
+    """
+
+    rows: np.ndarray
+    tile_rows: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def counts(self) -> np.ndarray:
+        """Kept tiles per run."""
+        return self.hi - self.lo + 1
+
+
+def row_intervals(
+    means2d: np.ndarray,
+    radii: np.ndarray,
+    width: int,
+    height: int,
+    tile_size: int,
+) -> RowIntervals:
+    """Exact kept column interval of every (Gaussian, tile row) run.
+
+    A candidate tile is kept when ``dx^2 + dy^2 <= r^2``, with ``dx`` and
+    ``dy`` the distances from the splat center to the tile rectangle.  In
+    one run ``dy^2`` and ``r^2`` are fixed, and ``dx^2`` never increases
+    up to the *center* column (the one holding the splat center, clipped to
+    the bbox) and never decreases after it.  IEEE addition and comparison
+    are monotone, so a run's kept columns form one interval around the
+    center column, empty iff the center column fails.
+
+    Each end is estimated in closed form from ``sqrt(r^2 - dy^2)`` and then
+    settled with the per-candidate test itself, evaluated only at the
+    boundary: an end that passes grows while its outer neighbour passes,
+    and one that fails shrinks toward the center until it passes.  The
+    settling converges from any estimate inside the bbox, so the estimate
+    decides speed only, and every kept tile is the one the frozen
+    :func:`repro.hw.reference.scalar_pair_lists` keeps.
+    """
+    x, y = means2d[:, 0], means2d[:, 1]
+    tx0, tx1, ty0, ty1 = _tile_bounds(means2d, radii, width, height, tile_size)
+    # A rectangle empty in one axis has no runs.
+    ny = np.maximum(ty1 - ty0 + 1, 0) * (tx1 >= tx0)
+    run_g = np.repeat(np.arange(means2d.shape[0], dtype=np.int64), ny)
+    run_ty = np.arange(run_g.shape[0], dtype=np.int64) - np.repeat(
+        _segment_starts(ny) - ty0, ny
+    )
+    run_py = run_ty * tile_size
+    cy = y[run_g]
+    qy = np.minimum(np.maximum(cy, run_py), np.minimum(run_py + tile_size, height))
+    dy2 = (qy - cy) ** 2
+    rr = (radii * radii)[run_g]
+    cx = x[run_g]
+    lo_bound, hi_bound = tx0[run_g], tx1[run_g]
+
+    # Center column.  ``floor(x / tile_size)`` is exact: a float below a
+    # multiple of the integer tile divides to a float below the multiple's
+    # quotient, never onto it.
+    center = np.fmin(np.fmax(np.floor(x / tile_size), tx0), tx1).astype(np.int64)[run_g]
+    # A run with ``dy^2 > r^2`` keeps nothing; its estimate is the center.
+    half = np.sqrt(np.maximum(rr - dy2, 0.0))
+
+    def kept(idx, cols):
+        px = cols * tile_size
+        cxi = cx[idx]
+        qx = np.minimum(np.maximum(cxi, px), np.minimum(px + tile_size, width))
+        return (qx - cxi) ** 2 + dy2[idx] <= rr[idx]
+
+    def estimate(edge, low, high):
+        # fmin/fmax also drop NaN estimates before the cast.
+        return np.fmin(np.fmax(np.floor(edge / tile_size), low), high).astype(np.int64)
+
+    lo = estimate(cx - half, lo_bound, center)
+    nonempty = _settle(lo, lo_bound, center, -1, kept)
+    hi = estimate(cx + half, center, hi_bound)
+    _settle(hi, hi_bound, center, 1, kept)
+    return RowIntervals(
+        rows=run_g[nonempty],
+        tile_rows=run_ty[nonempty],
+        lo=lo[nonempty],
+        hi=hi[nonempty],
+    )
+
+
+def _settle(end, outer, inner, step, kept) -> np.ndarray:
+    """Move every run's ``end`` to its outermost kept column, in place.
+
+    ``end`` starts between ``inner`` (the center column) and ``outer`` (the
+    bbox edge, ``step`` columns further out per move).  ``kept(idx, cols)``
+    is the exact per-candidate test of runs ``idx`` at columns ``cols``.
+    Returns whether each settled end is kept; one that is not has shrunk to
+    a failing center column, so its run keeps nothing.
+    """
+    ok = kept(slice(None), end)
+    grow = np.flatnonzero(ok & (end != outer))
+    while grow.shape[0]:
+        grow = grow[kept(grow, end[grow] + step)]
+        end[grow] += step
+        grow = grow[end[grow] != outer[grow]]
+    shrink = np.flatnonzero(~ok & (end != inner))
+    while shrink.shape[0]:
+        end[shrink] -= step
+        passed = kept(shrink, end[shrink])
+        ok[shrink[passed]] = True
+        shrink = shrink[~passed]
+        shrink = shrink[end[shrink] != inner[shrink]]
+    return ok
+
+
 def pair_lists(
     means2d: np.ndarray,
     radii: np.ndarray,
@@ -406,66 +527,23 @@ def pair_lists(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(tiles, rows)`` duplication pairs: Gaussian ``rows[k]`` in ``tiles[k]``.
 
-    Every splat's bbox tile rectangle (:func:`tile_ranges`) is refined by an
-    exact circle-vs-tile-rectangle test.  This matches the Rasterization
-    Engine's ITU geometry (a circle overlaps a tile iff it overlaps one of
-    the subtiles partitioning it), so a Gaussian assigned here is never
-    immediately invalidated by the ITU.  Pairs come Gaussian-major, then
-    row-major within each Gaussian's rectangle; both arrays are int64.
-
-    The test splits as ``dx^2 + dy^2 <= r^2``, where ``dx`` depends only on
-    the tile column and ``dy`` only on the tile row.  So ``dx^2`` is computed
-    once per (Gaussian, tile column) and ``dy^2`` and ``r^2`` once per
-    *row run* — one (Gaussian, tile row) — and each run expands across its
-    Gaussian's columns for the sum and compare alone.  Every float is the
-    same operand in the same operation as a per-candidate test, so the
-    result is bit-identical to it (pinned against the frozen
-    :func:`repro.hw.reference.scalar_pair_lists`).  Takes raw geometry so the
-    workload model can run it on analytically re-scaled coordinates.
+    The expansion of :func:`row_intervals`: every splat's bbox tile
+    rectangle (:func:`tile_ranges`) refined by an exact circle-vs-tile
+    test.  This matches the Rasterization Engine's ITU geometry (a circle
+    overlaps a tile iff it overlaps one of the subtiles partitioning it),
+    so a Gaussian assigned here is never immediately invalidated by the
+    ITU.  Pairs come Gaussian-major, then row-major within each Gaussian's
+    rectangle; both arrays are int64, bit-identical to the frozen
+    per-candidate :func:`repro.hw.reference.scalar_pair_lists`.  Takes raw
+    geometry so the workload model can run it on analytically re-scaled
+    coordinates.
     """
-    x, y = means2d[:, 0], means2d[:, 1]
+    runs = row_intervals(means2d, radii, width, height, tile_size)
+    counts = runs.counts()
     tiles_x = -(-width // tile_size)
-    tx0, tx1, ty0, ty1 = _tile_bounds(means2d, radii, width, height, tile_size)
-    nx = np.maximum(tx1 - tx0 + 1, 0)
-    ny = np.maximum(ty1 - ty0 + 1, 0)
-    # A rectangle empty in one axis has no cells in the other either.
-    live = (nx > 0) & (ny > 0)
-    nx *= live
-    ny *= live
-    gaussians = np.arange(means2d.shape[0], dtype=np.int64)
-
-    # Column cells: dx^2 of each Gaussian against each of its tile columns.
-    col_start = _segment_starts(nx)
-    col_g = np.repeat(gaussians, nx)
-    col_px = (
-        np.arange(col_g.shape[0], dtype=np.int64) - np.repeat(col_start - tx0, nx)
-    ) * tile_size
-    cx = x[col_g]
-    qx = np.clip(cx, col_px, np.minimum(col_px + tile_size, width))
-    dx2 = (qx - cx) ** 2
-
-    # Row runs: dy^2 and r^2 once per (Gaussian, tile row).
-    run_g = np.repeat(gaussians, ny)
-    num_runs = run_g.shape[0]
-    if num_runs == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    run_ty = np.arange(num_runs, dtype=np.int64) - np.repeat(_segment_starts(ny) - ty0, ny)
-    run_py = run_ty * tile_size
-    cy = y[run_g]
-    qy = np.clip(cy, run_py, np.minimum(run_py + tile_size, height))
-    dy2 = (qy - cy) ** 2
-    rr = (radii * radii)[run_g]
-
-    # Candidates: every run expanded across its Gaussian's columns.
-    run_nx = nx[run_g]
-    run_start = _segment_starts(run_nx)
-    cand_run = np.repeat(np.arange(num_runs, dtype=np.int64), run_nx)
-    cand = np.arange(cand_run.shape[0], dtype=np.int64)
-    cand_col = (col_start[run_g] - run_start)[cand_run] + cand
-    kept = np.flatnonzero(dx2[cand_col] + dy2[cand_run] <= rr[cand_run])
-    kept_run = cand_run[kept]
-    tiles = (run_ty * tiles_x + tx0[run_g] - run_start)[kept_run] + kept
-    return tiles, run_g[kept_run]
+    first = runs.tile_rows * tiles_x + runs.lo - _segment_starts(counts)
+    tiles = np.repeat(first, counts) + np.arange(int(counts.sum()), dtype=np.int64)
+    return tiles, np.repeat(runs.rows, counts)
 
 
 def assign_to_tiles(projected: ProjectedGaussians, grid: TileGrid) -> TileAssignment:

@@ -1,10 +1,12 @@
 """Bit-identity pins for the shared tile-pair kernel and workload extraction.
 
-:func:`repro.pipeline.tiling.pair_lists` (row runs) must equal the frozen
-per-candidate expansion :func:`repro.hw.reference.scalar_pair_lists` bit for
-bit — tiles, rows, dtypes and order — and every :class:`FrameWorkload`
-field must equal the frozen :func:`repro.hw.reference.scalar_frame_workload`
-(per-candidate pairs, int64 grouping, two-membership churn).
+:func:`repro.pipeline.tiling.pair_lists` (the expansion of the per-row kept
+intervals of :func:`repro.pipeline.tiling.row_intervals`) must equal the
+frozen per-candidate expansion :func:`repro.hw.reference.scalar_pair_lists`
+bit for bit — tiles, rows, dtypes and order — and every
+:class:`FrameWorkload` field must equal the frozen
+:func:`repro.hw.reference.scalar_frame_workload` (per-candidate pairs, int64
+grouping, two-membership churn).
 """
 
 import numpy as np
@@ -14,9 +16,15 @@ from hypothesis import strategies as st
 
 import repro.hw.reference as hw_ref
 import repro.hw.workload as workload_mod
-from repro.hw.workload import WorkloadModel, _shared_count
+from repro.hw.workload import FrameGeometry, WorkloadModel
 from repro.pipeline.projection import project_gaussians
-from repro.pipeline.tiling import TileGrid, TileStream, assign_to_tiles, pair_lists
+from repro.pipeline.tiling import (
+    TileGrid,
+    TileStream,
+    assign_to_tiles,
+    pair_lists,
+    row_intervals,
+)
 
 
 @pytest.fixture(scope="module")
@@ -137,41 +145,28 @@ class TestFrameWorkloadPin:
 
     def test_shared_config_is_extracted_once(self, monkeypatch):
         wm = WorkloadModel.from_scene("family", num_frames=3, num_gaussians=600)
-        calls = {"pairs": 0, "churn": 0}
-        kernel, churn = workload_mod.pair_lists, WorkloadModel._churn_counts
+        calls = {"runs": 0, "churn": 0}
+        kernel, churn = workload_mod.row_intervals, WorkloadModel._churn_counts
 
         def counting_kernel(*args):
-            calls["pairs"] += 1
+            calls["runs"] += 1
             return kernel(*args)
 
         def counting_churn(self, *args):
             calls["churn"] += 1
             return churn(self, *args)
 
-        monkeypatch.setattr(workload_mod, "pair_lists", counting_kernel)
+        monkeypatch.setattr(workload_mod, "row_intervals", counting_kernel)
         monkeypatch.setattr(WorkloadModel, "_churn_counts", counting_churn)
         first = wm.sequence_workloads("hd", 16)
-        assert calls == {"pairs": 3, "churn": 3}
+        assert calls == {"runs": 3, "churn": 3}
         second = wm.sequence_workloads(wm._resolve("hd"), 16)
         assert second == first
-        assert calls == {"pairs": 3, "churn": 3}
+        assert calls == {"runs": 3, "churn": 3}
+        # Fig. 6 reads the same cached runs.
+        wm.shared_fraction_per_tile(2, "hd", 16)
+        assert calls == {"runs": 3, "churn": 3}
         assert second == hw_ref.scalar_sequence_workloads(wm, "hd", 16)
-
-
-class TestSharedCount:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.sets(st.integers(0, 2**40), max_size=60),
-        st.sets(st.integers(0, 2**40), max_size=60),
-        st.booleans(),
-    )
-    def test_counts_the_intersection(self, a, b, shuffle):
-        a = np.array(sorted(a), dtype=np.int64)
-        b = np.array(sorted(b), dtype=np.int64)
-        if shuffle:
-            rng = np.random.default_rng(len(a) * 61 + len(b))
-            a, b = rng.permutation(a), rng.permutation(b)
-        assert _shared_count(a, b) == np.intersect1d(a, b).shape[0]
 
 
 class TestIdMajorKeys:
@@ -185,22 +180,29 @@ class TestIdMajorKeys:
                 for frame in range(wm.num_frames):
                     means2d, radii = wm.scaled_geometry(frame, resolution)
                     tiles, rows = pair_lists(means2d, radii, width, height, tile_size)
-                    cached_rows, keys = wm._pairs(frame, width, height, tile_size)
+                    pair_rows, keys = wm._pairs(frame, width, height, tile_size)
                     assert keys.shape[0] > 0
                     assert np.all(keys[1:] > keys[:-1])
-                    np.testing.assert_array_equal(cached_rows, rows)
+                    np.testing.assert_array_equal(pair_rows, rows)
                     np.testing.assert_array_equal(keys & 0xFFFFFFFF, tiles)
                     np.testing.assert_array_equal(keys >> 32, wm.frames[frame].ids[rows])
+                    # Run keys ``ID << 32 | tile row`` ascend too: churn
+                    # matches them with one searchsorted.
+                    run_keys = wm._runs(frame, width, height, tile_size).keys
+                    assert np.all(run_keys[1:] > run_keys[:-1])
 
 
 class TestNoTileGrouping:
     def test_workloads_and_shared_fraction_skip_the_stream(self, monkeypatch):
+        # Counting reads the cached row intervals: it neither expands them
+        # into pairs nor groups pairs by tile.
         wm = WorkloadModel.from_scene("family", num_frames=3, num_gaussians=900)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("workload extraction grouped pairs by tile")
+            raise AssertionError("workload extraction built or grouped pairs")
 
         monkeypatch.setattr(TileStream, "from_pairs", refuse)
+        monkeypatch.setattr(workload_mod, "pair_lists", refuse)
         for resolution, tile_size in CONFIGS:
             got = wm.sequence_workloads(resolution, tile_size)
             assert got == hw_ref.scalar_sequence_workloads(wm, resolution, tile_size)
@@ -209,3 +211,145 @@ class TestNoTileGrouping:
                     wm.shared_fraction_per_tile(frame, resolution, tile_size),
                     hw_ref.scalar_shared_fraction_per_tile(wm, frame, resolution, tile_size),
                 )
+
+
+#: Integer Pythagorean triples ``(a, b, c)``: a center ``a`` and ``b`` pixels
+#: from a tile corner with radius ``c`` makes ``r^2 - dy^2`` exactly ``dx^2``.
+TRIPLES = [(0, 0, 0), (3, 4, 5), (5, 12, 13), (6, 8, 10), (8, 15, 17), (20, 21, 29)]
+
+
+@st.composite
+def adversarial_geometry(draw):
+    """Splats placed where the kept-interval ends are hardest to get exactly.
+
+    Centers sit on tile edges, on and just past the image edges, outside
+    the image with radii that still reach it, and at integer offsets from a
+    tile corner with radii that make the corner test an exact tie; radii
+    include zero and whole tiles.  Widths and heights need not be multiples
+    of the tile.
+    """
+    tile = draw(st.sampled_from([3, 4, 7, 8, 16, 64]))
+    width = draw(st.integers(1, 5 * tile + 7))
+    height = draw(st.integers(1, 5 * tile + 7))
+
+    def coordinate(extent):
+        edge = draw(st.integers(-2, extent // tile + 2)) * tile
+        return draw(
+            st.sampled_from(
+                [
+                    float(edge),
+                    np.nextafter(float(edge), -np.inf),
+                    0.0,
+                    float(extent),
+                    np.nextafter(float(extent), -np.inf),
+                    float(-tile),
+                    float(extent + tile),
+                    draw(st.floats(-2.0 * tile, extent + 2.0 * tile)),
+                ]
+            )
+        )
+
+    means, radii = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):
+            a, b, c = draw(st.sampled_from(TRIPLES))
+            if draw(st.booleans()):
+                a, b = b, a
+            corner_x = draw(st.integers(0, width // tile + 1)) * tile
+            corner_y = draw(st.integers(0, height // tile + 1)) * tile
+            dx, dy = draw(st.sampled_from([a, -a])), draw(st.sampled_from([b, -b]))
+            means.append([corner_x + dx, corner_y + dy])
+            radii.append(float(c))
+        else:
+            means.append([coordinate(width), coordinate(height)])
+            radii.append(
+                draw(
+                    st.one_of(
+                        st.just(0.0),
+                        st.integers(0, 4).map(lambda k: float(k * tile)),
+                        st.floats(0.0, 3.0 * tile),
+                    )
+                )
+            )
+    return np.asarray(means, dtype=np.float64), np.asarray(radii), width, height, tile
+
+
+class TestRowIntervals:
+    @settings(max_examples=300, deadline=None)
+    @given(adversarial_geometry())
+    def test_adversarial_geometry(self, geometry):
+        # (a) The expansion equals the per-candidate kernel bit for bit.
+        assert_pairs_identical(pair_lists(*geometry), hw_ref.scalar_pair_lists(*geometry))
+
+        # (b) Each run's kept columns, per the per-candidate kernel, are one
+        # interval, and it is the run's [lo, hi].
+        _, _, width, height, tile = geometry
+        tiles, rows = hw_ref.scalar_pair_lists(*geometry)
+        tile_rows, cols = np.divmod(tiles, -(-width // tile))
+        run_key = rows * (-(-height // tile)) + tile_rows
+        _, first, counts = np.unique(run_key, return_index=True, return_counts=True)
+        last = first + counts - 1
+        np.testing.assert_array_equal(cols[last] - cols[first] + 1, counts)
+        runs = row_intervals(*geometry)
+        np.testing.assert_array_equal(runs.rows, rows[first])
+        np.testing.assert_array_equal(runs.tile_rows, tile_rows[first])
+        np.testing.assert_array_equal(runs.lo, cols[first])
+        np.testing.assert_array_equal(runs.hi, cols[last])
+
+
+#: How a Gaussian's kept interval in its center row moves between frames.
+RELATIONS = ["disjoint", "touching", "nested", "partial", "same", "gone", "new"]
+
+
+class TestRunChurn:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([4, 8, 16]),
+        st.lists(
+            st.tuples(
+                st.sampled_from(RELATIONS),
+                st.integers(0, 9),
+                st.integers(0, 4),
+                st.integers(0, 5),
+                st.integers(0, 3),
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+    )
+    def test_two_frame_churn_matches_scalar(self, tile, splats):
+        # Each splat covers columns [a, a + span] of its center row in the
+        # previous frame and a related interval in the current one; its
+        # other rows' intervals move with it.
+        width, height = 20 * tile + tile // 2, 6 * tile + 1
+        frames = ([], [])
+        for gid, (relation, a, span, row, shift) in enumerate(splats):
+            b = a + span
+            moved = {
+                "disjoint": (b + 2 + shift, b + 2 + shift + span),
+                "touching": (b + 1, b + 1 + shift),
+                "nested": (a + min(shift, span // 2), b - min(shift, span // 2)),
+                "partial": (a + min(shift, span), b + shift + 1),
+                "same": (a, b),
+            }
+            for f, (lo, hi) in enumerate([(a, b), moved.get(relation, (a, b))]):
+                if (relation, f) in (("gone", 1), ("new", 0)):
+                    continue
+                center = [(lo + hi + 1) * tile / 2, (row + 0.5) * tile]
+                frames[f].append((gid, center, (hi - lo + 1) * tile / 2 - tile / 4))
+        geometry = []
+        for splat in frames:
+            ids = np.array([gid for gid, _, _ in splat], dtype=np.int64)
+            means = np.array([c for _, c, _ in splat], dtype=np.float64).reshape(-1, 2)
+            radii = np.array([r for _, _, r in splat], dtype=np.float64)
+            geometry.append(FrameGeometry(ids, means, radii, np.ones(ids.shape[0])))
+        wm = WorkloadModel(geometry, width, height, count_scale=1.0, functional_gaussians=99)
+        config = ((width, height), tile)
+        for frame in (0, 1):
+            got = wm.frame_workload(frame, *config)
+            assert got == hw_ref.scalar_frame_workload(wm, frame, *config)
+        if frames[0]:
+            np.testing.assert_array_equal(
+                wm.shared_fraction_per_tile(1, *config),
+                hw_ref.scalar_shared_fraction_per_tile(wm, 1, *config),
+            )

@@ -1,5 +1,9 @@
 """Unit tests for the tile-based alpha-blending rasterizer."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from repro.pipeline.projection import ProjectedGaussians, project_gaussians
 from repro.pipeline.rasterizer import rasterize
 from repro.pipeline.sorting import sort_tiles
 from repro.pipeline.tiling import TileGrid, assign_to_tiles
+from repro.scene.datasets import default_trajectory, load_scene
 
 
 def _single_splat(x, y, radius=4.0, opacity=0.9, color=(1.0, 0.0, 0.0), depth=1.0, gid=0):
@@ -151,3 +156,40 @@ class TestRasterizeFrame:
         result = rasterize(sort_tiles(assignment), proj, grid, background=(1.0, 1.0, 1.0))
         # Uncovered pixels take the background.
         assert result.image.max() == pytest.approx(1.0)
+
+
+class TestConcurrentRasterize:
+    def test_threads_match_the_serial_render(self):
+        # Each thread keeps its own scratch buffers: threads rasterizing
+        # different frames at once must each get the serial result.  Three
+        # threads and a short switch interval force interleaving.
+        scene = load_scene("family", num_gaussians=3000)
+        cameras = default_trajectory("family", num_frames=4, width=320, height=180)
+        grid = TileGrid.for_camera(cameras[0], 16)
+        frames = []
+        for camera in cameras:
+            proj = project_gaussians(scene, camera)
+            frames.append((sort_tiles(assign_to_tiles(proj, grid)), proj))
+        serial = [rasterize(tiles, proj, grid) for tiles, proj in frames]
+        orders = [[0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]]
+        start = threading.Barrier(len(orders))
+
+        def render(order):
+            start.wait(timeout=60)
+            return {k: rasterize(*frames[k], grid) for k in order for _ in range(2)}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+                futures = [pool.submit(render, order) for order in orders]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            for k, want in enumerate(serial):
+                np.testing.assert_array_equal(got[k].image, want.image)
+                assert got[k].stats == want.stats
+                assert got[k].valid_bits.keys() == want.valid_bits.keys()
+                for t, bits in want.valid_bits.items():
+                    np.testing.assert_array_equal(got[k].valid_bits[t], bits)

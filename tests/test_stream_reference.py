@@ -40,7 +40,7 @@ class TestWorkloadQueries:
             )
             width, height = workload_model._resolve(resolution)
             _, keys = workload_model._pairs(frame, width, height, tile_size)
-            # Cached keys are ID-major; the tile-major key *set* is unchanged.
+            # `_pairs` keys are ID-major; the tile-major key *set* is unchanged.
             tile_major = keys << 32 | keys >> 32
             np.testing.assert_array_equal(np.sort(tile_major), np.sort(scalar))
 
