@@ -4,7 +4,10 @@ Each driver in this package regenerates one table or figure from the paper:
 it builds the required workloads, runs the relevant system models or the
 functional pipeline, and returns an :class:`ExperimentResult` whose rows
 mirror the figure's data series.  Workload models are memoized per
-(scene, frames, speed, count) in-process.
+(scene, frames, speed, count) in-process.  A capture projects geometry only,
+from the scene that :func:`~repro.scene.datasets.load_scene` generates once
+per process, so a capture after that memo is emptied re-projects the frames
+but does not regenerate the scene.
 """
 
 from __future__ import annotations

@@ -12,9 +12,14 @@ radii and depths, and those re-scale analytically:
   instantiated count (splats are i.i.d. within the preset's distribution),
   so counts multiply by ``nominal / functional``.
 
-:class:`WorkloadModel` captures per-frame geometry once (culling +
-projection only — no rasterization) and answers pair counts, occupancy,
-churn, and order-difference queries for any (resolution, tile size).
+:class:`WorkloadModel` captures per-frame geometry once and answers pair
+counts, occupancy, churn, and order-difference queries for any (resolution,
+tile size).  Capture runs culling and
+:func:`~repro.pipeline.projection.project_geometry` only: no SH colors, no
+opacities, no rasterization, since none of them moves a count.  The scene
+comes from :func:`~repro.scene.datasets.load_scene`, whose per-process memo
+generates each preset (and its 3D covariances) once, so a fresh capture of
+an already-loaded scene pays for projection alone.
 
 Extraction is one pass per (frame, resolution, tile size).  Nothing is
 counted pair by pair: the cached unit is a frame's *runs*, the exact kept
@@ -50,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..pipeline.culling import frustum_cull
-from ..pipeline.projection import project_gaussians
+from ..pipeline.projection import project_geometry
 from ..pipeline.tiling import TileGrid, TileStream, pair_lists, row_intervals
 from ..scene.camera import Camera, resolution as named_resolution
 from ..scene.datasets import default_trajectory, load_scene, scene_spec
@@ -188,7 +193,11 @@ class WorkloadModel:
         capture_width: int = CAPTURE_WIDTH,
         capture_height: int = CAPTURE_HEIGHT,
     ) -> "WorkloadModel":
-        """Capture a workload model for a registered scene preset."""
+        """Capture a workload model for a registered scene preset.
+
+        The scene is the shared, read-only one from
+        :func:`~repro.scene.datasets.load_scene`.
+        """
         spec = scene_spec(scene_name)
         scene = load_scene(scene_name, num_gaussians=num_gaussians)
         cameras = default_trajectory(
@@ -212,17 +221,19 @@ class WorkloadModel:
         nominal_gaussians: int | None = None,
         scene_name: str | None = None,
     ) -> "WorkloadModel":
-        """Capture geometry by running culling + projection per camera."""
+        """Capture geometry by running culling + geometric projection per camera.
+
+        :func:`~repro.pipeline.projection.project_geometry` evaluates no SH
+        color or opacity, which no workload query reads.  Its kept arrays are
+        fresh per frame, so the frame stores them as they are.
+        """
         frames = []
         for camera in cameras:
             culled = frustum_cull(scene, camera)
-            proj = project_gaussians(scene, camera, culled.visible_ids)
+            geo = project_geometry(scene, camera, culled.visible_ids)
             frames.append(
                 FrameGeometry(
-                    ids=proj.ids.copy(),
-                    means2d=proj.means2d.copy(),
-                    radii=proj.radii.copy(),
-                    depths=proj.depths.copy(),
+                    ids=geo.ids, means2d=geo.means2d, radii=geo.radii, depths=geo.depths
                 )
             )
         nominal = nominal_gaussians if nominal_gaussians is not None else len(scene)

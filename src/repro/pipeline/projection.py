@@ -4,6 +4,11 @@ Implements the EWA splatting approximation used by 3DGS: each 3D Gaussian
 ``(mu, Sigma)`` maps to a 2D Gaussian ``(mu', Sigma')`` on the image plane via
 the camera transform and the Jacobian of the perspective projection, and its
 view-dependent color is evaluated from spherical harmonics.
+
+:func:`project_geometry` is the geometric half alone (screen position,
+covariance, radius, depth): everything tiling and sorting read, and all the
+hardware workload model captures.  :func:`project_gaussians` is that
+function plus the appearance the rasterizer blends (SH colors, opacities).
 """
 
 from __future__ import annotations
@@ -24,10 +29,11 @@ RADIUS_SIGMAS = 3.0
 
 
 @dataclass
-class ProjectedGaussians:
-    """Screen-space Gaussians produced by feature extraction.
+class ProjectedGeometry:
+    """Screen-space geometry of the Gaussians kept by feature extraction.
 
     All arrays are aligned: row ``i`` describes the same visible Gaussian.
+    This is everything tiling, sorting and the workload model read.
 
     Attributes
     ----------
@@ -44,10 +50,6 @@ class ProjectedGaussians:
         ``(m,)`` camera-space z used as the sort key.
     radii:
         ``(m,)`` conservative pixel radii (3 sigma of the major axis).
-    colors:
-        ``(m, 3)`` RGB colors from SH evaluation.
-    opacities:
-        ``(m,)`` opacity values.
     """
 
     ids: np.ndarray
@@ -56,11 +58,27 @@ class ProjectedGaussians:
     conic: np.ndarray
     depths: np.ndarray
     radii: np.ndarray
-    colors: np.ndarray
-    opacities: np.ndarray
 
     def __len__(self) -> int:
         return self.ids.shape[0]
+
+
+@dataclass
+class ProjectedGaussians(ProjectedGeometry):
+    """Screen-space Gaussians produced by feature extraction.
+
+    :class:`ProjectedGeometry` plus the appearance the rasterizer blends.
+
+    Attributes
+    ----------
+    colors:
+        ``(m, 3)`` RGB colors from SH evaluation.
+    opacities:
+        ``(m,)`` opacity values.
+    """
+
+    colors: np.ndarray
+    opacities: np.ndarray
 
 
 def compute_cov2d(
@@ -92,8 +110,10 @@ def compute_cov2d(
     jac[:, 1, 1] = camera.fy / z
     jac[:, 1, 2] = -camera.fy * ty / (z * z)
 
-    world_cov = view_rot[None, :, :] @ cov3d @ view_rot.T[None, :, :]
-    cov2d = jac @ world_cov @ jac.transpose(0, 2, 1)
+    # Contiguous right operands: a transposed view sends the stacked matmul
+    # down a strided loop at about twice the cost, for the same bits.
+    world_cov = np.matmul(view_rot, cov3d) @ np.ascontiguousarray(view_rot.T)
+    cov2d = jac @ world_cov @ np.ascontiguousarray(jac.transpose(0, 2, 1))
     cov2d[:, 0, 0] += COV2D_DILATION
     cov2d[:, 1, 1] += COV2D_DILATION
     return cov2d
@@ -127,12 +147,47 @@ def splat_radii(cov2d: np.ndarray) -> np.ndarray:
     return np.ceil(RADIUS_SIGMAS * np.sqrt(np.maximum(lambda_max, 0.0)))
 
 
+def project_geometry(
+    scene: GaussianScene,
+    camera: Camera,
+    visible_ids: np.ndarray | None = None,
+) -> ProjectedGeometry:
+    """Project the Gaussians visible from ``camera`` to screen-space geometry.
+
+    No appearance is evaluated: this is the whole of feature extraction
+    that tiling, sorting and the workload model depend on.  ``visible_ids``
+    is as in :func:`project_gaussians`.
+    """
+    if visible_ids is None:
+        visible_ids = np.arange(len(scene))
+    visible_ids = np.asarray(visible_ids, dtype=np.int64)
+    cam_points = camera.transform_points(scene.means[visible_ids])
+    view_rot = camera.world_to_camera[:3, :3]
+
+    cov3d = scene.covariances()[visible_ids]
+    cov2d = compute_cov2d(cam_points, cov3d, view_rot, camera)
+    conic, valid = conic_from_cov2d(cov2d)
+    radii = splat_radii(cov2d)
+
+    keep = valid & (radii > 0) & (cam_points[:, 2] > camera.near)
+    return ProjectedGeometry(
+        ids=visible_ids[keep],
+        means2d=camera.project(cam_points)[keep],
+        cov2d=cov2d[keep],
+        conic=conic[keep],
+        depths=cam_points[:, 2][keep],
+        radii=radii[keep],
+    )
+
+
 def project_gaussians(
     scene: GaussianScene,
     camera: Camera,
     visible_ids: np.ndarray | None = None,
 ) -> ProjectedGaussians:
     """Run feature extraction for the Gaussians visible from ``camera``.
+
+    :func:`project_geometry`, plus each kept Gaussian's SH color and opacity.
 
     Parameters
     ----------
@@ -142,30 +197,10 @@ def project_gaussians(
         Indices of Gaussians that survived frustum culling.  ``None`` means
         project everything (culling is then implied by downstream radii).
     """
-    if visible_ids is None:
-        visible_ids = np.arange(len(scene))
-    visible_ids = np.asarray(visible_ids, dtype=np.int64)
-
-    means = scene.means[visible_ids]
-    cam_points = camera.transform_points(means)
-    view_rot = camera.world_to_camera[:3, :3]
-
-    cov3d = scene.covariances()[visible_ids]
-    cov2d = compute_cov2d(cam_points, cov3d, view_rot, camera)
-    conic, valid = conic_from_cov2d(cov2d)
-    radii = splat_radii(cov2d)
-
-    directions = normalize_directions(means - camera.position[None, :])
-    colors = eval_sh_color(scene.sh_coeffs[visible_ids], directions)
-
-    keep = valid & (radii > 0) & (cam_points[:, 2] > camera.near)
+    g = project_geometry(scene, camera, visible_ids)
+    directions = normalize_directions(scene.means[g.ids] - camera.position[None, :])
     return ProjectedGaussians(
-        ids=visible_ids[keep],
-        means2d=camera.project(cam_points)[keep],
-        cov2d=cov2d[keep],
-        conic=conic[keep],
-        depths=cam_points[:, 2][keep],
-        radii=radii[keep],
-        colors=colors[keep],
-        opacities=scene.opacities[visible_ids][keep],
+        **vars(g),
+        colors=eval_sh_color(scene.sh_coeffs[g.ids], directions),
+        opacities=scene.opacities[g.ids],
     )

@@ -15,6 +15,8 @@ scales measured workload statistics back to the nominal count.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .camera import Camera
@@ -207,8 +209,34 @@ def scene_spec(name: str) -> SceneSpec:
 
 
 def load_scene(name: str, num_gaussians: int | None = None) -> GaussianScene:
-    """Generate the synthetic scene registered under ``name``."""
-    return generate_scene(scene_spec(name), num_gaussians=num_gaussians)
+    """The synthetic scene registered under ``name`` (case-insensitive).
+
+    Generated presets are memoized per process on the lower-cased name and
+    the count, so every caller that asks for the same scene shares one
+    instance and its cached covariances.  That shared scene is read-only:
+    writing to its arrays or to :meth:`GaussianScene.covariances` raises
+    ``ValueError``.  :meth:`GaussianScene.subset` still returns a writeable
+    copy.
+    """
+    spec = scene_spec(name)
+    if num_gaussians is None:
+        num_gaussians = spec.functional_gaussians
+    return _generated_scene(name.lower(), num_gaussians)
+
+
+@lru_cache(maxsize=16)
+def _generated_scene(key: str, num_gaussians: int) -> GaussianScene:
+    scene = generate_scene(SCENE_SPECS[key], num_gaussians=num_gaussians)
+    for array in (
+        scene.means,
+        scene.scales,
+        scene.quats,
+        scene.opacities,
+        scene.sh_coeffs,
+        scene.covariances(),
+    ):
+        array.flags.writeable = False
+    return scene
 
 
 #: Trajectory archetypes :func:`archetype_trajectory` can build for any scene.

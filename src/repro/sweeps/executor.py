@@ -18,10 +18,10 @@ cache misses.  Execution goes through the same core as the figure drivers —
 :func:`repro.experiments.engine.execute_cells` — which dedupes identical
 points, probes the cache, fans misses out through
 :func:`repro.runtime.parallel.parallel_map`, and merges in deterministic
-grid order.  Heavyweight intermediates (scenes, workload captures,
-reference renders) are additionally memoized per process, so points that
-share a (scene, trajectory) pair don't repeat the geometry work within a
-run.
+grid order.  Workload captures and reference renders are additionally
+memoized per process, so points that share a (scene, trajectory) pair don't
+repeat the geometry work within a run; scenes come from
+:func:`~repro.scene.datasets.load_scene`'s own memo.
 """
 
 from __future__ import annotations
@@ -49,11 +49,6 @@ from .spec import SweepPoint, SweepSpec
 # Per-process memoization of shared intermediates
 # ----------------------------------------------------------------------
 @lru_cache(maxsize=8)
-def _scene(name: str, num_gaussians: int | None):
-    return load_scene(name, num_gaussians=num_gaussians)
-
-
-@lru_cache(maxsize=8)
 def _workload_model(
     scene: str,
     num_gaussians: int | None,
@@ -67,7 +62,7 @@ def _workload_model(
         scene, trajectory, num_frames=frames, speed=speed, width=width, height=height
     )
     return WorkloadModel.from_render(
-        _scene(scene, num_gaussians),
+        load_scene(scene, num_gaussians=num_gaussians),
         cameras,
         nominal_gaussians=scene_spec(scene).nominal_gaussians,
         scene_name=scene,
@@ -88,7 +83,7 @@ def _reference_images(
     cameras = archetype_trajectory(
         scene, trajectory, num_frames=frames, speed=speed, width=width, height=height
     )
-    renderer = Renderer(_scene(scene, num_gaussians))
+    renderer = Renderer(load_scene(scene, num_gaussians=num_gaussians))
     return tuple(record.image for record in renderer.render_sequence(cameras))
 
 
@@ -145,8 +140,8 @@ def evaluate_point(point: SweepPoint) -> dict[str, Any]:
             height=point.render_height,
         )
         strategy = make_strategy(point.strategy)
-        records = Renderer(_scene(point.scene, point.num_gaussians), strategy=strategy)\
-            .render_sequence(cameras)
+        scene = load_scene(point.scene, num_gaussians=point.num_gaussians)
+        records = Renderer(scene, strategy=strategy).render_sequence(cameras)
         references = _reference_images(
             point.scene,
             point.num_gaussians,

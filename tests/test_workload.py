@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.hw.workload import FrameGeometry, WorkloadModel, pair_lists
-from repro.scene import default_trajectory
+from repro.pipeline.culling import frustum_cull
+from repro.pipeline.projection import project_gaussians
+from repro.scene import default_trajectory, load_scene
 
 
 @pytest.fixture(scope="module")
@@ -123,3 +125,57 @@ class TestWorkloadModel:
     def test_validation(self):
         with pytest.raises(ValueError):
             WorkloadModel([], 100, 100, 1.0, 100)
+
+
+class TestSceneMemo:
+    def test_one_instance_per_preset_and_count(self):
+        assert load_scene("family") is load_scene("Family")
+        assert load_scene("family") is load_scene("FAMILY", num_gaussians=4000)
+        assert load_scene("family", num_gaussians=300) is not load_scene("family")
+
+    def test_shared_scene_is_read_only(self):
+        scene = load_scene("horse", num_gaussians=64)
+        arrays = {
+            "means": scene.means,
+            "scales": scene.scales,
+            "quats": scene.quats,
+            "opacities": scene.opacities,
+            "sh_coeffs": scene.sh_coeffs,
+            "covariances": scene.covariances(),
+        }
+        for name, array in arrays.items():
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+            with pytest.raises(ValueError):
+                array *= 2.0
+        assert scene.covariances() is arrays["covariances"]
+
+    def test_subset_is_writeable(self):
+        sub = load_scene("horse", num_gaussians=64).subset(np.arange(10))
+        for array in (
+            sub.means, sub.scales, sub.quats, sub.opacities, sub.sh_coeffs, sub.covariances()
+        ):
+            assert array.flags.writeable
+        sub.means[0] = 1.0
+
+
+class TestGeometryOnlyCapture:
+    def test_capture_evaluates_no_color(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("workload capture evaluated SH colors")
+
+        monkeypatch.setattr("repro.pipeline.projection.eval_sh_color", refuse)
+        monkeypatch.setattr("repro.scene.sh.eval_sh_color", refuse)
+        wm = WorkloadModel.from_scene("family", num_frames=3, num_gaussians=400)
+        assert wm.frame_workload(2, "hd", 16).pairs > 0
+        monkeypatch.undo()
+
+        # The geometry is the full projection's, bit for bit.
+        scene = load_scene("family", num_gaussians=400)
+        cameras = default_trajectory("family", num_frames=3, width=wm.capture_width,
+                                     height=wm.capture_height)
+        for frame, camera in zip(wm.frames, cameras):
+            proj = project_gaussians(scene, camera, frustum_cull(scene, camera).visible_ids)
+            for name in ("ids", "means2d", "radii", "depths"):
+                got, want = getattr(frame, name), getattr(proj, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
