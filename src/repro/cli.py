@@ -233,14 +233,14 @@ def _cmd_sweep(args) -> int:
     print()
     print(
         f"{report.num_points} point(s) in {outcome.elapsed_s:.2f}s wall "
-        f"(jobs={args.jobs}, {outcome.hits} from cache, cache "
-        f"{'disabled' if cache is None else 'at ' + str(cache.root)})"
+        f"(jobs={args.jobs}; cells: {outcome.hits} from cache, {outcome.misses} computed; "
+        f"cache {'disabled' if cache is None else 'at ' + str(cache.root)})"
     )
     if args.out:
         _write_sweep_files(report, args.out)
     if args.require_cached and not outcome.all_cached:
         print(
-            f"error: --require-cached but {outcome.misses} point(s) were recomputed",
+            f"error: --require-cached but {outcome.misses} cell(s) were recomputed",
             file=sys.stderr,
         )
         return 1
@@ -537,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_run.add_argument(
         "--require-cached", action="store_true",
-        help="exit nonzero unless every point was served from the cache "
+        help="exit nonzero unless every cell was served from the cache "
              "(CI warm-run assertion)",
     )
 

@@ -211,20 +211,23 @@ def _replay_cached_order(assignment: TileAssignment, cached: SortedTiles) -> Sor
     )
 
 
-def make_strategy(name: str, **kwargs) -> object:
-    """Factory: build a sorting strategy by name.
+#: Strategy classes by the name :func:`make_strategy` builds them under.
+_STRATEGY_CLASSES = {
+    "full": FullResortStrategy,
+    "periodic": PeriodicSortStrategy,
+    "background": BackgroundSortStrategy,
+    "hierarchical": HierarchicalSortStrategy,
+    "neo": NeoSortStrategy,
+}
 
-    Recognized names: ``full``, ``periodic``, ``background``,
-    ``hierarchical``, ``neo``.
-    """
-    registry = {
-        "full": FullResortStrategy,
-        "periodic": PeriodicSortStrategy,
-        "background": BackgroundSortStrategy,
-        "hierarchical": HierarchicalSortStrategy,
-        "neo": NeoSortStrategy,
-    }
+#: Names :func:`make_strategy` recognizes (``neo`` is the
+#: :class:`~repro.core.reuse_update.ReuseUpdateSorter`).
+STRATEGIES: tuple[str, ...] = tuple(_STRATEGY_CLASSES)
+
+
+def make_strategy(name: str, **kwargs) -> object:
+    """Factory: build a sorting strategy by name (one of :data:`STRATEGIES`)."""
     key = name.lower()
-    if key not in registry:
-        raise KeyError(f"unknown strategy {name!r}; options: {sorted(registry)}")
-    return registry[key](**kwargs)
+    if key not in _STRATEGY_CLASSES:
+        raise KeyError(f"unknown strategy {name!r}; options: {sorted(_STRATEGY_CLASSES)}")
+    return _STRATEGY_CLASSES[key](**kwargs)

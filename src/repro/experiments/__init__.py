@@ -4,6 +4,7 @@ from .engine import (
     CellResults,
     ExperimentEngine,
     ExperimentPlan,
+    QualityJob,
     SimJob,
     execute_cells,
     execute_plan,
@@ -28,6 +29,7 @@ __all__ = [
     "ExperimentPlan",
     "ExperimentResult",
     "PAPER_TRAFFIC_FRAMES",
+    "QualityJob",
     "SimJob",
     "execute_cells",
     "execute_plan",

@@ -1,4 +1,4 @@
-"""Plan/execute core shared by every experiment driver and the sweep executor.
+"""Plan/execute core shared by every experiment driver and every sweep.
 
 Every figure/table driver is a *plan* — an :class:`ExperimentPlan`
 declaring the grid of :class:`SimJob` cells plus a pure
@@ -14,18 +14,18 @@ parallel-vs-serial byte-identical contract.
 Layering::
 
     repro experiments (CLI) --> ExperimentEngine --+
-    repro sweep run   (CLI) --> SweepRunner  ------+--> execute_cells
-                                                        (dedup, cache probe,
-                                                         parallel fan-out,
-                                                         ordered merge, store)
+    repro sweep run   (CLI) --> SweepRunner  ------+--> execute_cells --> evaluate_cell
+                                                        (dedup, cache     (SimJob.simulate,
+                                                         probe, fan-out,   QualityJob.measure,
+                                                         merge, store)     ExperimentTask)
 
-:meth:`SimJob.simulate` is the only way to evaluate a cell and never
-touches the report cache; :func:`execute_cells` is the only code that
-caches one.  Anything with a ``cache_spec()`` (a :class:`SimJob`, a
-whole-experiment task, a sweep ``SweepPoint``) can be batched through it.
+:func:`evaluate_cell` is the one worker body and never touches the report
+cache; :func:`execute_cells` is the only code that caches a cell.  A sweep
+point compiles to a :class:`SimJob` plus, if it measures quality, a
+:class:`QualityJob`.
 Aggregation stays in the parent process and is pure, so serial, parallel,
 cold, and warm executions all produce row-identical
-:class:`~repro.experiments.runner.ExperimentResult`\\ s.
+:class:`~repro.experiments.runner.ExperimentResult`\\ s and sweep reports.
 """
 
 from __future__ import annotations
@@ -33,23 +33,64 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import lru_cache
 from typing import Any, Callable, Iterator, Mapping
 
+import numpy as np
+
+from ..core.strategies import STRATEGIES, make_strategy
 from ..hw.config import DramConfig
 from ..hw.stages import SequenceReport
 from ..hw.system import get_system
+from ..hw.workload import CAPTURE_HEIGHT, CAPTURE_WIDTH
+from ..metrics.image import psnr, ssim
+from ..pipeline.renderer import Renderer
 from ..runtime.cache import ResultCache, stable_key
 from ..runtime.parallel import parallel_map
 from ..scene.camera import RESOLUTIONS
-from ..scene.datasets import SCENE_SPECS
+from ..scene.datasets import SCENE_SPECS, TRAJECTORY_ARCHETYPES, archetype_trajectory, load_scene
 from . import runner
 from .runner import DEFAULT_FRAMES, ExperimentResult
 
 
 # ----------------------------------------------------------------------
-# SimJob: one simulation cell
+# Cells: one simulation cell, one render-quality cell
 # ----------------------------------------------------------------------
+def _is_int(value: Any) -> bool:
+    """True for integers, excluding ``bool`` (``True`` is not a count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_cell(cell, sizes: tuple[str, str], trajectory_optional: bool) -> None:
+    """Validate a cell's scene, trajectory, count, speed and pixel ``sizes``.
+
+    Numeric spellings are normalized (4 vs 4.0) so equal cells hash equal.
+    """
+    if not isinstance(cell.scene, str) or cell.scene not in SCENE_SPECS:
+        raise ValueError(f"unknown scene {cell.scene!r}; options: {sorted(SCENE_SPECS)}")
+    if cell.trajectory not in TRAJECTORY_ARCHETYPES and not (
+        trajectory_optional and cell.trajectory is None
+    ):
+        raise ValueError(
+            f"unknown trajectory {cell.trajectory!r}; options: {list(TRAJECTORY_ARCHETYPES)}"
+        )
+    if cell.num_gaussians is not None:
+        if not _is_int(cell.num_gaussians) or cell.num_gaussians < 8:
+            raise ValueError(
+                f"num_gaussians must be None or an integer >= 8, got {cell.num_gaussians!r}"
+            )
+        object.__setattr__(cell, "num_gaussians", int(cell.num_gaussians))
+    object.__setattr__(cell, "speed", float(cell.speed))
+    if not (math.isfinite(cell.speed) and cell.speed > 0):
+        raise ValueError(f"speed must be finite and > 0, got {cell.speed}")
+    for name in sizes:
+        value = getattr(cell, name)
+        if not _is_int(value) or value < 16:
+            raise ValueError(f"{name} must be an integer >= 16 px, got {value!r}")
+        object.__setattr__(cell, name, int(value))
+
+
 @dataclass(frozen=True)
 class SimJob:
     """One (system, scene, resolution, ...) simulation cell.
@@ -59,6 +100,10 @@ class SimJob:
     ``frames=None`` means "the run's frame count" and is pinned via
     :meth:`resolved` before execution, so cells declared by different figures
     with different spellings of the default still collapse.
+
+    The capture fields (``trajectory``: an archetype name, ``None`` for the
+    scene's default; ``num_gaussians``: ``None`` for the preset's; the
+    capture size) keep their defaults in figures and vary in sweeps.
     """
 
     system: str
@@ -68,34 +113,29 @@ class SimJob:
     speed: float = 1.0
     cores: int = 16
     bandwidth_gbps: float = 51.2
+    trajectory: str | None = None
+    num_gaussians: int | None = None
+    capture_width: int = CAPTURE_WIDTH
+    capture_height: int = CAPTURE_HEIGHT
 
     def __post_init__(self) -> None:
         # Fail at declaration time, not deep inside a worker: every cell
         # must name a registered system (same error the runner would raise)
         # and parameters the models can simulate.
         get_system(self.system)
-        if not isinstance(self.scene, str) or self.scene not in SCENE_SPECS:
-            raise ValueError(f"unknown scene {self.scene!r}; options: {sorted(SCENE_SPECS)}")
+        _check_cell(self, ("capture_width", "capture_height"), trajectory_optional=True)
         if not isinstance(self.resolution, str) or self.resolution not in RESOLUTIONS:
             raise ValueError(
                 f"unknown resolution {self.resolution!r}; options: {sorted(RESOLUTIONS)}"
             )
-        if self.frames is not None and (
-            isinstance(self.frames, bool)
-            or not isinstance(self.frames, numbers.Integral)
-            or self.frames < 1
-        ):
+        if self.frames is not None and (not _is_int(self.frames) or self.frames < 1):
             raise ValueError(f"frames must be None or an integer >= 1, got {self.frames!r}")
-        # Normalize numeric spellings (4 vs 4.0) so equal cells hash equal.
-        object.__setattr__(self, "speed", float(self.speed))
         object.__setattr__(self, "cores", int(self.cores))
         object.__setattr__(self, "bandwidth_gbps", float(self.bandwidth_gbps))
         if self.cores < 1:
             raise ValueError(f"cores must be >= 1, got {self.cores}")
-        for name in ("speed", "bandwidth_gbps"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not (math.isfinite(self.bandwidth_gbps) and self.bandwidth_gbps > 0):
+            raise ValueError(f"bandwidth_gbps must be finite and > 0, got {self.bandwidth_gbps}")
 
     @classmethod
     def make(
@@ -119,15 +159,7 @@ class SimJob:
         cache keys are computed from the reconstructed job, so two clients
         spelling the same cell differently (4 vs 4.0) still collapse.
         """
-        return {
-            "system": self.system,
-            "scene": self.scene,
-            "resolution": self.resolution,
-            "frames": self.frames,
-            "speed": self.speed,
-            "cores": self.cores,
-            "bandwidth_gbps": self.bandwidth_gbps,
-        }
+        return asdict(self)
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "SimJob":
@@ -162,16 +194,14 @@ class SimJob:
         """
         if self.frames is None:
             raise ValueError("cache_spec() needs concrete frames; call resolved() first")
-        return "reports", {
-            "kind": "report",
-            "system": self.system,
-            "scene": self.scene,
-            "resolution": self.resolution,
-            "frames": self.frames,
-            "speed": self.speed,
-            "cores": self.cores,
-            "bandwidth": self.bandwidth_gbps,
-        }
+        return "reports", {"kind": "report", **asdict(self)}
+
+    def capture_key(self) -> tuple:
+        """Key of this cell's workload in the capture memo (and its arguments)."""
+        return runner.capture_key(
+            self.scene, self.frames, self.speed, self.num_gaussians,
+            self.trajectory, self.capture_width, self.capture_height,
+        )
 
     def simulate(self) -> SequenceReport:
         """Evaluate this cell: capture the workload, build the model, simulate.
@@ -184,13 +214,66 @@ class SimJob:
         them.  ``dram_policy="edge"`` systems use this cell's bandwidth;
         ``"native"`` systems (the GPU) always run at their own memory system.
         """
-        wm = runner.get_workload_model(self.scene, num_frames=self.frames, speed=self.speed)
+        wm = runner.get_workload_model(*self.capture_key())
         model, tile = runner.build_system_model(
             self.system,
             dram=DramConfig(bandwidth_gbps=self.bandwidth_gbps),
             cores=self.cores,
         )
         return model.simulate(wm.sequence_workloads(self.resolution, tile), scene=self.scene)
+
+
+@dataclass(frozen=True)
+class QualityJob:
+    """One render-quality cell: a sorting strategy against the exact sort.
+
+    :meth:`measure` renders the ``trajectory`` archetype at ``width`` x
+    ``height`` both ways and compares the frames.
+    """
+
+    scene: str
+    num_gaussians: int | None
+    trajectory: str
+    speed: float
+    strategy: str
+    frames: int
+    width: int
+    height: int
+
+    def __post_init__(self) -> None:
+        _check_cell(self, ("width", "height"), trajectory_optional=False)
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {self.strategy!r}; options: {list(STRATEGIES)}")
+        if not _is_int(self.frames) or self.frames < 1:
+            raise ValueError(f"frames must be an integer >= 1, got {self.frames!r}")
+
+    def cache_spec(self) -> tuple[str, dict[str, Any]]:
+        """(namespace, payload) of this cell's report-cache entry."""
+        return "reports", {"kind": "quality", **asdict(self)}
+
+    def _images(self, **renderer_kwargs) -> list[np.ndarray]:
+        cameras = archetype_trajectory(
+            self.scene, self.trajectory, self.frames, self.speed, self.width, self.height
+        )
+        scene = load_scene(self.scene, num_gaussians=self.num_gaussians)
+        return [r.image for r in Renderer(scene, **renderer_kwargs).render_sequence(cameras)]
+
+    def measure(self) -> dict[str, Any]:
+        """Per-frame ``psnr_db`` and ``ssim``, and the strategy's ``func_sort_mb``."""
+        strategy = make_strategy(self.strategy)
+        images = self._images(strategy=strategy)
+        references = _reference_images(replace(self, strategy="full"))
+        return {
+            "psnr_db": [psnr(ref, image) for ref, image in zip(references, images)],
+            "ssim": [ssim(ref, image) for ref, image in zip(references, images)],
+            "func_sort_mb": float(strategy.total_traffic().total_bytes / 1e6),
+        }
+
+
+@lru_cache(maxsize=4)
+def _reference_images(job: QualityJob) -> tuple[np.ndarray, ...]:
+    """Exact-sort frames of ``job``'s point (keyed with its strategy pinned)."""
+    return tuple(job._images())
 
 
 class CellResults(Mapping):
@@ -365,8 +448,8 @@ class ExperimentTask:
         }
 
 
-def _evaluate_engine_task(task):
-    """Worker body shared by cell and whole-experiment tasks.
+def evaluate_cell(task):
+    """The one worker body: simulation, render-quality and whole-experiment cells.
 
     Everything a task needs travels with it: a cell carries its resolved
     frames, a whole-experiment task its frame override.  Results are
@@ -374,6 +457,8 @@ def _evaluate_engine_task(task):
     """
     if isinstance(task, SimJob):
         return task.simulate()
+    if isinstance(task, QualityJob):
+        return task.measure()
     from . import registry
 
     start = time.perf_counter()
@@ -529,7 +614,7 @@ class ExperimentEngine:
         if dispatch_cell_less_by_name:
             tasks += [ExperimentTask(plan.name, self.frames) for plan in whole_plans]
 
-        batch = execute_cells(tasks, _evaluate_engine_task, jobs=self.jobs, cache=self.cache)
+        batch = execute_cells(tasks, evaluate_cell, jobs=self.jobs, cache=self.cache)
 
         n_sim = len(sim_cells)
         reports = dict(zip(sim_cells, batch.values[:n_sim]))

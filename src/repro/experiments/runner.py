@@ -3,11 +3,12 @@
 Each driver in this package regenerates one table or figure from the paper:
 it builds the required workloads, runs the relevant system models or the
 functional pipeline, and returns an :class:`ExperimentResult` whose rows
-mirror the figure's data series.  Workload models are memoized per
-(scene, frames, speed, count) in-process.  A capture projects geometry only,
-from the scene that :func:`~repro.scene.datasets.load_scene` generates once
-per process, so a capture after that memo is emptied re-projects the frames
-but does not regenerate the scene.
+mirror the figure's data series.  Workload models are memoized in-process
+per :func:`capture_key` (scene, frames, speed, count, trajectory, capture
+size).  A capture projects geometry only, from the scene that
+:func:`~repro.scene.datasets.load_scene` generates once per process, so a
+capture after that memo is emptied re-projects the frames but does not
+regenerate the scene.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from ..hw.config import DramConfig
 from ..hw.system import get_system
-from ..hw.workload import WorkloadModel
+from ..hw.workload import CAPTURE_HEIGHT, CAPTURE_WIDTH, WorkloadModel
 
 #: Frames simulated per sequence when a cell leaves ``frames`` unset
 #: (``repro experiments --frames`` overrides it per run).  The paper renders
@@ -140,27 +141,32 @@ def _cell(row: dict, key: str) -> str:
     return _fmt(row[key]) if key in row else "-"
 
 
-def get_workload_model(
+def capture_key(
     scene: str,
     num_frames: int | None = None,
     speed: float = 1.0,
     num_gaussians: int | None = None,
-) -> WorkloadModel:
-    """Workload-model capture for a scene preset, memoized in-process.
+    trajectory: str | None = None,
+    capture_width: int = CAPTURE_WIDTH,
+    capture_height: int = CAPTURE_HEIGHT,
+) -> tuple:
+    """The capture memo's normalized key, also the service's residency key.
 
-    ``num_frames=None`` means :data:`DEFAULT_FRAMES`.
+    ``num_frames=None`` means :data:`DEFAULT_FRAMES`; ``trajectory=None``
+    the scene's default archetype.
     """
-    frames = DEFAULT_FRAMES if num_frames is None else num_frames
-    return _workload_model_cached(scene, frames, speed, num_gaussians)
+    frames = DEFAULT_FRAMES if num_frames is None else int(num_frames)
+    size = (int(capture_width), int(capture_height))
+    return (scene, frames, float(speed), num_gaussians, trajectory, *size)
 
 
-@lru_cache(maxsize=64)
-def _workload_model_cached(
-    scene: str, num_frames: int, speed: float, num_gaussians: int | None
-) -> WorkloadModel:
-    return WorkloadModel.from_scene(
-        scene, num_frames=num_frames, speed=speed, num_gaussians=num_gaussians
-    )
+def get_workload_model(*args, **kwargs) -> WorkloadModel:
+    """Workload-model capture for :func:`capture_key`'s arguments, memoized in-process."""
+    return _workload_model_cached(*capture_key(*args, **kwargs))
+
+
+#: The capture memo: :meth:`WorkloadModel.from_scene` by :func:`capture_key`.
+_workload_model_cached = lru_cache(maxsize=64)(WorkloadModel.from_scene)
 
 
 def build_system_model(
@@ -171,11 +177,12 @@ def build_system_model(
 ):
     """Instantiate a hardware model by name; returns ``(model, tile_size)``.
 
-    Shared by :meth:`~repro.experiments.engine.SimJob.simulate` and the
-    sweep executor (:mod:`repro.sweeps.executor`).  Dispatch goes through the
-    system registry (:func:`repro.hw.system.get_system`): an unknown name raises
-    ``KeyError`` listing the registered options, and derived variants
-    (``neo-s``, ``gscore-32c``, ...) apply their declarative overlays here.
+    Used by :meth:`~repro.experiments.engine.SimJob.simulate`, which evaluates
+    the hardware cells of figures, sweeps and the service.  Dispatch goes
+    through the system registry (:func:`repro.hw.system.get_system`): an
+    unknown name raises ``KeyError`` listing the registered options, and
+    derived variants (``neo-s``, ``gscore-32c``, ...) apply their declarative
+    overlays here.
     ``dram_policy="edge"`` systems take the given DRAM configuration; the
     GPU always runs at Orin's native bandwidth.
     """

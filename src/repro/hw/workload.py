@@ -58,7 +58,7 @@ from ..pipeline.culling import frustum_cull
 from ..pipeline.projection import project_geometry
 from ..pipeline.tiling import TileGrid, TileStream, pair_lists, row_intervals
 from ..scene.camera import Camera, resolution as named_resolution
-from ..scene.datasets import default_trajectory, load_scene, scene_spec
+from ..scene.datasets import archetype_trajectory, default_trajectory, load_scene, scene_spec
 from ..scene.gaussians import GaussianScene
 
 #: The low half of an ``ID << 32 | tile`` pair key or ``ID << 32 | tile row`` run key.
@@ -190,23 +190,24 @@ class WorkloadModel:
         num_frames: int = 30,
         speed: float = 1.0,
         num_gaussians: int | None = None,
+        trajectory: str | None = None,
         capture_width: int = CAPTURE_WIDTH,
         capture_height: int = CAPTURE_HEIGHT,
     ) -> "WorkloadModel":
         """Capture a workload model for a registered scene preset.
 
         The scene is the shared, read-only one from
-        :func:`~repro.scene.datasets.load_scene`.
+        :func:`~repro.scene.datasets.load_scene`.  ``trajectory`` names an
+        archetype from :data:`~repro.scene.datasets.TRAJECTORY_ARCHETYPES`;
+        ``None`` keeps the scene's default one.
         """
         spec = scene_spec(scene_name)
         scene = load_scene(scene_name, num_gaussians=num_gaussians)
-        cameras = default_trajectory(
-            scene_name,
-            num_frames=num_frames,
-            speed=speed,
-            width=capture_width,
-            height=capture_height,
-        )
+        size = (capture_width, capture_height)
+        if trajectory is None:
+            cameras = default_trajectory(scene_name, num_frames, speed, *size)
+        else:
+            cameras = archetype_trajectory(scene_name, trajectory, num_frames, speed, *size)
         return WorkloadModel.from_render(
             scene,
             cameras,

@@ -1,19 +1,19 @@
 """Disk-backed result cache for experiment artifacts.
 
 Every expensive artifact the reproduction produces — per-system
-:class:`~repro.hw.stages.SequenceReport`\\ s, sweep rows, and whole
-:class:`~repro.experiments.runner.ExperimentResult` tables — is a pure
-function of (scene, trajectory, hardware configuration, code version).  The
-:class:`ResultCache` persists those artifacts under ``.repro_cache/`` keyed
-by a stable hash of exactly that tuple, so a warm invocation never re-renders
-a frame or re-simulates a system it has already measured.
+:class:`~repro.hw.stages.SequenceReport`\\ s, render-quality measurements,
+and whole :class:`~repro.experiments.runner.ExperimentResult` tables — is a
+pure function of (scene, trajectory, hardware configuration, code version).
+The :class:`ResultCache` persists those artifacts under ``.repro_cache/``
+keyed by a stable hash of exactly that tuple, so a warm invocation never
+re-renders a frame or re-simulates a system it has already measured.
 
 Layout::
 
     .repro_cache/
         experiments/<key>.json    # ExperimentResult rows (human-inspectable)
-        reports/<key>.pkl         # SequenceReport objects
-        sweeps/<key>.json         # scenario-sweep metric rows
+        reports/<key>.pkl         # cell values: SequenceReports (SimJob),
+                                  # per-frame PSNR/SSIM (QualityJob)
         tenants/<tenant>/         # per-tenant private namespaces (service)
             reports/<key>.pkl
             ...
@@ -45,7 +45,7 @@ import numpy as np
 DEFAULT_CACHE_DIR = ".repro_cache"
 
 #: Namespaces with JSON payloads; everything else is pickled.
-_JSON_NAMESPACES = frozenset({"experiments", "sweeps"})
+_JSON_NAMESPACES = frozenset({"experiments"})
 
 #: Directory under the cache root holding per-tenant namespace subtrees.
 TENANT_ROOT = "tenants"

@@ -1,8 +1,8 @@
 """Process-parallel fan-out: an order-preserving task map.
 
-:func:`parallel_map` is the map the
-:class:`~repro.experiments.engine.ExperimentEngine` and the sweep executor
-fan their cache-miss cells out through; its merge is deterministic.
+:func:`parallel_map` is the map
+:func:`~repro.experiments.engine.execute_cells` fans cache-miss cells out
+through, for figures and sweeps alike; its merge is deterministic.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ def _mp_context() -> multiprocessing.context.BaseContext:
 def parallel_map(func, tasks: list, jobs: int) -> list:
     """Order-preserving map of a picklable function over a task list.
 
-    The shared fan-out primitive behind the experiment engine and the
-    sweep executor (:mod:`repro.sweeps`): ``jobs <= 1`` (or a single task)
-    runs in-process, anything else goes through a :mod:`multiprocessing`
-    pool sized to ``min(jobs, len(tasks))``.  Results always come back in
-    task order regardless of completion order, so callers' merges stay
-    deterministic.
+    The fan-out primitive behind the engine's cell batches: ``jobs <= 1``
+    (or a single task) runs in-process, anything else goes through a
+    :mod:`multiprocessing` pool sized to ``min(jobs, len(tasks))``.  Results
+    always come back in task order regardless of completion order, so
+    callers' merges stay deterministic.
     """
     if jobs <= 1 or len(tasks) <= 1:
         return [func(task) for task in tasks]

@@ -51,6 +51,12 @@ MAX_MESSAGE_BYTES = 4 * 1024 * 1024
 #: ~1 MB of JSON, well inside :data:`MAX_MESSAGE_BYTES`.
 MAX_JOB_FRAMES = 4096
 
+#: Largest functional Gaussian count and capture dimension one request may
+#: name: every capture's scene and geometry stay resident in the server's
+#: in-process memos.
+MAX_JOB_GAUSSIANS = 65536
+MAX_JOB_CAPTURE_PX = 4096
+
 
 def encode_message(message: dict[str, Any]) -> bytes:
     """One message as a compact, key-sorted JSON line."""
@@ -82,11 +88,17 @@ def job_from_payload(payload: dict[str, Any]) -> SimJob:
     """Rebuild the request's simulation cell, validated for the service.
 
     :class:`SimJob` checks every field's domain; the service also caps
-    ``frames`` at :data:`MAX_JOB_FRAMES`.
+    ``frames`` at :data:`MAX_JOB_FRAMES`, ``num_gaussians`` at
+    :data:`MAX_JOB_GAUSSIANS` and the capture size at
+    :data:`MAX_JOB_CAPTURE_PX` per side.
     """
     job = SimJob.from_payload(payload)
     if job.frames is not None and job.frames > MAX_JOB_FRAMES:
         raise ValueError(f"frames must be <= {MAX_JOB_FRAMES}, got {job.frames}")
+    if (job.num_gaussians or 0) > MAX_JOB_GAUSSIANS:
+        raise ValueError(f"num_gaussians must be <= {MAX_JOB_GAUSSIANS}, got {job.num_gaussians}")
+    if max(job.capture_width, job.capture_height) > MAX_JOB_CAPTURE_PX:
+        raise ValueError(f"capture dimensions must be <= {MAX_JOB_CAPTURE_PX} px")
     return job
 
 

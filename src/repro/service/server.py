@@ -20,8 +20,9 @@ mechanisms turn many concurrent clients into bounded, shared work:
   cancelling the shared execution (``asyncio.shield``).
 * **Warm scene residency** — workers run in one process, so the workload
   models' in-process memo (:func:`~repro.experiments.runner.get_workload_model`)
-  keeps every scene loaded after its first use: load once, serve many
-  trajectories.  The metrics report warm-hit rate per executed cell.
+  keeps every capture after its first use: one capture per
+  :meth:`SimJob.capture_key` serves every system, resolution and bandwidth.
+  The metrics count loads and warm hits by that same key.
 
 Results persist into per-tenant :class:`~repro.runtime.cache.ResultCache`
 namespaces (``tenants/<tenant>/reports``); a tenant opts into the shared
@@ -84,7 +85,7 @@ class ServiceMetrics:
     #: Requests served by attaching to an execution another request started.
     coalesced: int = 0
     cache_hits: int = 0
-    #: Executions whose scene workload was already resident in-process.
+    #: Executions whose capture (:meth:`SimJob.capture_key`) was already resident.
     warm_scene_hits: int = 0
     scene_loads: int = 0
     #: Response writes that failed because the client had gone away.
@@ -358,7 +359,7 @@ class SimulationServer:
             execution = await self._queue.get()
             job = execution.job
             self.metrics.executions += 1
-            scene_key = (job.scene, job.frames, job.speed)
+            scene_key = job.capture_key()
             if scene_key in self._resident_scenes:
                 self.metrics.warm_scene_hits += 1
             else:

@@ -16,60 +16,33 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from ..experiments.runner import ExperimentResult
+
 
 @dataclass
-class SweepReport:
+class SweepReport(ExperimentResult):
     """Aggregated results of one sweep execution.
+
+    An :class:`~repro.experiments.runner.ExperimentResult` (name,
+    description, one flat metrics row per grid point in grid order, and its
+    column, filter, JSON and CSV helpers) that also records:
 
     Attributes
     ----------
-    name / description:
-        Copied from the spec.
     spec:
         The canonical spec dict (:meth:`SweepSpec.to_dict`).
     code_version:
         Package-source digest the rows were computed under.
-    rows:
-        One flat metrics dict per grid point, in grid order.
     """
 
-    name: str
-    description: str
-    spec: dict[str, Any]
-    code_version: str
-    rows: list[dict[str, Any]] = field(default_factory=list)
+    spec: dict[str, Any] = field(default_factory=dict)
+    code_version: str = ""
 
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
     @property
     def num_points(self) -> int:
         """Grid points recorded."""
         return len(self.rows)
 
-    def columns(self) -> list[str]:
-        """Union of row keys in first-seen order (stable across runs)."""
-        seen: dict[str, None] = {}
-        for row in self.rows:
-            for key in row:
-                seen.setdefault(key, None)
-        return list(seen)
-
-    def column(self, key: str) -> list:
-        """Extract one column across all rows (missing values become None)."""
-        return [row.get(key) for row in self.rows]
-
-    def filter(self, **conditions) -> list[dict[str, Any]]:
-        """Rows matching all key=value conditions."""
-        return [
-            row
-            for row in self.rows
-            if all(row.get(k) == v for k, v in conditions.items())
-        ]
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict form; round-trips through :meth:`from_dict`."""
         return {
@@ -94,36 +67,11 @@ class SweepReport:
             rows=list(payload["rows"]),
         )
 
-    def write_json(self, path: str | Path) -> Path:
-        """Write the report as deterministic JSON (sorted keys)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return path
-
     @classmethod
     def load_json(cls, path: str | Path) -> "SweepReport":
         """Read a report previously written by :meth:`write_json`."""
         with open(path, encoding="utf-8") as handle:
             return cls.from_dict(json.load(handle))
-
-    def write_csv(self, path: str | Path) -> Path:
-        """Write the rows as CSV (one line per grid point).
-
-        ``None`` serializes as an empty cell; :func:`read_csv_rows` undoes
-        the string coercion for round-trips.
-        """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        columns = self.columns()
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=columns, restval="")
-            writer.writeheader()
-            for row in self.rows:
-                writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
-        return path
 
     def to_markdown(self, max_rows: int | None = None) -> str:
         """Render a GitHub-flavoured markdown summary table."""

@@ -5,8 +5,8 @@ scene presets (optionally with ``num_gaussians`` scaling), trajectory
 archetypes, sorting strategies, and hardware configurations — plus the
 shared capture parameters (frames, resolutions).  Specs parse from plain
 dicts or JSON, validate every axis against the live registries, and expand
-into an ordered list of :class:`SweepPoint`\\ s, each of which is one
-independently cacheable unit of work for the executor.
+into an ordered list of :class:`SweepPoint`\\ s, which the executor
+compiles to cacheable engine cells.
 """
 
 from __future__ import annotations
@@ -18,15 +18,12 @@ import numbers
 from dataclasses import dataclass, field, fields
 from typing import Any
 
+from ..core.strategies import STRATEGIES
 from ..hw.config import EDGE_BANDWIDTH_GBPS
 from ..hw.system import registered_systems
 from ..scene.camera import RESOLUTIONS
 from ..scene.datasets import SCENE_SPECS, TRAJECTORY_ARCHETYPES
 
-#: Sorting strategies a sweep point may render with (names understood by
-#: :func:`repro.core.strategies.make_strategy`; ``neo`` is the
-#: :class:`~repro.core.reuse_update.ReuseUpdateSorter`).
-STRATEGIES: tuple[str, ...] = ("full", "periodic", "background", "hierarchical", "neo")
 
 
 @dataclass(frozen=True)
@@ -105,9 +102,9 @@ class HardwareConfig:
 class SweepPoint:
     """One fully resolved grid point: everything needed to evaluate it.
 
-    Points are picklable (they cross the process boundary for parallel
-    execution) and hashable, and :meth:`cache_payload` gives the stable
-    parameter dict the result cache keys them by.
+    The executor compiles a point to engine cells (a ``SimJob`` and, with
+    ``measure_quality``, a ``QualityJob``); the cells' cache keys are their
+    parameters, never the point's ``index`` in the grid.
     """
 
     index: int
@@ -132,32 +129,6 @@ class SweepPoint:
             f"{self.scene}[{gaussians}]/{self.trajectory}x{self.speed:g}"
             f"/{self.strategy}/{self.hardware.label}"
         )
-
-    def cache_payload(self) -> dict[str, Any]:
-        """Stable parameter dict for :func:`repro.runtime.cache.stable_key`.
-
-        Deliberately excludes ``index`` (a point's identity is its
-        parameters, not its position in the grid) so reordering or slicing
-        a spec never invalidates previously computed points.
-        """
-        return {
-            "kind": "sweep-point",
-            "scene": self.scene,
-            "num_gaussians": self.num_gaussians,
-            "trajectory": self.trajectory,
-            "speed": self.speed,
-            "strategy": self.strategy,
-            "hardware": self.hardware.to_dict(),
-            "frames": self.frames,
-            "capture": [self.capture_width, self.capture_height],
-            "render": [self.render_width, self.render_height],
-            "measure_quality": self.measure_quality,
-        }
-
-    def cache_spec(self) -> tuple[str, dict[str, Any]]:
-        """(namespace, payload) for the shared execution core
-        (:func:`repro.experiments.engine.execute_cells`)."""
-        return "sweeps", self.cache_payload()
 
 
 def _is_int(value: Any) -> bool:

@@ -1,6 +1,6 @@
 """Tests for the plan/execute experiment engine.
 
-Covers the SimJob value object, the shared execute_cells core (dedup, cache
+Covers the SimJob and QualityJob value objects, the shared execute_cells core (dedup, cache
 probe, parallel fan-out), cross-figure cell dedup, serial-vs-parallel
 byte-identical artifacts, the golden all-17-experiments in-process vs engine
 equivalence, and the `repro experiments` CLI surface.
@@ -12,12 +12,14 @@ import json
 import os
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.experiments import (
     ExperimentEngine,
     ExperimentResult,
+    QualityJob,
     SimJob,
     execute_cells,
     execute_plan,
@@ -43,7 +45,8 @@ from repro.experiments import (
     table3,
     table4,
 )
-from repro.runtime import ResultCache
+from repro.experiments import runner
+from repro.runtime import ResultCache, stable_key
 
 FAST_SCENES = ("family", "horse")
 
@@ -68,6 +71,86 @@ class TestSimJob:
     def test_cache_spec_requires_resolved_frames(self):
         with pytest.raises(ValueError):
             SimJob("neo", "family", "hd").cache_spec()
+
+    def test_capture_fields_default_to_the_figure_capture(self):
+        job = SimJob("neo", "family", "hd", frames=3)
+        assert job.capture_key() == runner.capture_key("family", 3)
+        assert runner.get_workload_model(*job.capture_key()) is runner.get_workload_model(
+            "family", 3, 1.0
+        )
+
+    def test_capture_fields_normalize(self):
+        a = SimJob("neo", "family", "hd", frames=3, num_gaussians=np.int64(128),
+                   capture_width=np.int32(160))
+        b = SimJob("neo", "family", "hd", frames=3, num_gaussians=128, capture_width=160)
+        assert a == b
+        assert stable_key(a.cache_spec()[1]) == stable_key(b.cache_spec()[1])
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"trajectory": "spiral"}, "unknown trajectory"),
+            ({"trajectory": ["orbit"]}, "unknown trajectory"),
+            ({"num_gaussians": 4}, "num_gaussians"),
+            ({"num_gaussians": 128.0}, "num_gaussians"),
+            ({"num_gaussians": True}, "num_gaussians"),
+            ({"capture_width": 8}, "capture_width"),
+            ({"capture_height": 90.5}, "capture_height"),
+            ({"capture_width": None}, "capture_width"),
+            ({"speed": float("nan")}, "speed"),
+            ({"scene": "atlantis"}, "unknown scene"),
+        ],
+    )
+    def test_rejects_bad_capture_fields(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            SimJob(**{"system": "neo", "scene": "family", "resolution": "hd", **overrides})
+
+
+# ----------------------------------------------------------------------
+# QualityJob
+# ----------------------------------------------------------------------
+QUALITY = {
+    "scene": "family", "num_gaussians": 128, "trajectory": "orbit", "speed": 1.0,
+    "strategy": "neo", "frames": 2, "width": 48, "height": 32,
+}
+
+
+class TestQualityJob:
+    def test_equal_cells_collapse(self):
+        a = QualityJob(**QUALITY)
+        b = QualityJob(**{**QUALITY, "speed": 1, "num_gaussians": np.int64(128)})
+        assert a == b
+        assert stable_key(a.cache_spec()[1]) == stable_key(b.cache_spec()[1])
+        assert a.cache_spec()[0] == "reports"
+        assert a.cache_spec()[1]["kind"] == "quality"
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"scene": "atlantis"}, "unknown scene"),
+            ({"trajectory": "spiral"}, "unknown trajectory"),
+            ({"trajectory": None}, "unknown trajectory"),
+            ({"strategy": "quantum"}, "unknown strategy"),
+            ({"num_gaussians": 4}, "num_gaussians"),
+            ({"speed": 0.0}, "speed"),
+            ({"speed": float("inf")}, "speed"),
+            ({"frames": 0}, "frames"),
+            ({"frames": 2.0}, "frames"),
+            ({"frames": True}, "frames"),
+            ({"width": 8}, "width"),
+            ({"height": 40.5}, "height"),
+        ],
+    )
+    def test_rejects_bad_input(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            QualityJob(**{**QUALITY, **overrides})
+
+    def test_measure_shape_and_exact_strategy(self):
+        value = QualityJob(**QUALITY).measure()
+        assert len(value["psnr_db"]) == len(value["ssim"]) == QUALITY["frames"]
+        assert value["func_sort_mb"] > 0
+        exact = QualityJob(**{**QUALITY, "strategy": "full"}).measure()
+        assert exact["psnr_db"] == [99.0, 99.0]  # identical to the reference
 
 
 # ----------------------------------------------------------------------

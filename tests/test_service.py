@@ -142,6 +142,29 @@ class TestCoalescing:
         asyncio.run(scenario())
 
 
+class TestWarmScenes:
+    def test_capture_key_counts_trajectories_apart(self):
+        # Two jobs that differ only in trajectory capture two workloads.
+        async def scenario():
+            sim = GatedSim()
+            sim.gate.set()
+            server = await start_server(workers=1, simulate_fn=sim)
+            client = await connect(server)
+            try:
+                for trajectory in ("orbit", "dolly"):
+                    job = {**job_payload(), "trajectory": trajectory}
+                    response = await client.request({"op": "simulate", "job": job})
+                    assert response["status"] == "ok"
+            finally:
+                await client.close()
+                await server.stop()
+            assert server.metrics.executions == 2
+            assert server.metrics.scene_loads == 2
+            assert server.metrics.warm_scene_hits == 0
+
+        asyncio.run(scenario())
+
+
 class TestAdmissionControl:
     def test_queue_full_rejection(self):
         async def scenario():
@@ -324,6 +347,9 @@ class TestProtocol:
     def test_job_payload_round_trip(self):
         job = SimJob.make("neo", "family", "qhd", frames=4, speed=2.0, cores=8)
         assert SimJob.from_payload(job.to_payload()) == job
+        swept = SimJob("neo", "family", "hd", 4, trajectory="shake", num_gaussians=256,
+                       capture_width=240, capture_height=135)
+        assert SimJob.from_payload(swept.to_payload()) == swept
 
     def test_job_payload_normalizes_spellings(self):
         a = SimJob.from_payload({"system": "neo", "scene": "family", "resolution": "hd",
@@ -384,6 +410,11 @@ MALFORMED_JOBS = [
     pytest.param({"cores": 0}, id="cores-zero"),
     pytest.param({"kwargs": {"name": "gpu"}}, id="model-kwargs"),
     pytest.param({"bandwith_gbps": 25.6}, id="typo-key"),
+    pytest.param({"trajectory": "spiral"}, id="trajectory-unknown"),
+    pytest.param({"num_gaussians": 4}, id="gaussians-under-min"),
+    pytest.param({"num_gaussians": 10**9}, id="gaussians-over-cap"),
+    pytest.param({"capture_width": 10**6}, id="capture-over-cap"),
+    pytest.param({"capture_height": 16.5}, id="capture-float"),
 ]
 
 

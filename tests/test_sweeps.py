@@ -2,10 +2,17 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core.strategies import make_strategy
+from repro.experiments import SimJob, runner
+from repro.hw.workload import WorkloadModel
+from repro.metrics.image import psnr, ssim
+from repro.pipeline.renderer import Renderer
 from repro.runtime import ResultCache, stable_key
+from repro.scene.datasets import archetype_trajectory, load_scene
 from repro.sweeps import (
     HardwareConfig,
     SweepReport,
@@ -16,6 +23,13 @@ from repro.sweeps import (
     read_csv_rows,
     resolve_spec,
 )
+from repro.sweeps.executor import point_cells
+
+
+def cell_keys(point) -> tuple[str, ...]:
+    """Stable cache keys of the engine cells a point compiles to."""
+    return tuple(stable_key(cell.cache_spec()[1]) for cell in point_cells(point))
+
 
 #: A deliberately tiny spec: 2 points, small scene, short sequence.
 TINY = SweepSpec(
@@ -31,6 +45,9 @@ TINY = SweepSpec(
     render_width=96,
     render_height=54,
 )
+
+#: TINY's distinct engine cells: a SimJob and a QualityJob per point.
+TINY_CELLS = 2 * TINY.num_points
 
 
 class TestSpecParsing:
@@ -72,8 +89,8 @@ class TestSpecParsing:
         b = SweepSpec(name="n", scenes=("family",), speeds=(2.0,),
                       hardware=(HardwareConfig(system="NEO", bandwidth_gbps=52.0),))
         assert a == b
-        keys_a = [stable_key(p.cache_payload()) for p in a.points()]
-        keys_b = [stable_key(p.cache_payload()) for p in b.points()]
+        keys_a = [cell_keys(p) for p in a.points()]
+        keys_b = [cell_keys(p) for p in b.points()]
         assert keys_a == keys_b
 
     @pytest.mark.parametrize(
@@ -135,35 +152,57 @@ class TestGridExpansion:
         points = spec.points()
         assert len(points) == spec.num_points
         assert [p.index for p in points] == list(range(spec.num_points))
-        # Every point is distinct.
-        assert len({stable_key(p.cache_payload()) for p in points}) == spec.num_points
+        # Every point is distinct; points that differ only in strategy
+        # share their SimJob.
+        assert len({cell_keys(p) for p in points}) == spec.num_points
+        assert len({cell_keys(p)[0] for p in points}) == spec.num_points // 2
 
     def test_point_cache_keys_deterministic(self):
-        first = [stable_key(p.cache_payload()) for p in TINY.points()]
+        first = [cell_keys(p) for p in TINY.points()]
         reparsed = SweepSpec.from_json(TINY.to_json())
-        second = [stable_key(p.cache_payload()) for p in reparsed.points()]
+        second = [cell_keys(p) for p in reparsed.points()]
         assert first == second
 
     def test_cache_key_independent_of_grid_position(self):
-        # Slicing a spec down must not change the surviving point's key.
+        # Slicing a spec down must not change the surviving point's keys.
         wide = TINY
         narrow = SweepSpec.from_dict({**TINY.to_dict(), "trajectories": ["teleport"]})
-        wide_keys = {
-            p.trajectory: stable_key(p.cache_payload()) for p in wide.points()
-        }
+        wide_keys = {p.trajectory: cell_keys(p) for p in wide.points()}
         (narrow_point,) = narrow.points()
-        assert stable_key(narrow_point.cache_payload()) == wide_keys["teleport"]
+        assert cell_keys(narrow_point) == wide_keys["teleport"]
 
     def test_cache_key_sensitive_to_parameters(self):
-        base = TINY.points()[0]
-        other = SweepSpec.from_dict({**TINY.to_dict(), "frames": 4}).points()[0]
-        assert stable_key(base.cache_payload()) != stable_key(other.cache_payload())
+        # Each parameter reaches the key of exactly the cells it affects:
+        # (SimJob changed, QualityJob changed).
+        cases = [
+            ({"frames": 4}, (True, True)),
+            ({"scenes": ["horse"]}, (True, True)),
+            ({"num_gaussians": [256]}, (True, True)),
+            ({"trajectories": ["teleport"]}, (True, True)),
+            ({"speeds": [2.0]}, (True, True)),
+            ({"capture_width": 320}, (True, False)),
+            ({"capture_height": 180}, (True, False)),
+            ({"hardware": [{"system": "gscore", "resolution": "hd"}]}, (True, False)),
+            ({"hardware": [{"system": "neo", "resolution": "qhd"}]}, (True, False)),
+            ({"hardware": [{"system": "neo", "resolution": "hd", "cores": 8}]}, (True, False)),
+            (
+                {"hardware": [{"system": "neo", "resolution": "hd", "bandwidth_gbps": 25.6}]},
+                (True, False),
+            ),
+            ({"strategies": ["full"]}, (False, True)),
+            ({"render_width": 128}, (False, True)),
+            ({"render_height": 72}, (False, True)),
+        ]
+        base = cell_keys(TINY.points()[0])
+        for overrides, changed in cases:
+            other = cell_keys(SweepSpec.from_dict({**TINY.to_dict(), **overrides}).points()[0])
+            assert tuple(a != b for a, b in zip(base, other)) == changed, overrides
 
 
 class TestExecutor:
     def test_serial_parallel_and_warm_reports_identical(self, tmp_path):
         serial = SweepRunner(jobs=1, cache=None).run(TINY)
-        assert serial.misses == TINY.num_points
+        assert serial.misses == TINY_CELLS
 
         cache = ResultCache(tmp_path / "cache")
         parallel = SweepRunner(jobs=2, cache=cache).run(TINY)
@@ -173,7 +212,7 @@ class TestExecutor:
 
         warm = SweepRunner(jobs=2, cache=cache).run(TINY)
         assert warm.all_cached
-        assert warm.hits == TINY.num_points
+        assert warm.hits == TINY_CELLS
         assert json.dumps(warm.report.to_dict(), sort_keys=True) == json.dumps(
             serial.report.to_dict(), sort_keys=True
         )
@@ -187,6 +226,60 @@ class TestExecutor:
             assert 0 < row["mean_ssim"] <= 1.0
             assert row["mean_psnr_db"] >= row["min_psnr_db"]
             assert row["func_sort_mb"] > 0
+
+    def test_rows_equal_direct_cell_evaluations(self):
+        # A row's hardware columns are a direct SimJob's, its quality
+        # columns a direct render of the same point against the exact sort.
+        report = SweepRunner(jobs=1, cache=None).run(TINY).report
+        for point, row in zip(TINY.points(), report.rows):
+            hw = point.hardware
+            seq = SimJob(
+                hw.system, point.scene, hw.resolution, frames=point.frames,
+                speed=point.speed, cores=hw.cores, bandwidth_gbps=hw.bandwidth_gbps,
+                trajectory=point.trajectory, num_gaussians=point.num_gaussians,
+                capture_width=point.capture_width, capture_height=point.capture_height,
+            ).simulate()
+            assert row["fps"] == seq.fps
+            assert row["mean_latency_ms"] == seq.mean_latency_s * 1e3
+            assert row["traffic_gb_60f"] == seq.traffic_gb_for(60)
+            assert row["sorting_traffic_frac"] == seq.total_traffic.fractions()["sorting"]
+
+            cameras = archetype_trajectory(
+                point.scene, point.trajectory, point.frames, point.speed,
+                point.render_width, point.render_height,
+            )
+            scene = load_scene(point.scene, num_gaussians=point.num_gaussians)
+            strategy = make_strategy(point.strategy)
+            images = [r.image for r in Renderer(scene, strategy=strategy).render_sequence(cameras)]
+            references = [r.image for r in Renderer(scene).render_sequence(cameras)]
+            psnrs = [psnr(a, b) for a, b in zip(references, images)]
+            assert row["mean_psnr_db"] == float(np.mean(psnrs))
+            assert row["min_psnr_db"] == float(np.min(psnrs))
+            assert row["mean_ssim"] == float(
+                np.mean([ssim(a, b) for a, b in zip(references, images)])
+            )
+            assert row["func_sort_mb"] == strategy.total_traffic().total_bytes / 1e6
+
+    def test_cold_serial_sweep_captures_each_workload_once(self, monkeypatch):
+        # Strategies and hardware share a point's capture: TINY widened on
+        # both axes still captures once per trajectory.
+        spec = SweepSpec.from_dict({
+            **TINY.to_dict(),
+            "strategies": ["neo", "full"],
+            "hardware": [{"system": "neo", "resolution": "hd"},
+                         {"system": "gscore", "resolution": "qhd"}],
+        })
+        captures = []
+        real = WorkloadModel.from_render
+
+        def counting(scene, cameras, *args, **kwargs):
+            captures.append((len(scene), cameras[0].width, len(cameras)))
+            return real(scene, cameras, *args, **kwargs)
+
+        monkeypatch.setattr(WorkloadModel, "from_render", staticmethod(counting))
+        runner._workload_model_cached.cache_clear()
+        SweepRunner(jobs=1, cache=None).run(spec)
+        assert len(captures) == len(spec.trajectories) == 2
 
     def test_measure_quality_false_skips_render_columns(self):
         spec = SweepSpec.from_dict({**TINY.to_dict(), "measure_quality": False})
@@ -279,7 +372,7 @@ class TestSweepCli:
              "--out", str(out_warm), "--require-cached"]
         )
         assert rc == 0
-        assert f"{TINY.num_points} from cache" in capsys.readouterr().out
+        assert f"{TINY_CELLS} from cache" in capsys.readouterr().out
 
         cold = (out_cold / "tiny.json").read_bytes()
         warm = (out_warm / "tiny.json").read_bytes()
