@@ -50,6 +50,16 @@ third of the bbox pixels.  ``RasterStats.blend_ops`` still counts bbox
 pixels, the scalar loop's and the hardware model's workload, while
 :class:`RasterWork` records what the core actually touched.
 
+**Index width and layout.**  Every gather and scatter index is
+``np.intp``, NumPy's native index type, so ``take``, ``put`` and
+``add.at`` never cast an index array per call.  Each bbox axis has one
+member index (``colmem``, ``rowmem``), and every per-column and per-row
+table is a ``take`` of a contiguous per-member column through it.  Subtile
+valid bits run on subtile-major ``(subtile, pairs)`` planes, so every
+inner loop spans the pairs, not a subtile axis two long.  Per-pixel arrays
+live in a thread-local pool, and the significant pixels' arrays reuse its
+spent buffers, so a steady-state frame faults in almost no fresh pages.
+
 Every intermediate float is produced by the same operations in the same
 order as the scalar per-Gaussian loop, so images, ``valid_bits`` and every
 :class:`RasterStats` counter are bit-identical to the frozen reference in
@@ -109,16 +119,6 @@ def _pool(name: str, n: int, dtype=np.float64) -> np.ndarray:
     if buf is None or buf.size < n or buf.dtype != np.dtype(dtype):
         buf = np.empty(n, dtype=dtype)
         buffers[name] = buf
-    return buf[:n]
-
-
-def _iota(n: int) -> np.ndarray:
-    """The cached int32 sequence ``0..n-1`` (read-only by convention)."""
-    buffers = _SCRATCH.buffers
-    buf = buffers.get("iota")
-    if buf is None or buf.size < n:
-        buf = np.arange(max(n, 1 << 16), dtype=np.int32)
-        buffers["iota"] = buf
     return buf[:n]
 
 
@@ -208,7 +208,7 @@ class RasterResult:
 def _row_spans(
     a: np.ndarray,
     opacity: np.ndarray,
-    bh: np.ndarray,
+    rowmem: np.ndarray,
     b_dy: np.ndarray,
     c_dy2: np.ndarray,
     dx_first: np.ndarray,
@@ -217,9 +217,9 @@ def _row_spans(
     """Significance span ``[first, first + span)`` of each (member, bbox row).
 
     ``a``, ``opacity``, ``dx_first`` (the ``dx`` of bbox column 0) and
-    ``bw``/``bh`` (bbox width, height) are per member; ``b_dy`` (``b * dy``)
-    and ``c_dy2`` (``c * dy**2``) are per bbox row, ``bh[i]`` rows per
-    member.  Columns are bbox column offsets, so ``dx = dx_first + j``.
+    ``bw`` (bbox width) are per member; ``b_dy`` (``b * dy``) and ``c_dy2``
+    (``c * dy**2``) are per bbox row, and ``rowmem`` is each row's member.
+    Columns are bbox column offsets, so ``dx = dx_first + j``.
 
     A pixel is significant only where ``opacity * exp(power) >= MIN_ALPHA``,
     i.e. where ``a*dx**2 + 2*(b*dy)*dx + c*dy**2 + 2*ln(MIN_ALPHA/opacity)
@@ -230,23 +230,23 @@ def _row_spans(
     solve keep the whole bbox row.  A row is empty only where ``a > 0`` and
     the quadratic has no real root, or where ``opacity < MIN_ALPHA``.
     """
-    rowbw = np.repeat(bw, bh).astype(np.float64)
+    rowbw = np.take(bw.astype(np.float64), rowmem)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inva = 1.0 / a
         inva[~((a > 0) & (a < np.inf))] = np.nan  # no solve: NaN bounds give full rows
         thresh = np.log((0.999 * MIN_ALPHA) / opacity)
         thresh *= 2.0
-        center = np.repeat(inva, bh)
-        half = c_dy2 + np.repeat(thresh, bh)
+        center = np.take(inva, rowmem)
+        half = c_dy2 + np.take(thresh, rowmem)
         half *= center
         center *= b_dy
         np.negative(center, out=center)  # vertex -b*dy/a
         np.subtract(np.square(center), half, out=half)  # half-width squared
         # a > 0 with no real root (NaN, where a <= 0, is not negative).
         keep = ~(half < 0.0)
-        keep &= np.repeat(~(opacity < MIN_ALPHA), bh)
+        keep &= np.take(~(opacity < MIN_ALPHA), rowmem)
         np.sqrt(half, out=half)
-        center -= np.repeat(dx_first, bh)  # vertex as a bbox column offset
+        center -= np.take(dx_first, rowmem)  # vertex as a bbox column offset
         lo = center - half
         hi = np.add(center, half, out=center)
         nonfinite = lo + hi  # NaN wherever either bound is not finite
@@ -263,7 +263,7 @@ def _row_spans(
     np.maximum(hi, first, out=hi)
     hi -= first
     hi *= keep
-    return first.astype(np.int32), hi.astype(np.int32)
+    return first.astype(np.intp), hi.astype(np.intp)
 
 
 def _valid_bits(
@@ -279,35 +279,41 @@ def _valid_bits(
 
     ``bounds`` are each pair's tile pixel bounds ``(x0, y0, x1, y1)``.  The
     math is the reference's clamp-the-center test with per-pair subtile
-    origins; an edge tile's subtiles past its bounds are masked out, so
-    every pair sees exactly its own tile's subtile grid.
+    origins, run on subtile-major ``(subtile, pairs)`` planes so every
+    inner loop spans the pairs; an edge tile's subtiles past its bounds are
+    masked out, so every pair sees exactly its own tile's subtile grid.
     """
     x0, y0, x1, y1 = bounds
     if subtile_size is None:
-        qx = np.clip(cx, x0, x1)
-        qy = np.clip(cy, y0, y1)
+        qx = np.minimum(np.maximum(cx, x0), x1)
+        qy = np.minimum(np.maximum(cy, y0), y1)
         dist2 = (qx - cx) ** 2 + (qy - cy) ** 2
         return dist2 <= radii**2
     sub = subtile_size
-    origin = np.arange(0, tile_size, sub)
-    sxs = x0[:, None] + origin
-    sys_ = y0[:, None] + origin
-    in_x = sxs < x1[:, None]
-    in_y = sys_ < y1[:, None]
-    qx = np.clip(cx[:, None], sxs, np.minimum(sxs + sub, x1[:, None]))
-    qy = np.clip(cy[:, None], sys_, np.minimum(sys_ + sub, y1[:, None]))
-    dx2 = (qx - cx[:, None]) ** 2  # (pairs, subtiles_x)
-    dy2 = (qy - cy[:, None]) ** 2  # (pairs, subtiles_y)
+    origin = np.arange(0, tile_size, sub)[:, None]
+    sxs = x0 + origin  # (subtiles_x, pairs)
+    sys_ = y0 + origin  # (subtiles_y, pairs)
+    in_x = sxs < x1
+    in_y = sys_ < y1
+    qx = np.minimum(np.maximum(cx, sxs), np.minimum(sxs + sub, x1))
+    qy = np.minimum(np.maximum(cy, sys_), np.minimum(sys_ + sub, y1))
+    dx2 = (qx - cx) ** 2
+    dy2 = (qy - cy) ** 2
     r2 = radii * radii
-    hits = np.zeros(cx.shape[0], dtype=np.int64)
+    valid = np.zeros(cx.shape[0], dtype=bool)
+    hits = 0
     for j in range(origin.shape[0]):  # one subtile row at a time
-        inside = dx2 + dy2[:, j, None] <= r2[:, None]
+        inside = dx2 + dy2[j] <= r2
         inside &= in_x
-        inside &= in_y[:, j, None]
-        hits += np.count_nonzero(inside, axis=1)
-    stats.subtile_tests += int(np.count_nonzero(in_x, axis=1) @ np.count_nonzero(in_y, axis=1))
-    stats.subtile_hits += int(hits.sum())
-    return hits > 0
+        inside &= in_y[j]
+        hits += np.count_nonzero(inside)
+        valid |= inside.any(axis=0)
+    # Subtiles per axis: ceil(extent / sub), the in-bounds origins.
+    nx = (x1 - x0 + (sub - 1)) // sub
+    ny = (y1 - y0 + (sub - 1)) // sub
+    stats.subtile_tests += int(nx @ ny)
+    stats.subtile_hits += hits
+    return valid
 
 
 def _blend_chunk(
@@ -355,8 +361,9 @@ def _blend_chunk(
     """
     width = framebuffer.width
     n = rows.shape[0]
-    means = projected.means2d[rows]
-    conic = projected.conic[rows]
+    means, conic = projected.means2d, projected.conic
+    mx, my = means[rows, 0], means[rows, 1]  # contiguous per-member columns
+    ca, cb, cc = conic[rows, 0], conic[rows, 1], conic[rows, 2]
     opac = projected.opacities[rows]
 
     # The scalar loop evaluates its quadratic per member *axis*, not per
@@ -367,32 +374,35 @@ def _blend_chunk(
     # the per-pixel combine performs the same three ops in the same order
     # — then gather per-pixel operands from the tables.  (Σ bbox widths +
     # heights is ~3x smaller than Σ areas, so the table math runs on far
-    # fewer elements than a per-pixel formulation.)
-    cexc = np.zeros(n + 1, dtype=np.int64)
+    # fewer elements than a per-pixel formulation.)  Each axis has one
+    # member index, and every table reads the members through it.
+    mem = np.arange(n)
+    cexc = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(bw, out=cexc[1:])
-    rexc = np.zeros(n + 1, dtype=np.int64)
+    rexc = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(bh, out=rexc[1:])
-    cexc32 = cexc[:-1].astype(np.int32)
-    ccol = np.arange(int(cexc[-1]), dtype=np.int32)
-    ccol += np.repeat(bx - cexc32, bw)  # frame column per (member, col)
+    colbase = bx - cexc[:-1]  # frame column minus column-table entry
+    colmem = np.repeat(mem, bw)
+    ccol = np.arange(int(cexc[-1]))
+    ccol += np.take(colbase, colmem)  # frame column per (member, col)
     dxcat = ccol + 0.5  # == px[col], exactly
-    dxcat -= np.repeat(means[:, 0], bw)  # px[col] - cx
+    dxcat -= np.take(mx, colmem)  # px[col] - cx
     ucat = np.square(dxcat)  # dx**2 (ndarray ** 2 lowers to square)
-    ucat *= np.repeat(conic[:, 0], bw)  # a * dx**2
+    ucat *= np.take(ca, colmem)  # a * dx**2
 
-    rowmem = np.repeat(np.arange(n, dtype=np.int32), bh)
-    rrow = np.arange(int(rexc[-1]), dtype=np.int32)
-    rrow += np.repeat(by - rexc[:-1].astype(np.int32), bh)  # frame row per (member, row)
+    rowmem = np.repeat(mem, bh)
+    rrow = np.arange(int(rexc[-1]))
+    rrow += np.take(by - rexc[:-1], rowmem)  # frame row per (member, row)
     dycat = rrow + 0.5
-    dycat -= np.repeat(means[:, 1], bh)  # py[row] - cy
+    dycat -= np.take(my, rowmem)  # py[row] - cy
     vcat = np.square(dycat)
-    vcat *= np.repeat(conic[:, 2], bh)  # c * dy**2
-    w1cat = np.repeat(conic[:, 1], bh)
+    vcat *= np.take(cc, rowmem)  # c * dy**2
+    w1cat = np.take(cb, rowmem)
     w1cat *= dycat  # b * dy
 
     # Alpha is evaluated only inside each (member, bbox row)'s
     # significance span; the pixels outside it are bitwise no-ops.
-    first, span = _row_spans(conic[:, 0], opac, bh, w1cat, vcat, dxcat[cexc32], bw)
+    first, span = _row_spans(ca, opac, rowmem, w1cat, vcat, dxcat[cexc[:-1]], bw)
 
     # Pixels are member-major, row-major: each nonempty (member, row)
     # span is one contiguous run.  Everything per-pixel then derives from
@@ -400,33 +410,34 @@ def _blend_chunk(
     # which needs every run nonempty, so empty rows are dropped first —
     # through per-span tables, which removes the per-pixel integer divmod.
     live = np.flatnonzero(span)  # span ordinal -> bbox row
-    rowpix = rrow * np.int32(width)
-    rowpix += np.repeat(bx, bh)
-    rowpix += first  # frame pixel of each row's first span column
-    rowpix = rowpix[live]
+    rowmem = rowmem[live]
+    first = first[live]
     span = span[live]
-    rowstarts = np.zeros(span.shape[0] + 1, dtype=np.int64)
+    rowstarts = np.zeros(span.shape[0] + 1, dtype=np.intp)
     np.cumsum(span, out=rowstarts[1:])
     total = int(rowstarts[-1])
-    rowcexc = np.repeat(cexc32, bh)  # column-table start of each row
+    rowcexc = np.take(cexc, rowmem)  # column-table start of each row
     rowcexc += first
-    rowcexc = rowcexc[live]
+    # Frame pixel minus column-table entry, per row: a pixel's frame index
+    # is this plus its column-table index.
+    rowpix = rrow[live] * width
+    rowpix += np.take(colbase, rowmem)
     vcat = vcat[live]
     w1cat = w1cat[live]
-    rowopac = np.repeat(opac, bh)[live]
-    rowmem = rowmem[live]
+    rowopac = np.take(opac, rowmem)
     work.span_pixels += total
 
-    ridx = _pool("ia", total, np.int32)
+    ridx = _pool("ia", total, np.intp)
     ridx[:] = 0
     ridx[rowstarts[1:-1]] = 1
     np.cumsum(ridx, out=ridx)  # span ordinal per pixel
-    cloc = _pool("ib", total, np.int32)
-    np.take(rowstarts[:-1].astype(np.int32), ridx, out=cloc, mode="clip")
-    np.subtract(_iota(total), cloc, out=cloc)  # column within the span
-    cidx = _pool("ic", total, np.int32)
-    np.take(rowcexc, ridx, out=cidx, mode="clip")
-    cidx += cloc  # flat pixel -> its member-column table entry
+    # Column-table index per pixel: +1 along a span, and each span's first
+    # pixel jumps from the previous span's last entry to its own start.
+    cidx = _pool("ib", total, np.intp)
+    cidx[:] = 1
+    cidx[:1] = rowcexc[:1]
+    cidx[rowstarts[1:-1]] = rowcexc[1:] - (rowcexc[:-1] + span[:-1] - 1)
+    np.cumsum(cidx, out=cidx)
     power = _pool("fa", total)
     np.take(ucat, cidx, out=power, mode="clip")
     opnd = _pool("fb", total)
@@ -450,16 +461,17 @@ def _blend_chunk(
     ok &= sig
 
     # The significant pixels, still level-major: span ordinal (sorted),
-    # frame pixel and alpha.
+    # frame pixel and alpha.  They reuse the pooled per-pixel buffers, each
+    # once its own contents are spent.
     sel = np.flatnonzero(ok)
     n_sig = sel.shape[0]
     work.significant += n_sig
     if n_sig == 0:
         return
-    srow = ridx[sel]
-    pix = rowpix[srow]
-    pix += cloc[sel]
-    alpha = alpha[sel]
+    srow = np.take(ridx, sel, out=_pool("ic", n_sig, np.intp))
+    pix = np.take(cidx, sel, out=ridx[:n_sig])
+    pix += np.take(rowpix, srow, out=cidx[:n_sig])
+    alpha = np.take(alpha, sel, out=opnd[:n_sig])
 
     # Level segments: each level's first member maps, through its first
     # bbox row, to its first significant pixel.
@@ -471,22 +483,23 @@ def _blend_chunk(
     stepped[level[cut[full]]] = True
 
     # Running transmittance, one level at a time.  A level's pixels lie in
-    # different tiles, so they are distinct and one fancy-index write
-    # updates them all; ``tin`` keeps what each splat saw.
+    # different tiles, so they are distinct and one scatter updates them
+    # all; ``tin`` keeps what each splat saw.
     T = framebuffer.transmittance.reshape(-1)
-    tin = np.empty(n_sig)
-    tout = np.subtract(1.0, alpha)
+    tin = opnd2[:n_sig]
+    tout = np.subtract(1.0, alpha, out=power[:n_sig])
     for e0, e1 in zip(edges[full].tolist(), edges[full + 1].tolist()):
         p = pix[e0:e1]
         o = tout[e0:e1]
-        np.multiply(np.take(T, p, out=tin[e0:e1]), o, out=o)
-        T[p] = o
+        np.multiply(np.take(T, p, out=tin[e0:e1], mode="clip"), o, out=o)
+        T.put(p, o, mode="clip")
 
     # Exact early termination (see the module docstring).
-    cross = np.less(tout, termination)
-    cross &= np.greater_equal(tin, termination)
+    smem = np.take(rowmem, srow, out=cidx[:n_sig])  # member of each significant pixel
+    cross = np.less(tout, termination, out=ok[:n_sig])
+    cross &= np.greater_equal(tin, termination, out=sig[:n_sig])
     if cross.any():
-        at = rowmem[srow[cross]]  # member of each crossing
+        at = smem[cross]  # member of each crossing
         hits = np.bincount(tile[at], minlength=crossed.shape[0])
         crossed += hits
         cand = np.flatnonzero(hits)
@@ -497,15 +510,14 @@ def _blend_chunk(
             stop[done] = top[done] + 1
             ended = np.zeros(stop.shape[0], dtype=bool)
             ended[done] = True
-            member = rowmem[srow]
-            et = tile[member]
-            drop = ended[et] & (level[member] >= stop[et])
+            et = tile[smem]
+            drop = ended[et] & (level[smem] >= stop[et])
             if drop.any():
                 d = np.flatnonzero(drop)
                 back, firsts = np.unique(pix[d], return_index=True)
                 T[back] = tin[d[firsts]]
                 keep = ~drop
-                srow, pix, alpha, tin = srow[keep], pix[keep], alpha[keep], tin[keep]
+                smem, pix, alpha, tin = smem[keep], pix[keep], alpha[keep], tin[keep]
 
     # color += T_in * alpha * c.  ufunc.at applies updates strictly in
     # index order, so a pixel hit by several splats accumulates
@@ -513,14 +525,15 @@ def _blend_chunk(
     # bins.
     wgt = tin
     wgt *= alpha
-    bins = pix * np.int32(3)
-    colors = projected.colors[rows]
+    bins = pix
+    bins *= 3
+    vals = tout[: smem.shape[0]]
     C = framebuffer.color.reshape(-1)
-    for ch in range(3):
-        vals = np.take(np.take(colors[:, ch], rowmem), srow)
+    for plane in projected.colors[rows].T.copy():  # contiguous member planes
+        np.take(plane, smem, out=vals)
         vals *= wgt
         np.add.at(C, bins, vals)
-        bins += np.int32(1)
+        bins += 1
 
 
 def rasterize(
@@ -581,10 +594,8 @@ def rasterize(
     gy1 = np.minimum(np.ceil(cy + radii).astype(np.int64) - y0 + 1, y1 - y0)
     bw, bh = gx1 - gx0, gy1 - gy0
     area = np.where(valid & (bw > 0) & (bh > 0), bw * bh, 0)
-    bx = (gx0 + x0).astype(np.int32)  # frame pixel of the bbox corner
-    by = (gy0 + y0).astype(np.int32)
-    bw = bw.astype(np.int32)
-    bh = bh.astype(np.int32)
+    bx = gx0 + x0  # frame pixel of the bbox corner
+    by = gy0 + y0
 
     # Members (pairs that blend at all), cut into level-major chunks.
     member = np.flatnonzero(area)

@@ -189,15 +189,17 @@ class TestChunkBoundaries:
         return sizes
 
     @pytest.mark.parametrize("budget", [1, 97])
-    @pytest.mark.parametrize("tile_size", [8, 16, 64])
-    @pytest.mark.parametrize("subtile", [8, None])
+    @pytest.mark.parametrize("tile_size", [8, 12, 16, 20, 24, 64])
+    @pytest.mark.parametrize("subtile", [8, 4, None])
     def test_random_frames_bitwise_identical(
         self, monkeypatch, chunk_sizes, budget, tile_size, subtile
     ):
         monkeypatch.setattr(rasterizer, "_CHUNK_BBOX_PIXELS", budget)
         rng = np.random.default_rng(7000 + 10 * tile_size + budget + (subtile or 0))
         # 100x70 is a multiple of none of the tile sizes: edge tiles on
-        # the right and bottom.
+        # the right and bottom.  Tiles 12 and 20 end partway through an
+        # 8 px subtile, and tiles 12 and 24 leave a 4 px edge column,
+        # narrower than a subtile.
         proj = _random_frame(rng, 60, width=100, height=70)
         grid = TileGrid(width=100, height=70, tile_size=tile_size)
         for termination in (1e-4, 0.5):

@@ -100,7 +100,7 @@ def _scalar_rows(a, b, c, opacity, cx, cy, radius, tile):
         first, span = _row_spans(
             np.array([a]),
             np.array([opacity]),
-            np.array([dy.size]),
+            np.zeros(dy.size, dtype=np.intp),
             b * dy,
             np.square(dy) * c,
             dx[:1].copy(),
