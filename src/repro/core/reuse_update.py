@@ -27,14 +27,15 @@ over tiles:
 * reordering is one stable sort on ``(tile, chunk, depth)``, with each
   tile's alternating half-chunk grid from
   :func:`~repro.core.dynamic_partial_sort.chunk_ids`;
-* incoming pairs are those missing from a per-tile
-  :meth:`~repro.pipeline.tiling.TileStream.segment_intersect` with the valid
-  table entries;
+* incoming pairs are those whose ``tile << 32 | id`` key one
+  ``searchsorted`` does not find among the valid table entries' sorted keys;
 * the MSU+ merge inserts each incoming entry after every table entry whose
   *running maximum* depth within the tile does not exceed it — a streaming
   merge of a table that reordering left only chunk-sorted;
-* valid bits come from one ``segment_intersect`` with the rendered, still
-  intersecting IDs, and the deferred depth update is one ``searchsorted``.
+* each table entry's projected row comes from one gather of a dense
+  scene-sized ID -> row index (:func:`lookup_rows`); valid bits scatter the
+  rasterizer's bits to the rendered entries, and the deferred depth update
+  gathers the projected depths at those rows.
 
 Tiles past the current frame's grid (after a resolution change) keep their
 tables untouched until a grid covers them again.
@@ -147,13 +148,16 @@ def full_sort_traffic(counts: np.ndarray, chunk_size: int) -> SortTraffic:
 
 
 def lookup_rows(projected_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Row of each of ``ids`` in a frame's projected arrays; -1 if not projected."""
-    if projected_ids.shape[0] == 0:
-        return np.full(ids.shape[0], -1, dtype=np.int64)
-    order = np.argsort(projected_ids, kind="stable")
-    pos = np.minimum(np.searchsorted(projected_ids[order], ids), order.shape[0] - 1)
-    rows = order[pos]
-    return np.where(projected_ids[rows] == ids, rows, -1)
+    """Row of each of ``ids`` in a frame's projected arrays; -1 if not projected.
+
+    IDs are scene indices and a frame projects each at most once, so a
+    dense scene-sized ID -> row index answers every query with one scatter
+    and one gather.
+    """
+    size = 1 + max(int(projected_ids.max(initial=-1)), int(ids.max(initial=-1)))
+    index = np.full(size, -1, dtype=np.int64)
+    index[projected_ids] = np.arange(projected_ids.shape[0], dtype=np.int64)
+    return index[ids]
 
 
 @dataclass(frozen=True)
@@ -302,11 +306,15 @@ class ReuseUpdateSorter:
         # Invalidated entries count as absent: the merge is about to drop
         # them, so a Gaussian re-entering after invalidation must come back
         # through the incoming path or it would vanish for a frame.  In a
-        # tile without a table every pair is new and initialises it.
-        new = np.ones(pairs.num_pairs, dtype=bool)
-        new[pairs.segment_intersect(pair_ids, valid_table, valid_table.values).self_indices] = False
-        new_at = np.flatnonzero(new)
-        new_tiles = pairs.tile_of()[new_at]
+        # tile without a table every pair is new and initialises it.  The
+        # test is one search of the pairs' ``tile << 32 | id`` keys among the
+        # valid table's sorted keys; the -1 sentinel matches no pair.
+        pair_tiles = pairs.tile_of()
+        pair_keys = pair_tiles << 32 | pair_ids
+        table_keys = np.append(np.sort(valid_table.tile_of() << 32 | valid_table.values), -1)
+        known = table_keys[np.searchsorted(table_keys[:-1], pair_keys)] == pair_keys
+        new_at = np.flatnonzero(~known)
+        new_tiles = pair_tiles[new_at]
         incoming = reused[new_tiles]
         n_incoming = int(np.count_nonzero(incoming))
         stats.incoming_entries += n_incoming

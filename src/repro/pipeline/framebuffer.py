@@ -34,9 +34,18 @@ class Framebuffer:
         self.transmittance = np.ones((self.height, self.width), dtype=np.float64)
 
     def finalize(self) -> np.ndarray:
-        """Composite the background under the remaining transmittance."""
+        """Composite the background under the remaining transmittance.
+
+        Each channel of the output is first ``T * bg[ch]``, then the color is
+        added and the sum clipped in place: no broadcast temporaries, and the
+        same bits as ``clip(color + T * bg)`` since addition commutes.
+        """
         bg = np.asarray(self.background, dtype=np.float64)
-        return np.clip(self.color + self.transmittance[..., None] * bg[None, None, :], 0.0, 1.0)
+        out = np.empty_like(self.color)
+        for ch in range(3):
+            np.multiply(self.transmittance, bg[ch], out=out[..., ch])
+        out += self.color
+        return np.clip(out, 0.0, 1.0, out=out)
 
     @property
     def num_pixels(self) -> int:

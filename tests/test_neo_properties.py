@@ -9,6 +9,9 @@ Invariants checked:
   segmented form equals the per-table form on every table of a stream;
 * the MSU+ merge equals a two-pointer streaming merge — including a
   chunk-sorted (not fully sorted) a-side and invalid entries on both sides;
+* the dense ID -> row index of ``lookup_rows`` answers exactly as the
+  argsort + ``searchsorted`` join it replaced, absent and repeated IDs and
+  empty inputs included;
 * after every ``sort_frame``, each tile's valid table IDs contain the
   tile's current IDs;
 * under a static camera, Neo's sorted IDs equal the exact sort by frame 2;
@@ -18,7 +21,7 @@ Invariants checked:
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dynamic_partial_sort import (
@@ -29,7 +32,7 @@ from repro.core.dynamic_partial_sort import (
     segmented_partial_sort,
 )
 from repro.core.merge_unit import MergeStats, merge_sorted
-from repro.core.reuse_update import ReuseUpdateSorter
+from repro.core.reuse_update import ReuseUpdateSorter, lookup_rows
 from repro.pipeline import Renderer
 from repro.pipeline.sorting import sort_tiles
 from repro.scene import Camera, load_scene, look_at
@@ -132,6 +135,34 @@ def test_merge_equals_streaming_merge(keys_a, keys_b, chunk_size, iteration, ran
 
 
 _SCENE = load_scene("family", num_gaussians=300)
+
+
+def _lookup_rows_oracle(projected_ids, ids):
+    """The stable-argsort + ``searchsorted`` join ``lookup_rows`` replaced."""
+    if projected_ids.shape[0] == 0:
+        return np.full(ids.shape[0], -1, dtype=np.int64)
+    order = np.argsort(projected_ids, kind="stable")
+    pos = np.minimum(np.searchsorted(projected_ids[order], ids), order.shape[0] - 1)
+    rows = order[pos]
+    return np.where(projected_ids[rows] == ids, rows, -1)
+
+
+@example(projected=[], queries=[4, 4])
+@example(projected=[2, 0], queries=[])
+@example(projected=[], queries=[])
+@given(
+    projected=st.lists(st.integers(0, 60), unique=True, max_size=40),
+    queries=st.lists(st.integers(0, 80), max_size=60),
+)
+def test_lookup_rows_equals_search_join(projected, queries):
+    # A frame projects each scene index at most once; queries repeat IDs
+    # and name IDs absent from the frame or past its largest projected one.
+    projected_ids = np.asarray(projected, dtype=np.int64)
+    ids = np.asarray(queries, dtype=np.int64)
+    got = lookup_rows(projected_ids, ids)
+    want = _lookup_rows_oracle(projected_ids, ids)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
 
 
 def _orbit_camera(angle: float) -> Camera:

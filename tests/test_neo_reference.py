@@ -8,7 +8,8 @@ the sorted ``rows``/``ids``/``depths`` streams, every ``FrameSortStats``
 field (reorder and merge counters and the traffic ledger included), the
 rendered images, and the carried tables themselves.  The sequences cover
 chunk sizes, pass counts, eager and deferred depth updates, frames that see
-nothing, and resolution changes that shrink and regrow the tile grid.
+nothing, resolution changes that shrink and regrow the tile grid, and a
+Gaussian that re-enters its tile the frame after its valid bit is cleared.
 """
 
 from types import SimpleNamespace
@@ -198,6 +199,38 @@ def test_synthetic_streams_match_reference(seed, defer_depth_update):
         want_sorter.observe_raster(frame, want, feedback)
         assert got_sorter.frame_stats[-1] == want_sorter.frame_stats[-1]
         _assert_tables_match(got_sorter, want_sorter)
+
+
+def _hand_frame(ids, depths, tiles):
+    """Gaussian ``ids[k]`` at ``depths[k]``, assigned to tile ``tiles[k]`` of two."""
+    stream = TileStream.from_pairs(np.asarray(tiles), np.arange(len(ids)), num_tiles=2)
+    projected = SimpleNamespace(
+        ids=np.asarray(ids, dtype=np.int64), depths=np.asarray(depths, dtype=np.float64)
+    )
+    return TileAssignment(grid=None, stream=stream, projected=projected)
+
+
+def test_invalidated_gaussian_reassigned_comes_back_as_incoming():
+    # Frame 0 clears Gaussian 7's valid bit in tile 0; frame 1 assigns it
+    # to tile 0 again.  The merge drops the invalid entry, so 7 must come
+    # back through the incoming path or it would vanish for a frame.
+    frame = _hand_frame([3, 7, 5, 9], [1.0, 2.0, 3.0, 1.5], [0, 0, 0, 1])
+    got_sorter = ReuseUpdateSorter(chunk_size=4)
+    want_sorter = reference.ReuseUpdateSorter(chunk_size=4)
+    feedback = RasterResult(image=np.empty(0), valid_bits={0: np.array([True, False, True])})
+    for frame_index in range(2):
+        got = got_sorter.sort_frame(frame, frame_index)
+        want = want_sorter.sort_frame(frame, frame_index)
+        assert np.array_equal(got.stream.offsets, want.stream.offsets)
+        assert np.array_equal(got.ids, want.ids)
+        assert np.array_equal(got.depths, want.depths)
+        got_sorter.observe_raster(frame_index, got, feedback)
+        want_sorter.observe_raster(frame_index, want, feedback)
+        assert got_sorter.frame_stats[-1] == want_sorter.frame_stats[-1]
+        _assert_tables_match(got_sorter, want_sorter)
+    reentered = got_sorter.frame_stats[1]
+    assert reentered.incoming_entries == 1 and reentered.deleted_entries == 1
+    assert got.ids_for(0).tolist() == [3, 7, 5]
 
 
 def test_reset_drops_the_table_stream(scene):
