@@ -518,93 +518,3 @@ def bench_similarity(quick: bool) -> BenchRecord:
         identical=identical,
         detail={"gaussians": gaussians, "frames": frames_n, "resolution": [w, h]},
     )
-
-
-@register_bench(
-    "raster_engine",
-    "array ITU/SCU pipeline recurrence vs the per-tile timeline loop",
-)
-def bench_raster_engine(quick: bool) -> BenchRecord:
-    from ..hw import reference as hw_ref
-    from ..hw.raster_engine import RasterEngineSim
-
-    # Same size in both modes: the speedup is scale-dependent (the
-    # vectorized path is near-constant time), so a smaller quick workload
-    # would sit far from the committed full-mode baseline and trip the CI
-    # trend gate; even the scalar loop only takes ~200 ms at this size.
-    tiles = 8000
-    rng = np.random.default_rng(20260807)
-    gaussians = rng.integers(0, 1200, tiles)
-    gaussians[rng.random(tiles) < 0.2] = 0
-    hits = rng.integers(0, 20000, tiles)
-    gl, hl = gaussians.tolist(), hits.tolist()
-    sim = RasterEngineSim()
-
-    base_s, base_out = _best_of(
-        lambda: hw_ref.scalar_raster_engine_frame(sim, gl, hl), 3
-    )
-    opt_s, opt_out = _best_of_scaled(lambda: sim.simulate_frame(gl, hl), 3, 20)
-    identical = (
-        opt_out.total_cycles == base_out.total_cycles
-        and opt_out.tiles == base_out.tiles
-        and opt_out.scu_cycles == base_out.scu_cycles
-        and opt_out.itu_cycles == base_out.itu_cycles
-        and np.array_equal(opt_out.tile_total_cycles, base_out.tile_total_cycles)
-        and np.array_equal(opt_out.tile_scu_stall_cycles, base_out.tile_scu_stall_cycles)
-        and np.array_equal(opt_out.tile_itu_idle_cycles, base_out.tile_itu_idle_cycles)
-        and opt_out.mean_pipeline_efficiency == base_out.mean_pipeline_efficiency
-    )
-    return BenchRecord(
-        quick=quick,
-        baseline_ms=base_s * 1e3,
-        optimized_ms=opt_s * 1e3,
-        speedup=base_s / opt_s if opt_s else float("inf"),
-        floor=1.5,
-        identical=identical,
-        detail={"tiles": tiles},
-    )
-
-
-@register_bench(
-    "sorting_engine",
-    "batched chunk/transfer tables + int event loop vs the per-job loop",
-)
-def bench_sorting_engine(quick: bool) -> BenchRecord:
-    from ..hw import reference as hw_ref
-    from ..hw.sorting_engine import SortingEngineSim
-
-    tiles = 1500 if quick else 6000
-    rng = np.random.default_rng(20260807)
-    occ = rng.integers(0, 1500, tiles)
-    occ[rng.random(tiles) < 0.2] = 0
-    sim = SortingEngineSim()
-
-    base_s, base_out = _best_of(
-        lambda: hw_ref.scalar_sorting_engine_simulate(
-            sim, hw_ref.scalar_jobs_from_occupancy(occ, sim.config.chunk_size)
-        ),
-        3,
-    )
-    opt_s, opt_out = _best_of(lambda: sim.simulate_frame(occ), 3)
-    identical = (
-        opt_out.total_cycles == base_out.total_cycles
-        and opt_out.compute_cycles == base_out.compute_cycles
-        and opt_out.dram_busy_cycles == base_out.dram_busy_cycles
-        and opt_out.chunks == base_out.chunks
-        and opt_out.entries == base_out.entries
-        and all(
-            a.busy_cycles == b.busy_cycles
-            and a.chunks == b.chunks
-            and a.finish_cycle == b.finish_cycle
-            for a, b in zip(opt_out.cores, base_out.cores)
-        )
-    )
-    return BenchRecord(
-        quick=quick,
-        baseline_ms=base_s * 1e3,
-        optimized_ms=opt_s * 1e3,
-        speedup=base_s / opt_s if opt_s else float("inf"),
-        floor=1.1,
-        identical=identical,
-        detail={"tiles": tiles},
-    )

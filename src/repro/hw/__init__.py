@@ -24,21 +24,6 @@ from .energy import (
 )
 from .gpu import OrinGpuModel
 from .gscore import GSCoreModel
-from .preprocess_engine import PreprocessEngineSim, PreprocessReport
-from .raster_engine import (
-    RasterEngineReport,
-    RasterEngineSim,
-    SubtileGroupWork,
-    groups_for_tile,
-    rasterize_tile_timeline,
-)
-from .sorting_engine import (
-    ChunkJob,
-    SortingEngineReport,
-    SortingEngineSim,
-    chunk_compute_cycles,
-    jobs_from_occupancy,
-)
 from .stages import (
     FEATURE_2D_BYTES,
     FEATURE_3D_BYTES,
@@ -82,18 +67,6 @@ __all__ = [
     "NeoModel",
     "ORIN_BANDWIDTH_GBPS",
     "OrinGpuModel",
-    "ChunkJob",
-    "PreprocessEngineSim",
-    "PreprocessReport",
-    "RasterEngineReport",
-    "RasterEngineSim",
-    "SortingEngineReport",
-    "SortingEngineSim",
-    "SubtileGroupWork",
-    "chunk_compute_cycles",
-    "groups_for_tile",
-    "jobs_from_occupancy",
-    "rasterize_tile_timeline",
     "ReportBatch",
     "SequenceReport",
     "StageTraffic",

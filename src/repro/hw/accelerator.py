@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.bitonic import network_stages
 from .config import DramConfig, NeoConfig
 from .stages import (
     CULL_PROBE_BYTES,
@@ -74,10 +75,6 @@ _RANDOM_EFFICIENCY = 0.35
 #: 64 px tile -> 8 bytes), written at preprocessing and read at raster.
 _BITMAP_BYTES_64 = 8
 
-#: Sorting Core cycles per table entry: 256-entry chunk = 16 BSU sub-sorts
-#: (10 stages each) + 4 MSU+ merge levels (256 cycles each) ~= 4.6/entry.
-_SORT_CYCLES_PER_ENTRY = 4.6
-
 #: SCU cycles per blended pair (subtile blend inner loop).
 _RASTER_CYCLES_PER_PAIR = 16.0
 
@@ -89,6 +86,20 @@ _SERIAL_OVERHEAD_S = 0.8e-3
 
 #: Off-chip passes charged for a from-scratch sort on the first frame.
 _INIT_SORT_PASSES = 2
+
+
+def sort_cycles_per_entry(config: NeoConfig) -> float:
+    """Sorting Core cycles per table entry of one full chunk.
+
+    The BSU sorts ``ceil(chunk / bsu_width)`` runs at one network stage per
+    cycle; the MSU+ then tree-merges the runs, retiring one entry per cycle
+    per merge level (``ceil(log2 runs)`` levels).  Table 1's 256-entry chunk
+    on a 16-wide BSU takes 16 x 10 + 4 x 256 = 1184 cycles, 4.625 per entry.
+    """
+    runs = -(-config.chunk_size // config.bsu_width)
+    bsu = runs * network_stages(config.bsu_width)
+    merge = (runs - 1).bit_length() * config.chunk_size
+    return (bsu + merge) / config.chunk_size
 
 
 @dataclass
@@ -185,7 +196,9 @@ class NeoModel(SystemModel):
             / (self.config.projection_units * freq)
         )
         sort_time = (
-            batch.pairs * _SORT_CYCLES_PER_ENTRY / (self.config.sorting_cores * freq)
+            batch.pairs
+            * sort_cycles_per_entry(self.config)
+            / (self.config.sorting_cores * freq)
         )
         blended = batch.effective_pairs(_TERMINATION_DEPTH_64)
         raster_time = blended * _RASTER_CYCLES_PER_PAIR / (self.config.total_scus * freq)

@@ -54,7 +54,6 @@ class NeoConfig:
 
     frequency_ghz: float = 1.0
     tile_size: int = 64
-    subtile_size: int = 8
     projection_units: int = 4
     color_units: int = 4
     duplication_units: int = 4
@@ -89,9 +88,7 @@ class GSCoreConfig:
 
     frequency_ghz: float = 1.0
     tile_size: int = 16
-    subtile_size: int = 8
     cores: int = 16
-    chunk_size: int = 256
     sorting_passes: int = 1
 
     def with_cores(self, cores: int) -> "GSCoreConfig":

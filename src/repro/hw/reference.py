@@ -20,11 +20,8 @@ physics deliberately changes — keep it in lockstep with the equations in
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
-from ..core.gaussian_table import TABLE_ENTRY_BYTES
 from .accelerator import (
     _BITMAP_BYTES_64,
     _DRAM_EFFICIENCY as _NEO_DRAM_EFFICIENCY,
@@ -35,9 +32,9 @@ from .accelerator import (
     _RANDOM_EFFICIENCY,
     _RASTER_CYCLES_PER_PAIR as _NEO_RASTER_CYCLES_PER_PAIR,
     _SERIAL_OVERHEAD_S as _NEO_SERIAL_OVERHEAD_S,
-    _SORT_CYCLES_PER_ENTRY,
     _TERMINATION_DEPTH_64,
     NeoModel,
+    sort_cycles_per_entry,
 )
 from .gpu import (
     _BLEND_RATE,
@@ -68,19 +65,6 @@ from .stages import (
     SequenceReport,
     StageTraffic,
     effective_pairs,
-)
-from .raster_engine import (
-    RasterEngineReport,
-    RasterEngineSim,
-    groups_for_tile,
-    rasterize_tile_timeline,
-)
-from .sorting_engine import (
-    ChunkJob,
-    CoreTrace,
-    SortingEngineReport,
-    SortingEngineSim,
-    chunk_compute_cycles,
 )
 from .system import SystemModel
 from ..pipeline.tiling import TileStream
@@ -142,7 +126,9 @@ def _neo_frame_report(model: NeoModel, workload: FrameWorkload) -> FrameReport:
         / (model.config.projection_units * freq)
     )
     sort_time = (
-        workload.pairs * _SORT_CYCLES_PER_ENTRY / (model.config.sorting_cores * freq)
+        workload.pairs
+        * sort_cycles_per_entry(model.config)
+        / (model.config.sorting_cores * freq)
     )
     blended = effective_pairs(workload, _TERMINATION_DEPTH_64)
     raster_time = (
@@ -589,113 +575,3 @@ def scalar_order_differences_pairs(
     if not diffs:
         return np.empty(0)
     return np.concatenate(diffs)
-
-
-# ----------------------------------------------------------------------
-# Engine pins
-# ----------------------------------------------------------------------
-# Frozen scalar per-tile / per-job loops of the Rasterization and Sorting
-# Engine simulators, exactly as they existed before the flat tile-stream
-# vectorization.  ``rasterize_tile_timeline`` / ``groups_for_tile`` /
-# ``chunk_compute_cycles`` are themselves frozen public single-item APIs and
-# are reused here directly.
-
-
-def scalar_raster_engine_frame(
-    sim: RasterEngineSim, tile_gaussians, tile_hits
-) -> RasterEngineReport:
-    """One frame through the historical per-tile timeline loop."""
-    if len(tile_gaussians) != len(tile_hits):
-        raise ValueError("tile_gaussians and tile_hits must align")
-    timelines: list = []
-    tiles = 0
-    scu_cycles = 0.0
-    itu_cycles = 0.0
-    core_time = [0.0] * sim.config.raster_cores
-    for i, (gaussians, hits) in enumerate(zip(tile_gaussians, tile_hits)):
-        if gaussians <= 0:
-            continue
-        timeline = rasterize_tile_timeline(groups_for_tile(gaussians, hits, sim.config))
-        core = i % sim.config.raster_cores
-        core_time[core] += timeline.total_cycles
-        timelines.append(timeline)
-        tiles += 1
-        scu_cycles += timeline.scu_cycles
-        itu_cycles += timeline.itu_cycles
-    total_cycles = max(core_time) if core_time else 0.0
-    return RasterEngineReport.from_timelines(
-        timelines,
-        total_cycles=total_cycles,
-        tiles=tiles,
-        scu_cycles=scu_cycles,
-        itu_cycles=itu_cycles,
-    )
-
-
-def scalar_jobs_from_occupancy(occupancy, chunk_size: int = 256) -> list[ChunkJob]:
-    """Historical per-tile while-loop chunking of a frame's table sizes."""
-    jobs: list[ChunkJob] = []
-    for tile, size in enumerate(occupancy):
-        size = int(size)
-        start = 0
-        while start < size:
-            jobs.append(ChunkJob(tile=tile, entries=min(chunk_size, size - start)))
-            start += chunk_size
-    return jobs
-
-
-def scalar_sorting_engine_simulate(
-    sim: SortingEngineSim, jobs: list[ChunkJob]
-) -> SortingEngineReport:
-    """One frame's chunk stream through the historical per-job event loop."""
-    report = SortingEngineReport(
-        cores=[CoreTrace() for _ in range(sim.config.sorting_cores)]
-    )
-    if not jobs:
-        return report
-
-    port_free = 0  # next cycle the shared DRAM port is available
-    compute_free = [0] * sim.config.sorting_cores
-    pending_stores: list[tuple[int, int, int]] = []  # (ready, cycles, core)
-
-    def issue_store(ready: int, cycles: int, core: int) -> None:
-        nonlocal port_free
-        start = max(port_free, ready)
-        port_free = start + cycles
-        report.dram_busy_cycles += cycles
-        report.cores[core].finish_cycle = port_free
-        report.total_cycles = max(report.total_cycles, port_free)
-
-    for job in jobs:
-        core_idx = min(range(len(compute_free)), key=compute_free.__getitem__)
-        trace = report.cores[core_idx]
-
-        load_cycles = sim._transfer_cycles(job.entries * TABLE_ENTRY_BYTES)
-        store_cycles = load_cycles
-        compute = chunk_compute_cycles(job.entries, sim.config.bsu_width)
-
-        # Drain any write-backs already ready before this load.
-        while pending_stores and pending_stores[0][0] <= port_free:
-            ready, cycles, core = heapq.heappop(pending_stores)
-            issue_store(ready, cycles, core)
-
-        load_end = port_free + load_cycles
-        port_free = load_end
-        report.dram_busy_cycles += load_cycles
-
-        compute_start = max(load_end, compute_free[core_idx])
-        compute_end = compute_start + compute
-        compute_free[core_idx] = compute_end
-        heapq.heappush(pending_stores, (compute_end, store_cycles, core_idx))
-
-        trace.busy_cycles += compute
-        trace.chunks += 1
-        report.compute_cycles += compute
-        report.chunks += 1
-        report.entries += job.entries
-        report.total_cycles = max(report.total_cycles, compute_end)
-
-    while pending_stores:
-        ready, cycles, core = heapq.heappop(pending_stores)
-        issue_store(ready, cycles, core)
-    return report

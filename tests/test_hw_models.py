@@ -6,8 +6,13 @@ who wins, what dominates, how knobs move the numbers — not absolute values.
 
 import pytest
 
-from repro.hw.accelerator import NeoModel
-from repro.hw.config import DramConfig, GSCoreConfig
+from repro.hw.accelerator import (
+    _DRAM_EFFICIENCY,
+    _ENTRY_BYTES,
+    NeoModel,
+    sort_cycles_per_entry,
+)
+from repro.hw.config import EDGE_BANDWIDTH_GBPS, DramConfig, GSCoreConfig, NeoConfig
 from repro.hw.gpu import OrinGpuModel
 from repro.hw.gscore import GSCoreModel
 from repro.hw.stages import SequenceReport, StageTraffic, effective_pairs
@@ -134,6 +139,28 @@ class TestNeoModel:
     def test_qhd_realtime_at_edge_bandwidth(self, workloads):
         report = NeoModel().simulate(workloads["qhd64"])
         assert report.fps > 60.0  # the paper's headline SLO claim
+
+    def test_sort_cycles_per_entry_follows_the_chunk_pipeline(self):
+        # 256-entry chunk: 16 BSU runs x 10 network stages, then 4 MSU+
+        # merge levels x 256 entries = 1184 cycles.
+        assert sort_cycles_per_entry(NeoConfig()) == 1184 / 256 == 4.625
+        # A chunk that fits one BSU run needs no merge level.
+        assert sort_cycles_per_entry(NeoConfig(chunk_size=16)) == 10 / 16
+        # A partial last run still takes a full run and a merge level.
+        assert sort_cycles_per_entry(NeoConfig(chunk_size=17)) == (2 * 10 + 17) / 17
+
+    def test_sorting_compute_hides_behind_its_streaming(self):
+        # The max(memory, compute) form rests on this: per table entry, the
+        # Sorting Cores finish before the entry's read and write stream
+        # over the edge DRAM bandwidth.
+        cfg = NeoConfig()
+        compute_s = sort_cycles_per_entry(cfg) / (
+            cfg.sorting_cores * cfg.frequency_ghz * 1e9
+        )
+        stream_s = 2 * _ENTRY_BYTES / (EDGE_BANDWIDTH_GBPS * 1e9 * _DRAM_EFFICIENCY)
+        assert compute_s == pytest.approx(0.289e-9, rel=1e-2)
+        assert stream_s == pytest.approx(0.381e-9, rel=1e-2)
+        assert compute_s < stream_s
 
 
 class TestSequenceReport:

@@ -5,7 +5,7 @@ pin (:mod:`repro.hw.reference` / :mod:`repro.metrics.reference` /
 :mod:`repro.pipeline.reference`) — arrays must match *bit for bit*, not
 approximately.  The pipeline rasterizer/sorting equivalents live in
 ``tests/test_raster_reference.py``; this file covers the workload queries,
-the similarity metric, the engine simulators, and large-tile termination.
+the similarity metric, and large-tile termination.
 """
 
 import numpy as np
@@ -14,8 +14,6 @@ import pytest
 from raster_oracle import rasterize_one_tile
 import repro.hw.reference as hw_ref
 import repro.metrics.reference as metrics_ref
-from repro.hw.raster_engine import RasterEngineSim
-from repro.hw.sorting_engine import SortingEngineSim, jobs_from_occupancy
 from repro.hw.workload import WorkloadModel
 from repro.metrics.similarity import frame_similarity
 from repro.pipeline.projection import ProjectedGaussians
@@ -105,68 +103,6 @@ class TestFrameSimilarity:
         slow = metrics_ref.frame_similarity(prev, cur)
         np.testing.assert_array_equal(fast.shared_fractions, slow.shared_fractions)
         np.testing.assert_array_equal(fast.order_differences, slow.order_differences)
-
-
-class TestRasterEngineSim:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_report_bit_identical(self, seed):
-        rng = np.random.default_rng(seed)
-        sim = RasterEngineSim()
-        n = int(rng.integers(1, 200))
-        gaussians = rng.integers(0, 500, size=n).tolist()
-        hits = [int(rng.integers(0, 64 * g + 1)) if g else 0 for g in gaussians]
-
-        fast = sim.simulate_frame(gaussians, hits)
-        slow = hw_ref.scalar_raster_engine_frame(sim, gaussians, hits)
-        assert fast.total_cycles == slow.total_cycles
-        assert fast.tiles == slow.tiles
-        assert fast.scu_cycles == slow.scu_cycles
-        assert fast.itu_cycles == slow.itu_cycles
-        for name in (
-            "tile_total_cycles",
-            "tile_itu_cycles",
-            "tile_scu_cycles",
-            "tile_itu_idle_cycles",
-            "tile_scu_stall_cycles",
-        ):
-            np.testing.assert_array_equal(getattr(fast, name), getattr(slow, name))
-        assert fast.mean_pipeline_efficiency == slow.mean_pipeline_efficiency
-
-    def test_empty_frame(self):
-        sim = RasterEngineSim()
-        report = sim.simulate_frame([0, 0], [0, 0])
-        assert report.total_cycles == 0.0
-        assert report.tiles == 0
-
-
-class TestSortingEngineSim:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_report_bit_identical(self, seed):
-        rng = np.random.default_rng(seed)
-        sim = SortingEngineSim()
-        occupancy = rng.integers(0, 1500, size=int(rng.integers(1, 300)))
-        occupancy[rng.random(occupancy.shape[0]) < 0.3] = 0
-
-        jobs = jobs_from_occupancy(occupancy, sim.config.chunk_size)
-        assert jobs == hw_ref.scalar_jobs_from_occupancy(
-            occupancy, sim.config.chunk_size
-        )
-
-        fast = sim.simulate_frame(occupancy)
-        slow = hw_ref.scalar_sorting_engine_simulate(sim, jobs)
-        assert fast.total_cycles == slow.total_cycles
-        assert fast.compute_cycles == slow.compute_cycles
-        assert fast.dram_busy_cycles == slow.dram_busy_cycles
-        assert fast.chunks == slow.chunks
-        assert fast.entries == slow.entries
-        assert fast.cores == slow.cores
-
-    def test_simulate_jobs_path_matches_frame_path(self):
-        sim = SortingEngineSim()
-        occupancy = [300, 0, 17, 256, 512, 1]
-        by_jobs = sim.simulate(jobs_from_occupancy(occupancy, sim.config.chunk_size))
-        by_frame = sim.simulate_frame(occupancy)
-        assert by_jobs == by_frame
 
 
 class TestLargeTileTermination:
