@@ -385,8 +385,8 @@ def bench_workload_extract(quick: bool) -> BenchRecord:
     from ..hw.workload import WorkloadModel
     from ..pipeline.tiling import _tile_bounds, row_intervals
 
-    # The workload of one cold ``simulate`` figure batch; quick keeps it so
-    # the trend gate compares like with like, and only times fewer repeats.
+    # The workload of one cold ``simulate`` figure batch.  Quick keeps it
+    # and the full run's best of 5, so the trend gate compares like with like.
     num_frames = 4
     configs = [(res, tile) for res in ("hd", "qhd") for tile in (16, 64)]
     captured = WorkloadModel.from_scene(BENCH_SCENE, num_frames=num_frames)
@@ -400,9 +400,16 @@ def bench_workload_extract(quick: bool) -> BenchRecord:
             count_scale=captured.count_scale,
             functional_gaussians=captured.functional_gaussians,
         )
-        return [wm.sequence_workloads(res, tile) for res, tile in configs]
+        out = [wm.sequence_workloads(res, tile) for res, tile in configs]
+        # Read every field, so churn (counted on first read) is timed too,
+        # as the scalar extraction computes it.
+        for workloads in out:
+            for w in workloads:
+                for f in fields(w):
+                    getattr(w, f.name)
+        return out
 
-    repeats = 2 if quick else 5
+    repeats = 5
     base_s, base_out = _best_of(
         lambda: [
             hw_ref.scalar_sequence_workloads(captured, res, tile) for res, tile in configs

@@ -27,7 +27,8 @@ Two things live here, deliberately together because they form one contract:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
@@ -43,10 +44,12 @@ from .workload import FrameWorkload
 class FrameBatch:
     """Workload statistics for a frame sequence as arrays over the frame axis.
 
-    Field-for-field mirror of :class:`~repro.hw.workload.FrameWorkload`, with
-    every per-frame scalar stacked into a length-``num_frames`` array so the
-    models' traffic/latency equations evaluate once per sequence instead of
-    once per frame.
+    The :class:`~repro.hw.workload.FrameWorkload` fields the models'
+    equations read, each stacked into a length-``num_frames`` array so the
+    traffic/latency equations evaluate once per sequence instead of once per
+    frame.  It is not a field-for-field mirror: ``incoming_pairs`` is stacked
+    only when an equation reads it, and ``outgoing_pairs``, which none reads,
+    is not stacked at all.
     """
 
     frame_index: np.ndarray
@@ -55,10 +58,9 @@ class FrameBatch:
     num_gaussians: np.ndarray
     visible: np.ndarray
     pairs: np.ndarray
-    incoming_pairs: np.ndarray
-    outgoing_pairs: np.ndarray
     nonempty_tiles: np.ndarray
     mean_occupancy: np.ndarray
+    workloads: tuple[FrameWorkload, ...] = field(repr=False)
 
     @classmethod
     def from_workloads(cls, workloads: list[FrameWorkload]) -> "FrameBatch":
@@ -80,8 +82,6 @@ class FrameBatch:
                     w.num_gaussians,
                     w.visible,
                     w.pairs,
-                    w.incoming_pairs,
-                    w.outgoing_pairs,
                     w.nonempty_tiles,
                     w.mean_occupancy,
                 )
@@ -89,7 +89,17 @@ class FrameBatch:
             ],
             dtype=np.float64,
         )
-        return cls(*data.T)
+        return cls(*data.T, workloads=tuple(workloads))
+
+    @cached_property
+    def incoming_pairs(self) -> np.ndarray:
+        """Pairs entering their tile per frame, stacked on first read.
+
+        Only the models that merge incoming tables (Neo, Orin running Neo's
+        sort in software) read churn, and a workload counts it on first read,
+        so the other models never count it.
+        """
+        return np.array([w.incoming_pairs for w in self.workloads], dtype=np.float64)
 
     @property
     def num_frames(self) -> int:

@@ -38,7 +38,9 @@ the runs:
 * churn overlaps the two frames' matched runs.  One ``searchsorted`` finds
   each run's partner with the same key, and the overlap of their intervals
   is the ``shared`` pairs, so incoming is ``|cur| - shared`` and outgoing
-  is ``|prev| - shared``;
+  is ``|prev| - shared``.  Extraction does not count it: only Neo-style
+  models read churn, so a workload counts it the first time its
+  ``incoming_pairs`` or ``outgoing_pairs`` is read, and keeps the result;
 * Fig. 6's per-tile retained counts are the same overlaps, counted per tile
   with a difference array.
 
@@ -51,6 +53,7 @@ tile.  The pre-kernel expansion and the two-membership churn are frozen in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +88,32 @@ class FrameGeometry:
         return self.ids.shape[0]
 
 
+class _ChurnField:
+    """A churn field of :class:`FrameWorkload`: a count, or a deferred one.
+
+    The field holds either an explicit count or the frame's :class:`_Churn`,
+    and reads as the count either way, so equality, ``repr`` and hashing
+    compare counts.  As a dataclass field default it is a descriptor: reading
+    it on the class raises ``AttributeError``, which tells
+    :func:`dataclasses.dataclass` the field has no default.
+    """
+
+    def __init__(self, index: int) -> None:
+        self._index = index  # into ``_Churn.counts``: 0 incoming, 1 outgoing
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._name = name
+
+    def __get__(self, workload: "FrameWorkload | None", owner: type | None = None) -> float:
+        if workload is None:
+            raise AttributeError(self._name)
+        value = workload.__dict__[self._name]
+        return value.counts[self._index] if isinstance(value, _Churn) else value
+
+    def __set__(self, workload: "FrameWorkload", value: "float | _Churn") -> None:
+        workload.__dict__[self._name] = value
+
+
 @dataclass(frozen=True)
 class FrameWorkload:
     """Paper-scale workload statistics for one frame at one configuration.
@@ -99,7 +128,9 @@ class FrameWorkload:
         Tile-Gaussian duplication pairs (sorting workload).
     incoming_pairs / outgoing_pairs:
         Pairs entering / leaving their tile since the previous frame
-        (zero for frame 0).
+        (zero for frame 0).  :meth:`WorkloadModel.frame_workload` passes
+        both the frame's :class:`_Churn`, which counts them on first read;
+        any other caller passes the counts.
     nonempty_tiles:
         Tiles with at least one Gaussian.
     mean_occupancy:
@@ -118,8 +149,8 @@ class FrameWorkload:
     num_gaussians: float
     visible: float
     pairs: float
-    incoming_pairs: float
-    outgoing_pairs: float
+    incoming_pairs: float = _ChurnField(0)
+    outgoing_pairs: float = _ChurnField(1)
     nonempty_tiles: int
     num_tiles: int
     mean_occupancy: float
@@ -337,9 +368,13 @@ class WorkloadModel:
         nonempty = int(np.count_nonzero(occupancy))
         pairs_f = runs.num_pairs
 
-        incoming_f, outgoing_f = self._churn_counts(frame, (width, height), tile_size)
-
         scale = self.count_scale
+        # Counted on first read: the models that never read churn skip it.
+        churn = (
+            _Churn(self._runs(frame - 1, width, height, tile_size), runs, scale)
+            if frame
+            else 0.0
+        )
         mean_occ = (pairs_f / nonempty * scale) if nonempty else 0.0
         chunk_size = 256
         # Per-tile ceil-div over scaled occupancy, batched.  The cast
@@ -356,8 +391,8 @@ class WorkloadModel:
             num_gaussians=self.functional_gaussians * scale,
             visible=geo.num_visible * scale,
             pairs=pairs_f * scale,
-            incoming_pairs=incoming_f * scale,
-            outgoing_pairs=outgoing_f * scale,
+            incoming_pairs=churn,
+            outgoing_pairs=churn,
             nonempty_tiles=nonempty,
             num_tiles=num_tiles,
             mean_occupancy=mean_occ,
@@ -376,23 +411,6 @@ class WorkloadModel:
     # ------------------------------------------------------------------
     # Temporal similarity (Figs. 6-7)
     # ------------------------------------------------------------------
-    def _churn_counts(
-        self, frame: int, resolution: tuple[int, int], tile_size: int
-    ) -> tuple[int, int]:
-        """(incoming, outgoing) pair counts vs. the previous frame.
-
-        The overlaps of the two frames' matched runs are the ``shared``
-        pairs: the current frame's retained pairs and the previous frame's
-        surviving ones.
-        """
-        if frame == 0:
-            return 0, 0
-        width, height = self._resolve(resolution)
-        cur = self._runs(frame, width, height, tile_size)
-        prev = self._runs(frame - 1, width, height, tile_size)
-        shared = prev.overlap(cur).num_pairs
-        return cur.num_pairs - shared, prev.num_pairs - shared
-
     def shared_fraction_per_tile(
         self, frame: int, resolution: str | tuple[int, int], tile_size: int
     ) -> np.ndarray:
@@ -521,6 +539,37 @@ class _Runs:
         hi = np.minimum(self.hi[mine], other.hi[theirs])
         both = lo <= hi
         return _Runs(self.keys[mine][both], lo[both], hi[both])
+
+
+def _churn_counts(prev: _Runs, cur: _Runs) -> tuple[int, int]:
+    """(incoming, outgoing) pair counts of ``cur`` vs. the previous frame ``prev``.
+
+    The overlaps of the two frames' matched runs are the ``shared`` pairs:
+    the current frame's retained pairs and the previous frame's surviving
+    ones.
+    """
+    shared = prev.overlap(cur).num_pairs
+    return cur.num_pairs - shared, prev.num_pairs - shared
+
+
+class _Churn:
+    """A frame's churn against its predecessor, counted on first read.
+
+    It holds the two frames' runs and the count scale, not the
+    :class:`WorkloadModel`: with no reference cycle back to the model,
+    dropping a model frees it and its workloads at once.
+    """
+
+    def __init__(self, prev: _Runs, cur: _Runs, scale: float) -> None:
+        self._prev = prev
+        self._cur = cur
+        self._scale = scale
+
+    @cached_property
+    def counts(self) -> tuple[float, float]:
+        """Scaled ``(incoming, outgoing)`` pairs."""
+        incoming, outgoing = _churn_counts(self._prev, self._cur)
+        return incoming * self._scale, outgoing * self._scale
 
 
 def _segmented_ecdf(

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 import repro.hw.reference as hw_ref
 import repro.hw.workload as workload_mod
+from repro.experiments import runner
+from repro.experiments.engine import SimJob
 from repro.hw.workload import FrameGeometry, WorkloadModel
 from repro.pipeline.projection import project_gaussians
 from repro.pipeline.tiling import (
@@ -141,32 +143,74 @@ class TestFrameWorkloadPin:
         for frame in range(workload_model.num_frames):
             got = workload_model.frame_workload(frame, resolution, tile_size)
             want = hw_ref.scalar_frame_workload(workload_model, frame, resolution, tile_size)
+            # Churn is counted on first read; compare it on its own so no
+            # equality shortcut can pass without counting it.
+            assert got.incoming_pairs == want.incoming_pairs
+            assert got.outgoing_pairs == want.outgoing_pairs
             assert got == want
 
     def test_shared_config_is_extracted_once(self, monkeypatch):
-        wm = WorkloadModel.from_scene("family", num_frames=3, num_gaussians=600)
+        wm = WorkloadModel.from_scene("family", num_frames=4, num_gaussians=600)
         calls = {"runs": 0, "churn": 0}
-        kernel, churn = workload_mod.row_intervals, WorkloadModel._churn_counts
+        kernel, churn = workload_mod.row_intervals, workload_mod._churn_counts
 
         def counting_kernel(*args):
             calls["runs"] += 1
             return kernel(*args)
 
-        def counting_churn(self, *args):
+        def counting_churn(*args):
             calls["churn"] += 1
-            return churn(self, *args)
+            return churn(*args)
 
         monkeypatch.setattr(workload_mod, "row_intervals", counting_kernel)
-        monkeypatch.setattr(WorkloadModel, "_churn_counts", counting_churn)
+        monkeypatch.setattr(workload_mod, "_churn_counts", counting_churn)
         first = wm.sequence_workloads("hd", 16)
-        assert calls == {"runs": 3, "churn": 3}
+        assert calls == {"runs": 4, "churn": 0}
+        # The first read counts churn, once per frame after the first.
+        churn_pairs = [(w.incoming_pairs, w.outgoing_pairs) for w in first]
+        assert calls == {"runs": 4, "churn": 3}
+        assert [(w.incoming_pairs, w.outgoing_pairs) for w in first] == churn_pairs
         second = wm.sequence_workloads(wm._resolve("hd"), 16)
         assert second == first
-        assert calls == {"runs": 3, "churn": 3}
+        assert calls == {"runs": 4, "churn": 3}
         # Fig. 6 reads the same cached runs.
         wm.shared_fraction_per_tile(2, "hd", 16)
-        assert calls == {"runs": 3, "churn": 3}
+        assert calls == {"runs": 4, "churn": 3}
         assert second == hw_ref.scalar_sequence_workloads(wm, "hd", 16)
+        assert calls == {"runs": 4, "churn": 3}
+
+
+class TestChurnOnFirstRead:
+    def test_only_models_that_read_churn_count_it(self, monkeypatch):
+        calls = []
+        churn = workload_mod._churn_counts
+
+        def counting_churn(*args):
+            calls.append(args)
+            return churn(*args)
+
+        monkeypatch.setattr(workload_mod, "_churn_counts", counting_churn)
+        frames = 3
+        cells = {
+            system: SimJob.make(system, "family", "hd", frames=frames)
+            for system in ("gscore", "orin", "neo")
+        }
+        runner._workload_model_cached.cache_clear()  # a fresh capture
+        cells["gscore"].simulate()
+        cells["orin"].simulate()
+        assert calls == []
+        cells["neo"].simulate()
+        assert len(calls) == frames - 1
+
+        wm = runner.get_workload_model(*cells["neo"].capture_key())
+        for system in ("gscore", "neo"):
+            _, tile = runner.build_system_model(system)
+            for frame, got in enumerate(wm.sequence_workloads("hd", tile)):
+                want = hw_ref.scalar_frame_workload(wm, frame, "hd", tile)
+                assert got.incoming_pairs == want.incoming_pairs
+                assert got.outgoing_pairs == want.outgoing_pairs
+        # Neo's churn was kept; GSCore's was counted by this read alone.
+        assert len(calls) == 2 * (frames - 1)
 
 
 class TestIdMajorKeys:

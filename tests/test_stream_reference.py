@@ -14,7 +14,7 @@ import pytest
 from raster_oracle import rasterize_one_tile
 import repro.hw.reference as hw_ref
 import repro.metrics.reference as metrics_ref
-from repro.hw.workload import WorkloadModel
+from repro.hw.workload import WorkloadModel, _churn_counts
 from repro.metrics.similarity import frame_similarity
 from repro.pipeline.projection import ProjectedGaussians
 from repro.pipeline.sorting import sort_tiles
@@ -45,10 +45,14 @@ class TestWorkloadQueries:
     @pytest.mark.parametrize("resolution,tile_size", CONFIGS)
     def test_churn_counts_match(self, workload_model, resolution, tile_size):
         width, height = workload_model._resolve(resolution)
-        for frame in range(workload_model.num_frames):
-            assert workload_model._churn_counts(
-                frame, (width, height), tile_size
-            ) == hw_ref.scalar_churn_counts(workload_model, frame, resolution, tile_size)
+        runs = [
+            workload_model._runs(frame, width, height, tile_size)
+            for frame in range(workload_model.num_frames)
+        ]
+        for frame in range(1, workload_model.num_frames):
+            assert _churn_counts(runs[frame - 1], runs[frame]) == hw_ref.scalar_churn_counts(
+                workload_model, frame, resolution, tile_size
+            )
 
     @pytest.mark.parametrize("resolution,tile_size", CONFIGS)
     def test_shared_fraction_bit_identical(self, workload_model, resolution, tile_size):

@@ -97,6 +97,7 @@ class TestFrameBatch:
         assert batch.num_frames == len(workloads)
         assert list(batch.frame_index) == [w.frame_index for w in workloads]
         assert list(batch.pairs) == [w.pairs for w in workloads]
+        assert list(batch.incoming_pairs) == [w.incoming_pairs for w in workloads]
         assert list(batch.pixels) == [w.width * w.height for w in workloads]
 
     def test_rejects_empty(self):
