@@ -45,8 +45,6 @@ def synthetic_workloads(num_frames: int = NUM_FRAMES, tile: int = 16) -> list[Fr
                 nonempty_tiles=nonempty,
                 num_tiles=num_tiles,
                 mean_occupancy=pairs / nonempty,
-                chunks=float(int(pairs) // 256),
-                mean_radius_px=24.0,
             )
         )
     return workloads

@@ -449,11 +449,6 @@ def scalar_frame_workload(
 
     scale = model.count_scale
     mean_occ = (pairs_f / nonempty * scale) if nonempty else 0.0
-    chunk_size = 256
-    scaled_occ = (occupancy[occupancy > 0] * scale).astype(np.int64)
-    chunks = int((-(-scaled_occ // chunk_size)).sum())
-    scale_px = height / model.capture_height
-    mean_radius = float(geo.radii.mean()) * scale_px if geo.num_visible else 0.0
     return FrameWorkload(
         frame_index=frame,
         width=width,
@@ -467,8 +462,6 @@ def scalar_frame_workload(
         nonempty_tiles=nonempty,
         num_tiles=num_tiles,
         mean_occupancy=mean_occ,
-        chunks=float(chunks),
-        mean_radius_px=mean_radius,
     )
 
 

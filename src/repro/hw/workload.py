@@ -135,11 +135,6 @@ class FrameWorkload:
         Tiles with at least one Gaussian.
     mean_occupancy:
         Mean pairs per nonempty tile.
-    chunks:
-        Total 256-entry sorting chunks across tiles.
-    mean_radius_px:
-        Mean splat radius at the target resolution (pixels), used by the
-        blend-work estimates.
     """
 
     frame_index: int
@@ -154,8 +149,6 @@ class FrameWorkload:
     nonempty_tiles: int
     num_tiles: int
     mean_occupancy: float
-    chunks: float
-    mean_radius_px: float = 0.0
 
     @property
     def churn_fraction(self) -> float:
@@ -376,13 +369,6 @@ class WorkloadModel:
             else 0.0
         )
         mean_occ = (pairs_f / nonempty * scale) if nonempty else 0.0
-        chunk_size = 256
-        # Per-tile ceil-div over scaled occupancy, batched.  The cast
-        # truncates like the scalar ``int()`` did (occupancy is nonnegative).
-        scaled_occ = (occupancy[occupancy > 0] * scale).astype(np.int64)
-        chunks = int((-(-scaled_occ // chunk_size)).sum())
-        scale_px = height / self.capture_height
-        mean_radius = float(geo.radii.mean()) * scale_px if geo.num_visible else 0.0
         return FrameWorkload(
             frame_index=frame,
             width=width,
@@ -396,8 +382,6 @@ class WorkloadModel:
             nonempty_tiles=nonempty,
             num_tiles=num_tiles,
             mean_occupancy=mean_occ,
-            chunks=float(chunks),
-            mean_radius_px=mean_radius,
         )
 
     def sequence_workloads(

@@ -9,13 +9,14 @@ drives the sorting stage's DRAM traffic in the hardware model.
 **Duplication kernel.**  :func:`row_intervals` is the one implementation of
 the circle-vs-tile test.  A splat's kept tiles in one tile row form a single
 interval of columns, so it returns, per (Gaussian, tile row) run, the exact
-interval ``[lo, hi]``: a closed-form estimate of each end, settled by the
-per-candidate test evaluated only at the boundary.  Interior candidates are
-never tested.  :func:`pair_lists` expands the intervals into
-``(tile, Gaussian)`` pairs for the functional pipeline
-(:func:`assign_to_tiles`) and the Fig. 7 order differences; the hardware
-workload model (:mod:`repro.hw.workload`) counts pairs, occupancy and churn
-from the intervals themselves.
+interval ``[lo, hi]``.  It estimates both ends in closed form and checks
+every run in one vectorised pass: the per-candidate test must pass at each
+end and fail at the column beyond it.  Only runs that fail this check are
+settled by a boundary search.  Interior candidates are never tested.
+:func:`pair_lists` expands the intervals into ``(tile, Gaussian)`` pairs
+for the functional pipeline (:func:`assign_to_tiles`) and the Fig. 7 order
+differences; the hardware workload model (:mod:`repro.hw.workload`) counts
+pairs, occupancy and churn from the intervals themselves.
 
 **Tile-stream layout.**  Per-tile data is stored as one flat
 :class:`TileStream` — a ``values`` array holding every tile-Gaussian pair
@@ -379,20 +380,22 @@ def _tile_bounds(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`tile_ranges` over raw geometry (splat centers and radii)."""
     x, y, r = means2d[:, 0], means2d[:, 1], radii
-    tiles_x = -(-width // tile_size)
-    tiles_y = -(-height // tile_size)
-    tx0 = np.floor((x - r) / tile_size).astype(np.int64)
-    tx1 = np.floor((x + r) / tile_size).astype(np.int64)
-    ty0 = np.floor((y - r) / tile_size).astype(np.int64)
-    ty1 = np.floor((y + r) / tile_size).astype(np.int64)
-    np.clip(tx0, 0, tiles_x - 1, out=tx0)
-    np.clip(ty0, 0, tiles_y - 1, out=ty0)
+    # Rows: the bbox's left, right, top and bottom pixel edges.
+    edges = np.empty((4, radii.shape[0]), dtype=np.result_type(means2d, radii))
+    np.subtract(x, r, out=edges[0])
+    np.add(x, r, out=edges[1])
+    np.subtract(y, r, out=edges[2])
+    np.add(y, r, out=edges[3])
+    off = (edges[1] < 0) | (edges[3] < 0) | (edges[0] >= width) | (edges[2] >= height)
+    edges /= tile_size
+    bounds = np.floor(edges, out=edges).astype(np.int64)
     # Upper bounds clip to -1 below zero so off-screen splats produce empty
     # ranges instead of wrapping into tile 0.
-    np.clip(tx1, -1, tiles_x - 1, out=tx1)
-    np.clip(ty1, -1, tiles_y - 1, out=ty1)
-    off = (x + r < 0) | (y + r < 0) | (x - r >= width) | (y - r >= height)
-    tx1[off] = tx0[off] - 1
+    np.maximum(bounds, [[0], [-1], [0], [-1]], out=bounds)
+    last_x, last_y = -(-width // tile_size) - 1, -(-height // tile_size) - 1
+    np.minimum(bounds, [[last_x], [last_x], [last_y], [last_y]], out=bounds)
+    tx0, tx1, ty0, ty1 = bounds
+    np.copyto(tx1, tx0 - 1, where=off)
     return tx0, tx1, ty0, ty1
 
 
@@ -436,61 +439,142 @@ def row_intervals(
     ``dy`` the distances from the splat center to the tile rectangle.  In
     one run ``dy^2`` and ``r^2`` are fixed, and ``dx^2`` never increases
     up to the *center* column (the one holding the splat center, clipped to
-    the bbox) and never decreases after it.  IEEE addition and comparison
+    the grid) and never decreases after it.  IEEE addition and comparison
     are monotone, so a run's kept columns form one interval around the
     center column, empty iff the center column fails.
 
-    Each end is estimated in closed form from ``sqrt(r^2 - dy^2)`` and then
-    settled with the per-candidate test itself, evaluated only at the
-    boundary: an end that passes grows while its outer neighbour passes,
-    and one that fails shrinks toward the center until it passes.  The
-    settling converges from any estimate inside the bbox, so the estimate
-    decides speed only, and every kept tile is the one the frozen
-    :func:`repro.hw.reference.scalar_pair_lists` keeps.
+    **Ends.**  With ``half = sqrt(max(r^2 - dy^2, 0))``, the closed-form
+    ends are ``lo = floor((cx - half) / tile)`` and
+    ``hi = floor((cx + half) / tile)``, clipped to the grid.  Rounding is
+    monotone and ``half <= r``, so ``lo <= center <= hi`` and both ends lie
+    in the splat's bbox.
+
+    **Check.**  One pass over all runs applies the per-candidate test at
+    ``lo`` and ``hi``, which must pass, and at ``lo - 1`` and ``hi + 1``,
+    which must fail unless they are off the grid.  A run that passes keeps
+    exactly ``[lo, hi]``.  A run with ``lo == hi`` whose end fails has that
+    end on the center column, so it keeps nothing; every run with
+    ``dy^2 > r^2`` is one.  The test's nearest point ``qx`` needs no
+    per-column clip here.  For a center with ``0 <= cx < width``, ``qx`` is
+    a column's right edge ``(c + 1) * tile`` left of the center column, its
+    left edge ``c * tile`` right of it, and ``cx`` on it.  Clamping ``cx``
+    into ``[0, width]`` first extends this to centers outside the image.
+    Each test is then the distance from ``cx`` to one tile edge, squared,
+    plus ``dy^2``, against ``r^2``, and ``qx`` is the float the clipped form
+    selects, so every bit matches the per-candidate test.
+
+    **Search.**  Runs that fail the check, such as exact ties on a tile
+    edge, go to :func:`_search`.  It starts from the same estimates clipped
+    to the bbox and settles each end with the per-candidate test itself,
+    evaluated only at the boundary.  The search converges from any estimate
+    inside the bbox, so the check decides speed only, and every kept tile
+    is the one the frozen :func:`repro.hw.reference.scalar_pair_lists`
+    keeps.
     """
     x, y = means2d[:, 0], means2d[:, 1]
     tx0, tx1, ty0, ty1 = _tile_bounds(means2d, radii, width, height, tile_size)
     # A rectangle empty in one axis has no runs.
     ny = np.maximum(ty1 - ty0 + 1, 0) * (tx1 >= tx0)
     run_g = np.repeat(np.arange(means2d.shape[0], dtype=np.int64), ny)
-    run_ty = np.arange(run_g.shape[0], dtype=np.int64) - np.repeat(
-        _segment_starts(ny) - ty0, ny
-    )
-    run_py = run_ty * tile_size
+    n = run_g.shape[0]
+    run_ty = (ty0 - _segment_starts(ny))[run_g]
+    run_ty += np.arange(n, dtype=np.int64)
     cy = y[run_g]
-    qy = np.minimum(np.maximum(cy, run_py), np.minimum(run_py + tile_size, height))
-    dy2 = (qy - cy) ** 2
+    py = run_ty * tile_size
+    dy2 = np.maximum(cy, py)
+    py += tile_size
+    np.minimum(dy2, np.minimum(py, height, out=py), out=dy2)
+    dy2 -= cy
+    dy2 *= dy2
     rr = (radii * radii)[run_g]
     cx = x[run_g]
-    lo_bound, hi_bound = tx0[run_g], tx1[run_g]
 
+    # Closed-form ends, as floats until the output: row 0 is lo, row 1 hi
+    # (it holds ``half`` first).
+    last = -(-width // tile_size) - 1
+    ends = np.empty((2, n))
+    half = np.subtract(rr, dy2, out=ends[1])
+    np.sqrt(np.maximum(half, 0.0, out=half), out=half)
+    np.subtract(cx, half, out=ends[0])
+    ends[1] += cx
+    _floor_columns(ends, tile_size, 0, last)
+
+    # The check.  ``qx`` at the outer neighbours lo - 1 and hi + 1 is the
+    # edge each shares with its end; at lo and hi it is the edge nearer the
+    # center, or the center itself, clamped into the image.
+    q = np.multiply(ends, tile_size)
+    q[1] += tile_size
+    outer = _kept(q, cx, dy2, rr)
+    np.multiply(ends, tile_size, out=q)
+    q[0] += tile_size
+    np.minimum(q[0], cx, out=q[0])
+    np.maximum(q[1], cx, out=q[1])
+    np.clip(q, 0, width, out=q)
+    kept = _kept(q, cx, dy2, rr)
+    outer &= ends != [[0], [last]]
+    nonempty = kept[0]
+    checked = nonempty > outer[0]
+    checked &= kept[1] > outer[1]
+    # A failing end with lo == hi is the center column: the run is empty.
+    checked |= (ends[0] == ends[1]) > nonempty
+
+    miss = np.flatnonzero(~checked)
+    if miss.shape[0]:
+        g = run_g[miss]
+        lo, hi, nonempty[miss] = _search(
+            cx[miss], dy2[miss], rr[miss], tx0[g], tx1[g], tile_size, width
+        )
+        ends[0, miss] = lo
+        ends[1, miss] = hi
+    return RowIntervals(
+        rows=run_g[nonempty],
+        tile_rows=run_ty[nonempty],
+        lo=ends[0][nonempty].astype(np.int64),
+        hi=ends[1][nonempty].astype(np.int64),
+    )
+
+
+def _kept(qx, cx, dy2, rr):
+    """The per-candidate test ``(qx - cx)^2 + dy^2 <= r^2``; overwrites ``qx``."""
+    qx -= cx
+    qx *= qx
+    qx += dy2
+    return qx <= rr
+
+
+def _floor_columns(edges, tile_size, low, high):
+    """Tile columns of pixel ``edges``, clipped to ``[low, high]``, in place."""
+    edges /= tile_size
+    np.floor(edges, out=edges)
+    # fmin/fmax also map NaN to a bound, so the columns cast cleanly.
+    np.fmax(edges, low, out=edges)
+    return np.fmin(edges, high, out=edges)
+
+
+def _search(cx, dy2, rr, lo_bound, hi_bound, tile_size, width):
+    """``(lo, hi, nonempty)`` of runs, settled by the boundary search.
+
+    The runs' ends start from the closed-form estimates, clipped to the
+    bbox ``[lo_bound, hi_bound]`` and to the center column, and
+    :func:`_settle` moves them with the exact per-candidate test.
+    """
     # Center column.  ``floor(x / tile_size)`` is exact: a float below a
     # multiple of the integer tile divides to a float below the multiple's
     # quotient, never onto it.
-    center = np.fmin(np.fmax(np.floor(x / tile_size), tx0), tx1).astype(np.int64)[run_g]
-    # A run with ``dy^2 > r^2`` keeps nothing; its estimate is the center.
-    half = np.sqrt(np.maximum(rr - dy2, 0.0))
+    center = np.fmin(np.fmax(np.floor(cx / tile_size), lo_bound), hi_bound).astype(np.int64)
 
     def kept(idx, cols):
         px = cols * tile_size
         cxi = cx[idx]
         qx = np.minimum(np.maximum(cxi, px), np.minimum(px + tile_size, width))
-        return (qx - cxi) ** 2 + dy2[idx] <= rr[idx]
+        return _kept(qx, cxi, dy2[idx], rr[idx])
 
-    def estimate(edge, low, high):
-        # fmin/fmax also drop NaN estimates before the cast.
-        return np.fmin(np.fmax(np.floor(edge / tile_size), low), high).astype(np.int64)
-
-    lo = estimate(cx - half, lo_bound, center)
+    half = np.sqrt(np.maximum(rr - dy2, 0.0))
+    lo = _floor_columns(cx - half, tile_size, lo_bound, center).astype(np.int64)
     nonempty = _settle(lo, lo_bound, center, -1, kept)
-    hi = estimate(cx + half, center, hi_bound)
+    hi = _floor_columns(cx + half, tile_size, center, hi_bound).astype(np.int64)
     _settle(hi, hi_bound, center, 1, kept)
-    return RowIntervals(
-        rows=run_g[nonempty],
-        tile_rows=run_ty[nonempty],
-        lo=lo[nonempty],
-        hi=hi[nonempty],
-    )
+    return lo, hi, nonempty
 
 
 def _settle(end, outer, inner, step, kept) -> np.ndarray:

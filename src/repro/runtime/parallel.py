@@ -23,10 +23,12 @@ def parallel_map(func, tasks: list, jobs: int) -> list:
     (or a single task) runs in-process, anything else goes through a
     :mod:`multiprocessing` pool sized to ``min(jobs, len(tasks))``.  Results
     always come back in task order regardless of completion order, so
-    callers' merges stay deterministic.
+    callers' merges stay deterministic.  Workers take one task at a time:
+    task costs vary by orders of magnitude, and a batch of the costly ones
+    would otherwise land on one worker.
     """
     if jobs <= 1 or len(tasks) <= 1:
         return [func(task) for task in tasks]
     ctx = _mp_context()
     with ctx.Pool(processes=min(jobs, len(tasks))) as pool:
-        return pool.map(func, tasks)
+        return pool.map(func, tasks, chunksize=1)

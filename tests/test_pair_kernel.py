@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import repro.hw.reference as hw_ref
 import repro.hw.workload as workload_mod
+import repro.pipeline.tiling as tiling_mod
 from repro.experiments import runner
 from repro.experiments.engine import SimJob
 from repro.hw.workload import FrameGeometry, WorkloadModel
@@ -318,27 +319,113 @@ def adversarial_geometry(draw):
     return np.asarray(means, dtype=np.float64), np.asarray(radii), width, height, tile
 
 
+def assert_runs_match_scalar(geometry):
+    """``pair_lists`` and every run's ``[lo, hi]`` match the per-candidate kernel."""
+    # (a) The expansion equals the per-candidate kernel bit for bit.
+    assert_pairs_identical(pair_lists(*geometry), hw_ref.scalar_pair_lists(*geometry))
+
+    # (b) Each run's kept columns, per the per-candidate kernel, are one
+    # interval, and it is the run's [lo, hi].
+    _, _, width, height, tile = geometry
+    tiles, rows = hw_ref.scalar_pair_lists(*geometry)
+    tile_rows, cols = np.divmod(tiles, -(-width // tile))
+    run_key = rows * (-(-height // tile)) + tile_rows
+    _, first, counts = np.unique(run_key, return_index=True, return_counts=True)
+    last = first + counts - 1
+    np.testing.assert_array_equal(cols[last] - cols[first] + 1, counts)
+    runs = row_intervals(*geometry)
+    for field in (runs.rows, runs.tile_rows, runs.lo, runs.hi):
+        assert field.dtype == np.int64
+    np.testing.assert_array_equal(runs.rows, rows[first])
+    np.testing.assert_array_equal(runs.tile_rows, tile_rows[first])
+    np.testing.assert_array_equal(runs.lo, cols[first])
+    np.testing.assert_array_equal(runs.hi, cols[last])
+
+
+def _below(v):
+    return float(np.nextafter(v, -np.inf))
+
+
+def _above(v):
+    return float(np.nextafter(v, np.inf))
+
+
+#: Splats ``(cx, cy, r)`` on a 96x80 image with 16 px tiles, placed where
+#: the check of the closed-form ends is decided by one rounding or one tie.
+EDGE_CASES = {
+    # cx - half lands on a tile edge with dy = 0; the tie column is outside
+    # the bbox.  cx + half lands on one too, and that tie column is kept.
+    "ends_on_tile_edges": [(20.0, 8.0, 4.0), (12.0, 8.0, 4.0), (44.0, 40.0, 12.0)],
+    # The same with dy = 4 and r = 5, so the tie lies inside the bbox: on
+    # the column beyond lo, which only the outer-neighbour test catches,
+    # and on hi itself.
+    "pythagorean_tie_beyond_an_end": [(19.0, 12.0, 5.0), (29.0, 12.0, 5.0)],
+    # cy + r on a row's top edge puts that row in the bbox with dy^2 == r^2:
+    # it keeps the center column alone.  With r one ulp short, cy + r still
+    # rounds onto the edge, but dy^2 > r^2 and the row keeps nothing.
+    "dy2_equals_rr": [(40.0, 12.0, 4.0), (8.0, 44.0, 4.0)],
+    "dy2_one_ulp_above_rr": [(40.0, 12.0, _below(4.0)), (8.0, 44.0, _below(4.0))],
+    # Centers on the image's left and right edges, and one ulp inside each.
+    "cx_on_image_edges": [
+        (0.0, 30.0, 10.0),
+        (_above(0.0), 30.0, 10.0),
+        (96.0, 30.0, 10.0),
+        (_below(96.0), 30.0, 10.0),
+    ],
+    # Centers outside the image on every side, with radii that reach it.
+    "centers_outside": [
+        (-6.0, 30.0, 9.0),
+        (-16.0, 30.0, 16.0),
+        (105.0, 30.0, 12.0),
+        (40.0, -7.0, 10.0),
+        (40.0, 88.0, 9.0),
+        (-5.0, -5.0, 8.0),
+        (100.0, 84.0, 6.0),
+    ],
+    # Zero radius on a tile corner, an edge and inside a tile.
+    "zero_radius": [(32.0, 32.0, 0.0), (32.0, 40.0, 0.0), (40.0, 40.0, 0.0)],
+}
+
+
 class TestRowIntervals:
     @settings(max_examples=300, deadline=None)
     @given(adversarial_geometry())
     def test_adversarial_geometry(self, geometry):
-        # (a) The expansion equals the per-candidate kernel bit for bit.
-        assert_pairs_identical(pair_lists(*geometry), hw_ref.scalar_pair_lists(*geometry))
+        assert_runs_match_scalar(geometry)
 
-        # (b) Each run's kept columns, per the per-candidate kernel, are one
-        # interval, and it is the run's [lo, hi].
-        _, _, width, height, tile = geometry
-        tiles, rows = hw_ref.scalar_pair_lists(*geometry)
-        tile_rows, cols = np.divmod(tiles, -(-width // tile))
-        run_key = rows * (-(-height // tile)) + tile_rows
-        _, first, counts = np.unique(run_key, return_index=True, return_counts=True)
-        last = first + counts - 1
-        np.testing.assert_array_equal(cols[last] - cols[first] + 1, counts)
-        runs = row_intervals(*geometry)
-        np.testing.assert_array_equal(runs.rows, rows[first])
-        np.testing.assert_array_equal(runs.tile_rows, tile_rows[first])
-        np.testing.assert_array_equal(runs.lo, cols[first])
-        np.testing.assert_array_equal(runs.hi, cols[last])
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_check_edges(self, case):
+        splats = np.asarray(EDGE_CASES[case], dtype=np.float64)
+        assert_runs_match_scalar((splats[:, :2], splats[:, 2], 96, 80, 16))
+
+    @pytest.mark.parametrize("width", [84, 90, 95])
+    def test_last_column_narrower_than_the_tile(self, width):
+        # The last column spans [80, width); centers in it, on its far edge,
+        # and past it.
+        cx = [81.0, 88.0, float(width), _below(float(width)), width + 3.0, 79.5]
+        splats = [(x, y, r) for x in cx for y in (8.0, 24.0) for r in (3.0, 9.0, 16.0)]
+        splats = np.asarray(splats)
+        assert_runs_match_scalar((splats[:, :2], splats[:, 2], width, 40, 16))
+
+    def test_only_runs_that_fail_the_check_are_searched(self, monkeypatch):
+        searched = []
+        search = tiling_mod._search
+
+        def counting_search(cx, *args):
+            searched.append(cx.shape[0])
+            return search(cx, *args)
+
+        monkeypatch.setattr(tiling_mod, "_search", counting_search)
+        # A center in the image and one left of it, away from every tie:
+        # the check settles all their runs.
+        row_intervals(np.array([[40.0, 40.0], [-3.0, 20.0]]), np.array([13.0, 7.5]), 96, 80, 16)
+        assert searched == []
+        # Of the two tie splats' four runs, only the one with the tie beyond
+        # lo (the first splat's second tile row) fails the check.
+        splats = np.asarray(EDGE_CASES["pythagorean_tie_beyond_an_end"])
+        runs = row_intervals(splats[:, :2], splats[:, 2], 96, 80, 16)
+        assert searched == [1]
+        assert runs.lo[(runs.rows == 0) & (runs.tile_rows == 1)].tolist() == [0]
 
 
 #: How a Gaussian's kept interval in its center row moves between frames.

@@ -259,13 +259,3 @@ class TestWorkloadVectorizedQueries:
                 )
                 got = model.shared_fraction_per_tile(frame, "hd", tile_size)
                 assert np.array_equal(got, want)
-
-    def test_chunks_match_scalar_ceil_div(self, model):
-        for frame in (0, 1, 2):
-            workload = model.frame_workload(frame, "qhd", 64)
-            tiles = model.frame_stream(frame, "qhd", 64).tile_of()
-            occupancy = np.bincount(tiles, minlength=workload.num_tiles)
-            want = float(
-                sum(-(-int(c * model.count_scale) // 256) for c in occupancy[occupancy > 0])
-            )
-            assert workload.chunks == want

@@ -64,8 +64,6 @@ class TestWorkloadModel:
         assert w.visible > 100_000
         assert w.pairs > w.visible  # duplication factor > 1
         assert w.nonempty_tiles <= w.num_tiles
-        assert w.chunks > 0
-        assert w.mean_radius_px > 0
 
     def test_resolution_monotonicity(self, workload_model):
         hd = workload_model.frame_workload(1, "hd", 64)
