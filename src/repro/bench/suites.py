@@ -357,13 +357,14 @@ def bench_hw_system(quick: bool) -> BenchRecord:
     from ..hw import reference as hw_ref
 
     # The simulation core is sub-millisecond either way; the full 200-frame
-    # trajectory is what makes the measurement stable, so quick keeps it.
+    # trajectory and a timed window of many calls make the measurement
+    # stable, so quick keeps both.
     num_frames = NUM_FRAMES
     model, tile = build_system_model("neo")
     workloads = synthetic_workloads(num_frames, tile)
 
-    base_s, base_report = _best_of(lambda: hw_ref.scalar_simulate(model, workloads), 3)
-    opt_s, opt_report = _best_of(lambda: model.simulate(workloads), 3)
+    base_s, base_report = _best_of_scaled(lambda: hw_ref.scalar_simulate(model, workloads))
+    opt_s, opt_report = _best_of_scaled(lambda: model.simulate(workloads))
     return BenchRecord(
         quick=quick,
         baseline_ms=base_s * 1e3,

@@ -203,6 +203,17 @@ class SimJob:
             self.trajectory, self.capture_width, self.capture_height,
         )
 
+    def evaluation_order(self) -> tuple[tuple, float]:
+        """``(group, rank)`` of this cell in a batch: its capture, and tile / height.
+
+        :func:`execute_cells` evaluates a capture's cells finest grain
+        first, so the workload model derives coarser tile configurations
+        from the runs the finer ones cached, instead of running the tile
+        kernel again (:meth:`~repro.hw.workload.WorkloadModel._runs`).
+        """
+        _, tile = runner.build_system_model(self.system, cores=self.cores)
+        return self.capture_key(), tile / RESOLUTIONS[self.resolution][1]
+
     def simulate(self) -> SequenceReport:
         """Evaluate this cell: capture the workload, build the model, simulate.
 
@@ -380,6 +391,12 @@ def execute_cells(
     worker.  Results come back aligned with the input order, so callers'
     merges are deterministic regardless of ``jobs``.  Every computed value
     is stored here, in the parent: ``evaluate`` never persists anything.
+
+    Misses are evaluated in the order :func:`_in_evaluation_order` gives: a
+    cell with ``evaluation_order() -> (group, rank)`` (a :class:`SimJob`:
+    its capture, and its tile / height) runs with its group, finest rank
+    first, so a capture's coarser tile configurations derive from its finer
+    ones.  The order changes no value.
     """
     start = time.perf_counter()
     keys: list[str] = []
@@ -405,6 +422,7 @@ def execute_cells(
         else:
             misses.append((key, cell))
 
+    misses = _in_evaluation_order(misses)
     computed = parallel_map(evaluate, [cell for _, cell in misses], jobs)
     for (key, _), value in zip(misses, computed):
         values[key] = value
@@ -422,6 +440,22 @@ def execute_cells(
         computed=len(misses),
         elapsed_s=time.perf_counter() - start,
     )
+
+
+def _in_evaluation_order(misses: list[tuple[str, Any]]) -> list[tuple[str, Any]]:
+    """A batch's ``(key, cell)`` misses, stably sorted by group, then rank.
+
+    Groups are numbered in order of first appearance, and a cell ranks
+    within its group.  A cell without ``evaluation_order`` is a group of its
+    own, so such cells keep their order.
+    """
+    groups: dict[Any, int] = {}
+    order_keys = []
+    for cache_key, cell in misses:
+        order = getattr(cell, "evaluation_order", None)
+        group, rank = order() if order is not None else (cache_key, 0.0)
+        order_keys.append((groups.setdefault(group, len(groups)), rank))
+    return [miss for _, miss in sorted(zip(order_keys, misses), key=lambda pair: pair[0])]
 
 
 # ----------------------------------------------------------------------

@@ -21,16 +21,36 @@ comes from :func:`~repro.scene.datasets.load_scene`, whose per-process memo
 generates each preset (and its 3D covariances) once, so a fresh capture of
 an already-loaded scene pays for projection alone.
 
-Extraction is one pass per (frame, resolution, tile size).  Nothing is
-counted pair by pair: the cached unit is a frame's *runs*, the exact kept
-tile-column interval ``[lo, hi]`` of every (Gaussian, tile row) from
-:func:`repro.pipeline.tiling.row_intervals`, the same kernel whose
+Nothing is counted pair by pair: the cached unit is a frame's *runs*, the
+exact kept tile-column interval ``[lo, hi]`` of every (Gaussian, tile row)
+from :func:`repro.pipeline.tiling.row_intervals`, the same kernel whose
 expansion the functional pipeline's ``assign_to_tiles`` runs.  Runs are
 keyed ``ID << 32 | tile row``; culled IDs ascend and runs are
 Gaussian-major with tile rows ascending, so the keys come sorted.  Runs
 and each :class:`FrameWorkload` are cached per configuration, so systems
-that share one (GSCore and Orin both tile at 16 px) pay for it once.  From
-the runs:
+that share one (GSCore and Orin both tile at 16 px) pay for it once.
+
+A frame runs the kernel once per *family* of configurations, not once per
+configuration, when the finest is asked for first.  Two facts make the
+rest of a family exact derivations:
+
+* scale: doubling width, height and tile together leaves the runs
+  unchanged.  Geometry scales by ``height / capture_height``, and
+  ``fl(2h / c) == 2 * fl(h / c)``, so QHD's centers and radii are bit for
+  bit twice HD's (UHD's twice FHD's).  Every operation of the kernel
+  (add, subtract, multiply, ``sqrt``, ``/ tile``, ``floor``, the clamps to
+  the image and the compares) commutes exactly with ``x 2``, so HD at
+  16 px is QHD at 32 px, and HD at 64 px is QHD at 128 px;
+* halving: the runs at tile ``2t`` follow from those at ``t`` by
+  :meth:`_Runs.halve`, since a ``2t`` tile is the union of its ``t``
+  subtiles.
+
+So QHD at 16 px, then HD at 16 px (QHD at 32), QHD at 64 and HD at 64
+(QHD at 128) form one chain: the kernel runs for the first, and each of the
+others is one halving of the one before.  :meth:`WorkloadModel._runs`
+halves from the nearest finer configuration the frame has cached, and the
+experiment engine evaluates a capture's cells finest grain first, so the
+kernel runs once per frame for the paper's figures.  From the runs:
 
 * pairs are ``sum(hi - lo + 1)``;
 * occupancy is one difference array per tile row (``+1`` at ``lo``, ``-1``
@@ -59,7 +79,10 @@ import numpy as np
 
 from ..pipeline.culling import frustum_cull
 from ..pipeline.projection import project_geometry
-from ..pipeline.tiling import TileGrid, TileStream, pair_lists, row_intervals
+from ..pipeline.tiling import RowIntervals, TileGrid, TileStream, row_intervals
+
+# Re-exported: the hardware package's public name for the pair expansion.
+from ..pipeline.tiling import pair_lists as pair_lists
 from ..scene.camera import Camera, resolution as named_resolution
 from ..scene.datasets import archetype_trajectory, default_trajectory, load_scene, scene_spec
 from ..scene.gaussians import GaussianScene
@@ -197,9 +220,12 @@ class WorkloadModel:
         self.count_scale = count_scale
         self.functional_gaussians = functional_gaussians
         self.scene_name = scene_name
-        # (frame, width, height, tile_size) -> the frame's kept-column runs.
-        self._run_cache: dict[tuple[int, int, int, int], _Runs] = {}
-        # Same key -> TileStream of Gaussian rows, for the order differences.
+        # Per frame: (family, step) of a configuration (see ``_grain``) -> runs.
+        self._run_cache: list[dict[tuple[tuple[int, int, int], int], _Runs]] = [
+            {} for _ in frames
+        ]
+        # (frame, width, height, tile_size) -> TileStream of Gaussian rows, for
+        # the order differences.
         self._stream_cache: dict[tuple[int, int, int, int], TileStream] = {}
         # Same key -> FrameWorkload, so systems sharing a configuration (GSCore
         # and Orin both tile at 16 px) extract it once.
@@ -298,29 +324,57 @@ class WorkloadModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(rows, keys)``: a frame's pairs and their ``ID << 32 | tile`` keys.
 
-        Pairs are Gaussian-major, so the keys ascend as culled IDs do.  Only
-        :meth:`frame_stream` expands pairs; the counts read :meth:`_runs`.
+        The pairs are the cached runs expanded (:meth:`RowIntervals.pairs`),
+        so no kernel runs again.  Culled IDs ascend, so one ``searchsorted``
+        finds each run's row from its key.  Pairs are Gaussian-major, so the
+        keys ascend as culled IDs do.  Only :meth:`frame_stream` expands
+        pairs; the counts read :meth:`_runs`.
         """
-        means2d, radii = self.scaled_geometry(frame, (width, height))
-        tiles, rows = pair_lists(means2d, radii, width, height, tile_size)
-        return rows, self.frames[frame].ids[rows] << 32 | tiles
+        runs = self._runs(frame, width, height, tile_size)
+        ids = self.frames[frame].ids
+        tiles, rows = RowIntervals(
+            rows=np.searchsorted(ids, runs.keys >> 32),
+            tile_rows=runs.keys & _LOW_MASK,
+            lo=runs.lo,
+            hi=runs.hi,
+        ).pairs(TileGrid(width, height, tile_size).tiles_x)
+        return rows, ids[rows] << 32 | tiles
 
     def _runs(self, frame: int, width: int, height: int, tile_size: int) -> _Runs:
         """Cached kept-column runs of a frame, keyed ``ID << 32 | tile row``.
 
         Runs are Gaussian-major with tile rows ascending, and culled IDs
         ascend, so the keys come strictly ascending.
+
+        Configurations in one family (:func:`_grain`) differ only in step,
+        and a step up doubles the effective tile.  If the frame has cached a
+        finer step of the family, the runs are halved up from the nearest
+        one, one step at a time, each step cached (:meth:`_Runs.halve`).
+        Only when none is cached does the kernel run.  Equal steps hold equal
+        runs, because doubling width, height and tile together is exact (see
+        the module docstring).  The lookup scans one frame's few entries.
         """
-        key = (frame, width, height, tile_size)
-        if key not in self._run_cache:
-            means2d, radii = self.scaled_geometry(frame, (width, height))
-            runs = row_intervals(means2d, radii, width, height, tile_size)
-            self._run_cache[key] = _Runs(
-                keys=self.frames[frame].ids[runs.rows] << 32 | runs.tile_rows,
-                lo=runs.lo,
-                hi=runs.hi,
-            )
-        return self._run_cache[key]
+        family, step = _grain(width, height, tile_size)
+        cache = self._run_cache[frame]
+        if (family, step) in cache:
+            return cache[family, step]
+        finer = [s for f, s in cache if f == family and s < step]
+        if finer:
+            s = max(finer)
+            runs = cache[family, s]
+            while s < step:
+                runs = runs.halve()
+                s += 1
+                cache[family, s] = runs
+            return runs
+        means2d, radii = self.scaled_geometry(frame, (width, height))
+        kernel = row_intervals(means2d, radii, width, height, tile_size)
+        runs = cache[family, step] = _Runs(
+            keys=self.frames[frame].ids[kernel.rows] << 32 | kernel.tile_rows,
+            lo=kernel.lo,
+            hi=kernel.hi,
+        )
+        return runs
 
     def frame_stream(
         self, frame: int, resolution: str | tuple[int, int], tile_size: int
@@ -507,6 +561,48 @@ class _Runs:
         diff -= np.bincount(base + self.hi + 1, minlength=size)
         return np.cumsum(diff.reshape(grid.tiles_y, stride), axis=1)[:, :-1].ravel()
 
+    def halve(self) -> "_Runs":
+        """These runs at twice the tile size, on the same image.
+
+        Exact, with no kernel call:
+
+        * a ``2t`` tile's rectangle is the union of its (up to) 2x2 ``t``
+          subtiles, with the same edge floats and the same clamps to the
+          image.  The kept test's nearest point on that union is the nearest
+          point of one subtile, and ``dx^2`` and ``dy^2`` grow away from it,
+          so a ``2t`` tile is kept iff one of its subtiles is;
+        * the bbox halves too: ``floor(e / 2t) == floor(floor(e / t) / 2)``,
+          and the last column or row ``ceil(n / 2t) - 1`` is the last ``t``
+          one halved.  A ``2t`` tile in the bbox has a subtile in it, and the
+          nearest subtile is one of those, since the center column and row
+          (clipped to the grid) lie in the bbox;
+        * every nonempty run of a Gaussian holds the Gaussian's center
+          column, so the kept columns of its one or two fine rows overlap
+          and a coarse row keeps one interval.
+
+        So the key ``ID << 32 | row`` becomes ``ID << 32 | row >> 1``, and
+        each coarse row takes ``min(lo) >> 1`` and ``max(hi) >> 1`` over its
+        one or two fine runs: the first and the last run of its group.
+        """
+        ceil_half = self.keys & _LOW_MASK
+        ceil_half += 1
+        ceil_half >>= 1
+        keys = self.keys - ceil_half  # row - ceil(row / 2) == row >> 1
+        n = keys.shape[0]
+        first_of_group = np.empty(n, dtype=bool)
+        first_of_group[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first_of_group[1:])
+        first = np.flatnonzero(first_of_group)
+        last = np.empty_like(first)
+        last[:-1] = first[1:]
+        last[:-1] -= 1
+        last[-1:] = n - 1
+        lo = np.minimum(self.lo[first], self.lo[last])
+        lo >>= 1
+        hi = np.maximum(self.hi[first], self.hi[last])
+        hi >>= 1
+        return _Runs(keys[first], lo, hi)
+
     def overlap(self, other: "_Runs") -> "_Runs":
         """The pairs held by both frames, as runs keyed like ``self``'s.
 
@@ -523,6 +619,24 @@ class _Runs:
         hi = np.minimum(self.hi[mine], other.hi[theirs])
         both = lo <= hi
         return _Runs(self.keys[mine][both], lo[both], hi[both])
+
+
+def _grain(width: int, height: int, tile_size: int) -> tuple[tuple[int, int, int], int]:
+    """``(family, step)`` of a configuration; configurations with equal ones hold equal runs.
+
+    The family strips the common power of two from width and height, and
+    the power of two from the tile; the step is the tile's exponent less
+    the image's.  Doubling width, height and tile together keeps both, and
+    doubling the tile alone adds one to the step.
+    """
+    k = min(_twos(width), _twos(height))
+    j = _twos(tile_size)
+    return (width >> k, height >> k, tile_size >> j), j - k
+
+
+def _twos(n: int) -> int:
+    """The exponent of the largest power of two dividing ``n > 0``."""
+    return (n & -n).bit_length() - 1
 
 
 def _churn_counts(prev: _Runs, cur: _Runs) -> tuple[int, int]:

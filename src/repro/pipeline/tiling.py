@@ -425,6 +425,16 @@ class RowIntervals:
         """Kept tiles per run."""
         return self.hi - self.lo + 1
 
+    def pairs(self, tiles_x: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(tiles, rows)``: every run expanded into its kept pairs, in run order.
+
+        ``tiles_x`` is the grid's tile-column count.
+        """
+        counts = self.counts()
+        first = self.tile_rows * tiles_x + self.lo - _segment_starts(counts)
+        tiles = np.repeat(first, counts) + np.arange(int(counts.sum()), dtype=np.int64)
+        return tiles, np.repeat(self.rows, counts)
+
 
 def row_intervals(
     means2d: np.ndarray,
@@ -623,11 +633,7 @@ def pair_lists(
     coordinates.
     """
     runs = row_intervals(means2d, radii, width, height, tile_size)
-    counts = runs.counts()
-    tiles_x = -(-width // tile_size)
-    first = runs.tile_rows * tiles_x + runs.lo - _segment_starts(counts)
-    tiles = np.repeat(first, counts) + np.arange(int(counts.sum()), dtype=np.int64)
-    return tiles, np.repeat(runs.rows, counts)
+    return runs.pairs(-(-width // tile_size))
 
 
 def assign_to_tiles(projected: ProjectedGaussians, grid: TileGrid) -> TileAssignment:

@@ -196,6 +196,45 @@ class TestExecuteCells:
         parallel = execute_cells(cells, _eval_fake, jobs=3, cache=None)
         assert serial.values == parallel.values
 
+    def test_misses_run_grouped_by_capture_finest_grain_first(self):
+        evaluated = []
+
+        def evaluate(cell):
+            evaluated.append(cell)
+            return (cell.system, cell.resolution) if isinstance(cell, SimJob) else cell.key
+
+        def job(system, resolution, speed=1.0):
+            return SimJob.make(system, "family", resolution, frames=2, speed=speed)
+
+        cells = [
+            FakeCell(1),
+            job("neo", "hd"),
+            job("gscore", "hd"),
+            FakeCell(2),
+            job("neo", "qhd"),
+            job("gscore", "hd", speed=2.0),
+            job("gscore", "qhd"),
+            FakeCell(3),
+            job("neo", "hd"),
+        ]
+        batch = execute_cells(cells, evaluate, jobs=1, cache=None)
+        # Captures and other cells in order of first appearance; a
+        # capture's cells by tile / height (GSCore tiles at 16 px, Neo at 64).
+        assert evaluated == [
+            FakeCell(1),
+            job("gscore", "qhd"),
+            job("gscore", "hd"),
+            job("neo", "qhd"),
+            job("neo", "hd"),
+            FakeCell(2),
+            job("gscore", "hd", speed=2.0),
+            FakeCell(3),
+        ]
+        assert batch.values == [
+            1, ("neo", "hd"), ("gscore", "hd"), 2, ("neo", "qhd"),
+            ("gscore", "hd"), ("gscore", "qhd"), 3, ("neo", "hd"),
+        ]
+
 
 # ----------------------------------------------------------------------
 # Cross-figure dedup

@@ -9,6 +9,8 @@ bit for bit — tiles, rows, dtypes and order — and every
 grouping, two-membership churn).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ import repro.hw.reference as hw_ref
 import repro.hw.workload as workload_mod
 import repro.pipeline.tiling as tiling_mod
 from repro.experiments import runner
-from repro.experiments.engine import SimJob
+from repro.experiments.engine import SimJob, evaluate_cell, execute_cells
 from repro.hw.workload import FrameGeometry, WorkloadModel
 from repro.pipeline.projection import project_gaussians
 from repro.pipeline.tiling import (
@@ -248,6 +250,7 @@ class TestNoTileGrouping:
 
         monkeypatch.setattr(TileStream, "from_pairs", refuse)
         monkeypatch.setattr(workload_mod, "pair_lists", refuse)
+        monkeypatch.setattr(tiling_mod.RowIntervals, "pairs", refuse)
         for resolution, tile_size in CONFIGS:
             got = wm.sequence_workloads(resolution, tile_size)
             assert got == hw_ref.scalar_sequence_workloads(wm, resolution, tile_size)
@@ -319,8 +322,18 @@ def adversarial_geometry(draw):
     return np.asarray(means, dtype=np.float64), np.asarray(radii), width, height, tile
 
 
+def kernel_runs(geometry):
+    """The kernel's runs of ``geometry`` as the workload model keys them (ID = row)."""
+    runs = row_intervals(*geometry)
+    return workload_mod._Runs(keys=runs.rows << 32 | runs.tile_rows, lo=runs.lo, hi=runs.hi)
+
+
 def assert_runs_match_scalar(geometry):
-    """``pair_lists`` and every run's ``[lo, hi]`` match the per-candidate kernel."""
+    """``pair_lists`` and every run's ``[lo, hi]`` match the per-candidate kernel.
+
+    Halving the runs once and twice matches the kernel at twice and four
+    times the tile.
+    """
     # (a) The expansion equals the per-candidate kernel bit for bit.
     assert_pairs_identical(pair_lists(*geometry), hw_ref.scalar_pair_lists(*geometry))
 
@@ -340,6 +353,18 @@ def assert_runs_match_scalar(geometry):
     np.testing.assert_array_equal(runs.tile_rows, tile_rows[first])
     np.testing.assert_array_equal(runs.lo, cols[first])
     np.testing.assert_array_equal(runs.hi, cols[last])
+
+    # (c) Halving the runs is the kernel at twice the tile.
+    means, radii = geometry[:2]
+    halved = kernel_runs(geometry)
+    for scale in (2, 4):
+        halved = halved.halve()
+        want = kernel_runs((means, radii, width, height, scale * tile))
+        for got, expected in zip(
+            (halved.keys, halved.lo, halved.hi), (want.keys, want.lo, want.hi)
+        ):
+            assert got.dtype == expected.dtype == np.int64
+            np.testing.assert_array_equal(got, expected)
 
 
 def _below(v):
@@ -484,3 +509,96 @@ class TestRunChurn:
                 wm.shared_fraction_per_tile(1, *config),
                 hw_ref.scalar_shared_fraction_per_tile(wm, 1, *config),
             )
+
+
+#: Every (resolution, tile) a request order can mix: HD at 16, 32 and 64 px
+#: is QHD at 32, 64 and 128 px, so the eight configurations span five steps.
+HALVING_CONFIGS = [(res, tile) for res in ("hd", "qhd") for tile in (16, 32, 64, 128)]
+
+
+def fresh_model(wm: WorkloadModel) -> WorkloadModel:
+    """A model over ``wm``'s captured frames with empty caches."""
+    return WorkloadModel(
+        wm.frames, wm.capture_width, wm.capture_height, wm.count_scale,
+        wm.functional_gaussians,
+    )
+
+
+class TestDerivedConfigurations:
+    @pytest.fixture(scope="class")
+    def pinned(self, workload_model):
+        return {
+            config: [
+                hw_ref.scalar_frame_workload(workload_model, frame, *config)
+                for frame in range(workload_model.num_frames)
+            ]
+            for config in HALVING_CONFIGS
+        }
+
+    def test_every_request_order_matches_scalar(self, workload_model, pinned):
+        # Which runs are derived, and from which, depends only on the order
+        # in which the five steps are first asked for.  Each order asks for
+        # both configurations of every step.
+        steps = {}
+        for config in HALVING_CONFIGS:
+            width, height = workload_model._resolve(config[0])
+            steps.setdefault(workload_mod._grain(width, height, config[1]), []).append(config)
+        assert len(steps) == 5
+        for order in itertools.permutations(steps.values()):
+            wm = fresh_model(workload_model)
+            for config in itertools.chain.from_iterable(order):
+                for frame, want in enumerate(pinned[config]):
+                    got = wm.frame_workload(frame, *config)
+                    assert got.incoming_pairs == want.incoming_pairs
+                    assert got.outgoing_pairs == want.outgoing_pairs
+                    assert got == want, (order, config, frame)
+
+    def test_coarser_configurations_derive_from_the_finest(self, workload_model, monkeypatch):
+        calls = []
+        kernel = workload_mod.row_intervals
+
+        def counting_kernel(*args):
+            calls.append(args[2:])
+            return kernel(*args)
+
+        monkeypatch.setattr(workload_mod, "row_intervals", counting_kernel)
+        wm = fresh_model(workload_model)
+        frames = wm.num_frames
+        for config in [("qhd", 16), ("hd", 16), ("qhd", 64), ("hd", 64), ("hd", 32)]:
+            wm.sequence_workloads(*config)
+        assert calls == [(2560, 1440, 16)] * frames
+        # A coarser configuration asked for first has nothing to derive from.
+        calls.clear()
+        wm = fresh_model(workload_model)
+        wm.sequence_workloads("hd", 64)
+        wm.sequence_workloads("qhd", 64)
+        assert calls == [(1280, 720, 64)] * frames + [(2560, 1440, 64)] * frames
+        # Fig. 7's pairs expand the cached runs: no second kernel call.
+        calls.clear()
+        wm.order_differences(1, "qhd", 64)
+        wm.frame_stream(0, "hd", 32)
+        assert calls == []
+
+    def test_simulate_batch_runs_the_kernel_once_per_frame(self, monkeypatch):
+        calls = []
+        kernel = workload_mod.row_intervals
+
+        def counting_kernel(*args):
+            calls.append(args[2:])
+            return kernel(*args)
+
+        frames = 3
+        # The perfbench ``simulate`` op's cells, in its order: Neo's 64 px
+        # cells come first, so without the engine's order nothing derives.
+        cells = [
+            SimJob.make(system, "family", resolution, frames=frames, speed=1.1)
+            for system in ("neo", "gscore", "orin")
+            for resolution in ("hd", "qhd")
+        ]
+        runner._workload_model_cached.cache_clear()
+        want = [cell.simulate() for cell in cells]
+        runner._workload_model_cached.cache_clear()
+        monkeypatch.setattr(workload_mod, "row_intervals", counting_kernel)
+        batch = execute_cells(cells, evaluate_cell, jobs=1, cache=None)
+        assert calls == [(2560, 1440, 16)] * frames
+        assert batch.values == want

@@ -125,6 +125,18 @@ class TestWorkloadModel:
             WorkloadModel([], 100, 100, 1.0, 100)
 
 
+class TestExactScale:
+    @pytest.mark.parametrize("resolution,doubled", [("hd", "qhd"), ("fhd", "uhd")])
+    def test_doubled_resolution_doubles_the_geometry_bit_for_bit(
+        self, workload_model, resolution, doubled
+    ):
+        for frame in range(workload_model.num_frames):
+            means2d, radii = workload_model.scaled_geometry(frame, resolution)
+            means2d_2x, radii_2x = workload_model.scaled_geometry(frame, doubled)
+            assert means2d_2x.tobytes() == (2 * means2d).tobytes()
+            assert radii_2x.tobytes() == (2 * radii).tobytes()
+
+
 class TestSceneMemo:
     def test_one_instance_per_preset_and_count(self):
         assert load_scene("family") is load_scene("Family")
