@@ -15,11 +15,11 @@ radii and depths, and those re-scale analytically:
 :class:`WorkloadModel` captures per-frame geometry once and answers pair
 counts, occupancy, churn, and order-difference queries for any (resolution,
 tile size).  Capture runs culling and
-:func:`~repro.pipeline.projection.project_geometry` only: no SH colors, no
-opacities, no rasterization, since none of them moves a count.  The scene
-comes from :func:`~repro.scene.datasets.load_scene`, whose per-process memo
-generates each preset (and its 3D covariances) once, so a fresh capture of
-an already-loaded scene pays for projection alone.
+:func:`~repro.pipeline.projection.project_geometry` only: no conics, no SH
+colors, no opacities, no rasterization, since none of them moves a count.
+The scene comes from :func:`~repro.scene.datasets.load_scene`, whose
+per-process memo generates each preset (and its 3D covariances) once, so a
+fresh capture of an already-loaded scene pays for projection alone.
 
 Nothing is counted pair by pair: the cached unit is a frame's *runs*, the
 exact kept tile-column interval ``[lo, hi]`` of every (Gaussian, tile row)
@@ -53,13 +53,17 @@ experiment engine evaluates a capture's cells finest grain first, so the
 kernel runs once per frame for the paper's figures.  From the runs:
 
 * pairs are ``sum(hi - lo + 1)``;
-* occupancy is one difference array per tile row (``+1`` at ``lo``, ``-1``
-  past ``hi``) and one ``cumsum``;
+* nonempty tiles are a per-(frame, family, step) boolean tile mask, pooled
+  up the family chain like the runs: a ``2t`` tile is nonempty iff one of
+  its ``t`` subtiles is, so a step up ORs 2x2 blocks.  Only the frame's
+  finest cached step counts its runs per tile (one difference array per
+  tile row, ``+1`` at ``lo`` and ``-1`` past ``hi``, and one ``cumsum``);
 * churn overlaps the two frames' matched runs.  One ``searchsorted`` finds
   each run's partner with the same key, and the overlap of their intervals
-  is the ``shared`` pairs, so incoming is ``|cur| - shared`` and outgoing
-  is ``|prev| - shared``.  Extraction does not count it: only Neo-style
-  models read churn, so a workload counts it the first time its
+  is the ``shared`` pairs, summed as ``max(0, min(hi) - max(lo) + 1)``
+  without building the overlap runs, so incoming is ``|cur| - shared`` and
+  outgoing is ``|prev| - shared``.  Extraction does not count it: only
+  Neo-style models read churn, so a workload counts it the first time its
   ``incoming_pairs`` or ``outgoing_pairs`` is read, and keeps the result;
 * Fig. 6's per-tile retained counts are the same overlaps, counted per tile
   with a difference array.
@@ -220,8 +224,12 @@ class WorkloadModel:
         self.count_scale = count_scale
         self.functional_gaussians = functional_gaussians
         self.scene_name = scene_name
-        # Per frame: (family, step) of a configuration (see ``_grain``) -> runs.
+        # Per frame: (family, step) of a configuration (see ``_grain``) -> runs,
+        # and -> the (tiles_y, tiles_x) mask of nonempty tiles.
         self._run_cache: list[dict[tuple[tuple[int, int, int], int], _Runs]] = [
+            {} for _ in frames
+        ]
+        self._nonempty_cache: list[dict[tuple[tuple[int, int, int], int], np.ndarray]] = [
             {} for _ in frames
         ]
         # (frame, width, height, tile_size) -> TileStream of Gaussian rows, for
@@ -349,32 +357,42 @@ class WorkloadModel:
         Configurations in one family (:func:`_grain`) differ only in step,
         and a step up doubles the effective tile.  If the frame has cached a
         finer step of the family, the runs are halved up from the nearest
-        one, one step at a time, each step cached (:meth:`_Runs.halve`).
-        Only when none is cached does the kernel run.  Equal steps hold equal
-        runs, because doubling width, height and tile together is exact (see
-        the module docstring).  The lookup scans one frame's few entries.
+        one, one step at a time, each step cached (:meth:`_Runs.halve`,
+        :func:`_derive`).  Only when none is cached does the kernel run.
+        Equal steps hold equal runs, because doubling width, height and tile
+        together is exact (see the module docstring).
         """
-        family, step = _grain(width, height, tile_size)
-        cache = self._run_cache[frame]
-        if (family, step) in cache:
-            return cache[family, step]
-        finer = [s for f, s in cache if f == family and s < step]
-        if finer:
-            s = max(finer)
-            runs = cache[family, s]
-            while s < step:
-                runs = runs.halve()
-                s += 1
-                cache[family, s] = runs
-            return runs
-        means2d, radii = self.scaled_geometry(frame, (width, height))
-        kernel = row_intervals(means2d, radii, width, height, tile_size)
-        runs = cache[family, step] = _Runs(
-            keys=self.frames[frame].ids[kernel.rows] << 32 | kernel.tile_rows,
-            lo=kernel.lo,
-            hi=kernel.hi,
+
+        def kernel_runs() -> _Runs:
+            means2d, radii = self.scaled_geometry(frame, (width, height))
+            kernel = row_intervals(means2d, radii, width, height, tile_size)
+            return _Runs(
+                keys=self.frames[frame].ids[kernel.rows] << 32 | kernel.tile_rows,
+                lo=kernel.lo,
+                hi=kernel.hi,
+            )
+
+        return _derive(
+            self._run_cache[frame], _grain(width, height, tile_size), _Runs.halve, kernel_runs
         )
-        return runs
+
+    def _nonempty(self, frame: int, width: int, height: int, tile_size: int) -> np.ndarray:
+        """Cached ``(tiles_y, tiles_x)`` mask of a frame's nonempty tiles.
+
+        Pooled up a family like the runs (:meth:`_runs`): a ``2t`` tile is
+        nonempty iff one of its ``t`` subtiles is (see :meth:`_Runs.halve`),
+        so a step up ORs 2x2 blocks (:func:`_pool_2x2`).  Only when the frame
+        has no finer step of the family cached are the runs counted per tile.
+        """
+
+        def counted() -> np.ndarray:
+            grid = TileGrid(width, height, tile_size)
+            counts = self._runs(frame, width, height, tile_size).tile_counts(grid)
+            return counts.reshape(grid.tiles_y, grid.tiles_x) > 0
+
+        return _derive(
+            self._nonempty_cache[frame], _grain(width, height, tile_size), _pool_2x2, counted
+        )
 
     def frame_stream(
         self, frame: int, resolution: str | tuple[int, int], tile_size: int
@@ -408,11 +426,7 @@ class WorkloadModel:
     ) -> FrameWorkload:
         runs = self._runs(frame, width, height, tile_size)
         geo = self.frames[frame]
-        grid = TileGrid(width, height, tile_size)
-        num_tiles = grid.num_tiles
-
-        occupancy = runs.tile_counts(grid)
-        nonempty = int(np.count_nonzero(occupancy))
+        nonempty = int(np.count_nonzero(self._nonempty(frame, width, height, tile_size)))
         pairs_f = runs.num_pairs
 
         scale = self.count_scale
@@ -434,7 +448,7 @@ class WorkloadModel:
             incoming_pairs=churn,
             outgoing_pairs=churn,
             nonempty_tiles=nonempty,
-            num_tiles=num_tiles,
+            num_tiles=TileGrid(width, height, tile_size).num_tiles,
             mean_occupancy=mean_occ,
         )
 
@@ -603,22 +617,36 @@ class _Runs:
         hi >>= 1
         return _Runs(keys[first], lo, hi)
 
-    def overlap(self, other: "_Runs") -> "_Runs":
-        """The pairs held by both frames, as runs keyed like ``self``'s.
+    def _matched(self, other: "_Runs") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(mine, lo, hi)``: the runs of ``self`` whose key ``other`` holds too.
 
-        A pair is shared iff its Gaussian's run in the same tile row exists
-        in both frames and both intervals hold its column.  Both key arrays
-        are sorted, so one ``searchsorted`` matches the runs.
+        ``mine`` indexes them, and ``lo``/``hi`` intersect each with its
+        partner (empty where ``lo > hi``).  A pair is shared iff its
+        Gaussian's run in the same tile row exists in both frames and both
+        intervals hold its column.  Both key arrays are sorted, so one
+        ``searchsorted`` matches the runs.
         """
         if not other.keys.shape[0]:
-            return _Runs(self.keys[:0], self.lo[:0], self.hi[:0])
+            return np.empty(0, dtype=np.int64), self.lo[:0], self.hi[:0]
         pos = np.minimum(np.searchsorted(other.keys, self.keys), other.keys.shape[0] - 1)
         mine = np.flatnonzero(other.keys[pos] == self.keys)
         theirs = pos[mine]
         lo = np.maximum(self.lo[mine], other.lo[theirs])
         hi = np.minimum(self.hi[mine], other.hi[theirs])
+        return mine, lo, hi
+
+    def overlap(self, other: "_Runs") -> "_Runs":
+        """The pairs held by both frames, as runs keyed like ``self``'s."""
+        mine, lo, hi = self._matched(other)
         both = lo <= hi
         return _Runs(self.keys[mine][both], lo[both], hi[both])
+
+    def shared_pairs(self, other: "_Runs") -> int:
+        """The number of pairs held by both frames: :meth:`overlap`, counted."""
+        _, lo, hi = self._matched(other)
+        hi -= lo
+        hi += 1
+        return int(np.maximum(hi, 0, out=hi).sum())
 
 
 def _grain(width: int, height: int, tile_size: int) -> tuple[tuple[int, int, int], int]:
@@ -639,14 +667,58 @@ def _twos(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
+def _derive(cache: dict, grain: tuple, coarsen, compute):
+    """A frame's cached value at ``grain = (family, step)``, derived if it can be.
+
+    If the frame has cached a finer step of the family, ``coarsen`` steps
+    the nearest one up, one step at a time, caching each step.  Only when
+    none is cached does ``compute`` run.  The lookup scans one frame's few
+    entries.
+    """
+    if grain in cache:
+        return cache[grain]
+    family, step = grain
+    finer = [s for f, s in cache if f == family and s < step]
+    if not finer:
+        value = cache[grain] = compute()
+        return value
+    s = max(finer)
+    value = cache[family, s]
+    while s < step:
+        value = coarsen(value)
+        s += 1
+        cache[family, s] = value
+    return value
+
+
+def _pool_2x2(nonempty: np.ndarray) -> np.ndarray:
+    """A nonempty-tile mask at twice the tile size: each 2x2 block ORed.
+
+    An odd grid's last row or column pools with ``False`` padding, since
+    its ``2t`` tiles hold one subtile along that axis.  Strided slices
+    cost far less here than ``reshape(...).any(axis=(1, 3))``, whose
+    reduction carries a large fixed cost.
+    """
+    rows, cols = nonempty.shape
+    if rows % 2 or cols % 2:
+        padded = np.zeros((rows + rows % 2, cols + cols % 2), dtype=bool)
+        padded[:rows, :cols] = nonempty
+        nonempty = padded
+    top, bottom = nonempty[0::2], nonempty[1::2]
+    pooled = top[:, 0::2] | top[:, 1::2]
+    pooled |= bottom[:, 0::2]
+    pooled |= bottom[:, 1::2]
+    return pooled
+
+
 def _churn_counts(prev: _Runs, cur: _Runs) -> tuple[int, int]:
     """(incoming, outgoing) pair counts of ``cur`` vs. the previous frame ``prev``.
 
     The overlaps of the two frames' matched runs are the ``shared`` pairs:
     the current frame's retained pairs and the previous frame's surviving
-    ones.
+    ones.  They are counted, not built (:meth:`_Runs.shared_pairs`).
     """
-    shared = prev.overlap(cur).num_pairs
+    shared = prev.shared_pairs(cur)
     return cur.num_pairs - shared, prev.num_pairs - shared
 
 

@@ -68,7 +68,10 @@ def frustum_cull(
         raise ValueError("margin must be >= 1.0 (conservative culling)")
     cam_points = camera.transform_points(scene.means)
     z = cam_points[:, 2]
-    pad = pad_sigmas * scene.scales.max(axis=1)
+    # The column-wise maximum has the bits (and the NaN propagation) of
+    # ``scales.max(axis=1)`` at a small share of that reduction's cost.
+    scales = scene.scales
+    pad = pad_sigmas * np.maximum(np.maximum(scales[:, 0], scales[:, 1]), scales[:, 2])
 
     in_depth = (z + pad > camera.near) & (z - pad < camera.far)
     # Lateral test against the inflated frustum planes: |x| <= tan * z + pad.

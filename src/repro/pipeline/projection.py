@@ -6,9 +6,13 @@ the camera transform and the Jacobian of the perspective projection, and its
 view-dependent color is evaluated from spherical harmonics.
 
 :func:`project_geometry` is the geometric half alone (screen position,
-covariance, radius, depth): everything tiling and sorting read, and all the
-hardware workload model captures.  :func:`project_gaussians` is that
-function plus the appearance the rasterizer blends (SH colors, opacities).
+radius, depth): everything tiling and sorting read, and all the hardware
+workload model captures.  :func:`project_gaussians` is that function plus
+what only the rasterizer reads: the conic (inverse 2D covariance) and the
+appearance it blends (SH colors, opacities).  Both run one private
+projection, which keeps a Gaussian by its 2D covariance's determinant
+without inverting it, so only :func:`project_gaussians` inverts, and only
+the kept rows.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ COV2D_DILATION = 0.3
 #: Number of standard deviations covered by a splat's bounding radius.
 RADIUS_SIGMAS = 3.0
 
+#: Smallest 2D covariance determinant taken as positive definite.
+_MIN_DET = 1e-12
+
 
 @dataclass
 class ProjectedGeometry:
@@ -41,11 +48,6 @@ class ProjectedGeometry:
         Indices into the source :class:`GaussianScene` (global Gaussian IDs).
     means2d:
         ``(m, 2)`` pixel-space centers.
-    cov2d:
-        ``(m, 2, 2)`` screen-space covariance matrices (dilated).
-    conic:
-        ``(m, 3)`` upper-triangular entries ``(a, b, c)`` of the inverse 2D
-        covariance, the form consumed by the rasterizer.
     depths:
         ``(m,)`` camera-space z used as the sort key.
     radii:
@@ -54,8 +56,6 @@ class ProjectedGeometry:
 
     ids: np.ndarray
     means2d: np.ndarray
-    cov2d: np.ndarray
-    conic: np.ndarray
     depths: np.ndarray
     radii: np.ndarray
 
@@ -67,16 +67,20 @@ class ProjectedGeometry:
 class ProjectedGaussians(ProjectedGeometry):
     """Screen-space Gaussians produced by feature extraction.
 
-    :class:`ProjectedGeometry` plus the appearance the rasterizer blends.
+    :class:`ProjectedGeometry` plus what the rasterizer alone reads.
 
     Attributes
     ----------
+    conic:
+        ``(m, 3)`` upper-triangular entries ``(a, b, c)`` of the inverse 2D
+        covariance (dilated), the form the rasterizer evaluates.
     colors:
         ``(m, 3)`` RGB colors from SH evaluation.
     opacities:
         ``(m,)`` opacity values.
     """
 
+    conic: np.ndarray
     colors: np.ndarray
     opacities: np.ndarray
 
@@ -110,9 +114,21 @@ def compute_cov2d(
     jac[:, 1, 1] = camera.fy / z
     jac[:, 1, 2] = -camera.fy * ty / (z * z)
 
-    # Contiguous right operands: a transposed view sends the stacked matmul
-    # down a strided loop at about twice the cost, for the same bits.
-    world_cov = np.matmul(view_rot, cov3d) @ np.ascontiguousarray(view_rot.T)
+    # ``W Sigma W^T`` as two 2-D GEMMs over every Gaussian at once, in the
+    # stacked product's order: ``W Sigma`` as (3, 3) @ (3, 3n), whose (3n, 3)
+    # rows then take ``@ W^T``.  Each keeps the stacked product's 3-term
+    # reductions, so the bits are the same, for well under its per-matrix
+    # cost.  The result is laid out (3, n, 3), and the stacked Jacobian
+    # product reads its (n, 3, 3) view at full speed, since each matrix row
+    # is contiguous.  The Jacobian's transpose is not: a transposed right
+    # operand sends the stacked matmul down a strided loop at about twice
+    # the cost, so it is copied.
+    rows = np.ascontiguousarray(cov3d.transpose(1, 0, 2)).reshape(3, 3 * n)
+    world_cov = (
+        ((view_rot @ rows).reshape(3 * n, 3) @ np.ascontiguousarray(view_rot.T))
+        .reshape(3, n, 3)
+        .transpose(1, 0, 2)
+    )
     cov2d = jac @ world_cov @ np.ascontiguousarray(jac.transpose(0, 2, 1))
     cov2d[:, 0, 0] += COV2D_DILATION
     cov2d[:, 1, 1] += COV2D_DILATION
@@ -129,11 +145,16 @@ def conic_from_cov2d(cov2d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = cov2d[:, 0, 0]
     b = cov2d[:, 0, 1]
     c = cov2d[:, 1, 1]
-    det = a * c - b * b
-    valid = det > 1e-12
+    det = _det(cov2d)
+    valid = det > _MIN_DET
     inv_det = np.where(valid, 1.0 / np.where(valid, det, 1.0), 0.0)
     conic = np.stack([c * inv_det, -b * inv_det, a * inv_det], axis=1)
     return conic, valid
+
+
+def _det(cov2d: np.ndarray) -> np.ndarray:
+    """Determinants of 2D covariances."""
+    return cov2d[:, 0, 0] * cov2d[:, 1, 1] - cov2d[:, 0, 1] * cov2d[:, 0, 1]
 
 
 def splat_radii(cov2d: np.ndarray) -> np.ndarray:
@@ -147,16 +168,16 @@ def splat_radii(cov2d: np.ndarray) -> np.ndarray:
     return np.ceil(RADIUS_SIGMAS * np.sqrt(np.maximum(lambda_max, 0.0)))
 
 
-def project_geometry(
+def _project(
     scene: GaussianScene,
     camera: Camera,
-    visible_ids: np.ndarray | None = None,
-) -> ProjectedGeometry:
-    """Project the Gaussians visible from ``camera`` to screen-space geometry.
+    visible_ids: np.ndarray | None,
+) -> tuple[ProjectedGeometry, np.ndarray, np.ndarray]:
+    """``(geometry, cov2d, keep)``: kept geometry, all 2D covariances, kept mask.
 
-    No appearance is evaluated: this is the whole of feature extraction
-    that tiling, sorting and the workload model depend on.  ``visible_ids``
-    is as in :func:`project_gaussians`.
+    A Gaussian is kept if its 2D covariance is positive definite (the
+    determinant test of :func:`conic_from_cov2d`), its radius is positive
+    and it lies beyond the near plane.
     """
     if visible_ids is None:
         visible_ids = np.arange(len(scene))
@@ -166,18 +187,30 @@ def project_geometry(
 
     cov3d = scene.covariances()[visible_ids]
     cov2d = compute_cov2d(cam_points, cov3d, view_rot, camera)
-    conic, valid = conic_from_cov2d(cov2d)
     radii = splat_radii(cov2d)
 
-    keep = valid & (radii > 0) & (cam_points[:, 2] > camera.near)
-    return ProjectedGeometry(
+    keep = (_det(cov2d) > _MIN_DET) & (radii > 0) & (cam_points[:, 2] > camera.near)
+    geometry = ProjectedGeometry(
         ids=visible_ids[keep],
         means2d=camera.project(cam_points)[keep],
-        cov2d=cov2d[keep],
-        conic=conic[keep],
         depths=cam_points[:, 2][keep],
         radii=radii[keep],
     )
+    return geometry, cov2d, keep
+
+
+def project_geometry(
+    scene: GaussianScene,
+    camera: Camera,
+    visible_ids: np.ndarray | None = None,
+) -> ProjectedGeometry:
+    """Project the Gaussians visible from ``camera`` to screen-space geometry.
+
+    No conic and no appearance is evaluated: this is the whole of feature
+    extraction that tiling, sorting and the workload model depend on.
+    ``visible_ids`` is as in :func:`project_gaussians`.
+    """
+    return _project(scene, camera, visible_ids)[0]
 
 
 def project_gaussians(
@@ -187,7 +220,10 @@ def project_gaussians(
 ) -> ProjectedGaussians:
     """Run feature extraction for the Gaussians visible from ``camera``.
 
-    :func:`project_geometry`, plus each kept Gaussian's SH color and opacity.
+    :func:`project_geometry`, plus each kept Gaussian's conic, SH color and
+    opacity.  The conic is elementwise in the 2D covariance, so inverting
+    the kept rows alone gives the bits of inverting every row and dropping
+    the rest.
 
     Parameters
     ----------
@@ -197,10 +233,11 @@ def project_gaussians(
         Indices of Gaussians that survived frustum culling.  ``None`` means
         project everything (culling is then implied by downstream radii).
     """
-    g = project_geometry(scene, camera, visible_ids)
+    g, cov2d, keep = _project(scene, camera, visible_ids)
     directions = normalize_directions(scene.means[g.ids] - camera.position[None, :])
     return ProjectedGaussians(
         **vars(g),
+        conic=conic_from_cov2d(cov2d[keep])[0],
         colors=eval_sh_color(scene.sh_coeffs[g.ids], directions),
         opacities=scene.opacities[g.ids],
     )

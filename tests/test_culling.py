@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.pipeline.culling import CullingResult, frustum_cull
+from repro.pipeline.culling import FRUSTUM_MARGIN, CullingResult, frustum_cull
 from repro.scene import Camera, GaussianScene, look_at
 
 
@@ -19,6 +19,19 @@ def _point_scene(points) -> GaussianScene:
         opacities=np.full(n, 0.9),
         sh_coeffs=np.zeros((n, 1, 3)),
     )
+
+
+def _row_max_cull(scene: GaussianScene, camera: Camera) -> np.ndarray:
+    """Culling with the pad as ``scales.max(axis=1)``: the oracle of the column form."""
+    cam_points = camera.transform_points(scene.means)
+    z = cam_points[:, 2]
+    pad = 3.0 * scene.scales.max(axis=1)
+    in_depth = (z + pad > camera.near) & (z - pad < camera.far)
+    safe_z = np.maximum(z, camera.near)
+    lim_x = FRUSTUM_MARGIN * camera.tan_half_fov_x * safe_z + pad
+    lim_y = FRUSTUM_MARGIN * camera.tan_half_fov_y * safe_z + pad
+    in_lateral = (np.abs(cam_points[:, 0]) <= lim_x) & (np.abs(cam_points[:, 1]) <= lim_y)
+    return np.flatnonzero(in_depth & in_lateral)
 
 
 @pytest.fixture()
@@ -87,3 +100,36 @@ class TestFrustumCull:
         result = frustum_cull(small_scene, camera)
         assert isinstance(result, CullingResult)
         assert (np.diff(result.visible_ids) > 0).all()
+
+    def test_column_max_pad_matches_row_max(self, forward_camera):
+        # Points scattered across the inflated frustum's walls and the near
+        # and far planes, where the pad decides.  Each row's largest scale
+        # sits in a different column, some tied, and one row each holds a
+        # NaN and an inf.
+        rng = np.random.default_rng(7)
+        n = 600
+        z = rng.choice([0.5, 5.0, 100.0], n) + rng.normal(0.0, 1.0, n)
+        wall = FRUSTUM_MARGIN * np.maximum(z, forward_camera.near)
+        x = wall * rng.choice([-1.0, 1.0], n) + rng.normal(0.0, 1.0, n)
+        y = rng.uniform(-1.0, 1.0, n) * wall
+        scales = rng.uniform(0.01, 0.5, (n, 3))
+        scales[:30, 1] = scales[:30, 0]
+        scales[30:60, 2] = scales[30:60, 1]
+        scales[60:90] = scales[60:90, :1]
+        # A NaN pad culls a splat at the frustum's center; an inf pad keeps
+        # one far outside it.
+        scales[90, 1] = np.nan
+        scales[91, 2] = np.inf
+        points = np.column_stack([x, y, z])
+        points[90] = [0.0, 0.0, 5.0]
+        points[91] = [50.0, 0.0, 5.0]
+        scene = _point_scene(points)
+        scene = GaussianScene(
+            means=scene.means, scales=scales, quats=scene.quats,
+            opacities=scene.opacities, sh_coeffs=scene.sh_coeffs,
+        )
+        got = frustum_cull(scene, forward_camera).visible_ids
+        np.testing.assert_array_equal(got, _row_max_cull(scene, forward_camera))
+        # The pad decides: the same points with tiny scales keep fewer.
+        assert 90 not in got and 91 in got
+        assert frustum_cull(_point_scene(scene.means), forward_camera).num_visible < got.size

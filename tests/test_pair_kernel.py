@@ -582,10 +582,19 @@ class TestDerivedConfigurations:
     def test_simulate_batch_runs_the_kernel_once_per_frame(self, monkeypatch):
         calls = []
         kernel = workload_mod.row_intervals
+        tile_counts = workload_mod._Runs.tile_counts
 
         def counting_kernel(*args):
             calls.append(args[2:])
             return kernel(*args)
+
+        # Nonempty tiles pool up the family from the finest configuration,
+        # so only its runs are counted per tile.
+        counted = []
+
+        def counting_tile_counts(runs, grid):
+            counted.append((grid.width, grid.height, grid.tile_size))
+            return tile_counts(runs, grid)
 
         frames = 3
         # The perfbench ``simulate`` op's cells, in its order: Neo's 64 px
@@ -599,6 +608,49 @@ class TestDerivedConfigurations:
         want = [cell.simulate() for cell in cells]
         runner._workload_model_cached.cache_clear()
         monkeypatch.setattr(workload_mod, "row_intervals", counting_kernel)
+        monkeypatch.setattr(workload_mod._Runs, "tile_counts", counting_tile_counts)
         batch = execute_cells(cells, evaluate_cell, jobs=1, cache=None)
         assert calls == [(2560, 1440, 16)] * frames
+        assert counted == [(2560, 1440, 16)] * frames
         assert batch.values == want
+
+    @pytest.mark.parametrize("width", [1280, 1040])
+    def test_odd_grids_pool_with_empty_padding(self, workload_model, width, monkeypatch):
+        # 720 px at 16, 32 and 64 px tiles: 45, 23 and 12 tile rows.  At
+        # 1040 px the columns are odd too: 65, 33 and 17.
+        counted = []
+        tile_counts = workload_mod._Runs.tile_counts
+
+        def counting_tile_counts(runs, grid):
+            counted.append(grid.tile_size)
+            return tile_counts(runs, grid)
+
+        want = {
+            tile: hw_ref.scalar_sequence_workloads(workload_model, (width, 720), tile)
+            for tile in (16, 32, 64)
+        }
+        monkeypatch.setattr(workload_mod._Runs, "tile_counts", counting_tile_counts)
+        wm = fresh_model(workload_model)
+        for tile in (16, 32, 64):
+            assert TileGrid(width, 720, tile).tiles_y == {16: 45, 32: 23, 64: 12}[tile]
+            assert wm.sequence_workloads((width, 720), tile) == want[tile]
+        assert counted == [16] * wm.num_frames
+        assert TileGrid(1040, 720, 16).tiles_x == 65
+
+    def test_frame_with_no_runs(self):
+        # Frame 0 covers no tile: its mask pools to all False, and frame
+        # 1's churn against it is all incoming.
+        splat = (np.array([3], dtype=np.int64), np.array([[100.0, 60.0]]), np.array([40.0]))
+        empty = FrameGeometry(
+            np.empty(0, dtype=np.int64), np.empty((0, 2)), np.empty(0), np.empty(0)
+        )
+        frames = [empty, FrameGeometry(*splat, np.ones(1))]
+        wm = WorkloadModel(frames, 480, 270, count_scale=2.0, functional_gaussians=10)
+        for tile in (16, 32, 64):
+            for frame in (0, 1):
+                got = wm.frame_workload(frame, "hd", tile)
+                assert got == hw_ref.scalar_frame_workload(wm, frame, "hd", tile)
+            assert wm.frame_workload(0, "hd", tile).nonempty_tiles == 0
+            assert wm.frame_workload(1, "hd", tile).incoming_pairs == wm.frame_workload(
+                1, "hd", tile
+            ).pairs

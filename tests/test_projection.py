@@ -15,7 +15,7 @@ from repro.pipeline.projection import (
 from repro.scene import Camera, GaussianScene, default_trajectory, load_scene, look_at
 from repro.scene.sh import eval_sh_color, normalize_directions
 
-_GEOMETRY_FIELDS = ("ids", "means2d", "cov2d", "conic", "depths", "radii")
+_GEOMETRY_FIELDS = ("ids", "means2d", "depths", "radii")
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -96,9 +96,12 @@ class TestProjection:
         assert set(proj_culled.ids).issubset(set(proj.ids))
 
     def test_dilation_floor_on_cov2d(self, small_scene, camera):
-        proj = project_gaussians(small_scene, camera)
-        assert (proj.cov2d[:, 0, 0] >= COV2D_DILATION - 1e-12).all()
-        assert (proj.cov2d[:, 1, 1] >= COV2D_DILATION - 1e-12).all()
+        cam_points = camera.transform_points(small_scene.means)
+        cov2d = compute_cov2d(
+            cam_points, small_scene.covariances(), camera.world_to_camera[:3, :3], camera
+        )
+        assert (cov2d[:, 0, 0] >= COV2D_DILATION - 1e-12).all()
+        assert (cov2d[:, 1, 1] >= COV2D_DILATION - 1e-12).all()
 
     def test_resolution_scales_geometry(self, small_scene, camera):
         proj_lo = project_gaussians(small_scene, camera)
@@ -123,7 +126,7 @@ class TestProjection:
 
 
 class TestGeometryOnly:
-    """``project_geometry`` is ``project_gaussians`` without the appearance."""
+    """``project_geometry`` is ``project_gaussians`` without conic and appearance."""
 
     def _assert_matches(self, scene, camera, visible_ids=None):
         geometry = project_geometry(scene, camera, visible_ids)
@@ -131,10 +134,19 @@ class TestGeometryOnly:
         for name in _GEOMETRY_FIELDS:
             assert _same_bits(getattr(geometry, name), getattr(full, name)), name
 
-        # Appearance evaluated on the kept rows only has the bits of
-        # evaluating every visible row and dropping the culled ones.
+        # The conic, and the appearance, evaluated on the kept rows only have
+        # the bits of evaluating every visible row and dropping the rest.
         visible = np.arange(len(scene)) if visible_ids is None else visible_ids
         kept = np.isin(visible, geometry.ids)
+        cov2d = compute_cov2d(
+            camera.transform_points(scene.means[visible]),
+            scene.covariances()[visible],
+            camera.world_to_camera[:3, :3],
+            camera,
+        )
+        conic, valid = conic_from_cov2d(cov2d)
+        assert valid[kept].all()
+        assert _same_bits(full.conic, conic[kept])
         directions = normalize_directions(scene.means[visible] - camera.position)
         colors = eval_sh_color(scene.sh_coeffs[visible], directions)[kept]
         assert _same_bits(full.colors, colors)

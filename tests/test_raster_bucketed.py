@@ -37,7 +37,6 @@ def _projection(rng, means2d, radii, opacities, depths=None, colors=None):
     return ProjectedGaussians(
         ids=ids,
         means2d=means2d,
-        cov2d=np.stack([np.diag([s, s]) for s in sigma]),
         conic=np.stack(
             [1.0 / sigma, rng.uniform(-0.05, 0.05, n) / sigma, 1.0 / sigma], axis=1
         ),

@@ -34,7 +34,6 @@ def _random_projection(rng, n, extent=64.0, opacity_range=(0.05, 1.0)):
     return ProjectedGaussians(
         ids=np.sort(ids).astype(np.int64),
         means2d=rng.uniform(-8.0, extent + 8.0, size=(n, 2)),
-        cov2d=np.stack([np.diag([s, s]) for s in sigma]),
         conic=np.stack([1.0 / sigma, rng.uniform(-0.05, 0.05, n) / sigma, 1.0 / sigma], axis=1),
         depths=rng.uniform(0.5, 20.0, size=n),
         radii=radii,
@@ -84,7 +83,6 @@ class TestRasterizerEdgeCases:
         return ProjectedGaussians(
             ids=np.array([gid], dtype=np.int64),
             means2d=np.array([[x, y]], dtype=np.float64),
-            cov2d=np.array([[[sigma2, 0.0], [0.0, sigma2]]]),
             conic=np.array([[1.0 / sigma2, 0.0, 1.0 / sigma2]]),
             depths=np.array([depth], dtype=np.float64),
             radii=np.array([radius], dtype=np.float64),
@@ -96,7 +94,6 @@ class TestRasterizerEdgeCases:
         return ProjectedGaussians(
             ids=np.concatenate([p.ids for p in projs]),
             means2d=np.concatenate([p.means2d for p in projs]),
-            cov2d=np.concatenate([p.cov2d for p in projs]),
             conic=np.concatenate([p.conic for p in projs]),
             depths=np.concatenate([p.depths for p in projs]),
             radii=np.concatenate([p.radii for p in projs]),
@@ -199,7 +196,7 @@ class TestBatchedSortGolden:
         proj = _random_projection(rng, n)
         # Heavy depth ties: quantize so the ID tie-break actually decides.
         proj = ProjectedGaussians(
-            ids=proj.ids, means2d=proj.means2d, cov2d=proj.cov2d, conic=proj.conic,
+            ids=proj.ids, means2d=proj.means2d, conic=proj.conic,
             depths=np.round(proj.depths), radii=proj.radii, colors=proj.colors,
             opacities=proj.opacities,
         )

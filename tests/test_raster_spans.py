@@ -185,7 +185,6 @@ def _scene(rng, n, width, height, degenerate):
     return ProjectedGaussians(
         ids=np.arange(n, dtype=np.int64),
         means2d=rng.uniform((-20.0, -20.0), (width + 20.0, height + 20.0), (n, 2)),
-        cov2d=np.tile(np.eye(2), (n, 1, 1)),
         conic=conic,
         depths=rng.uniform(0.5, 20.0, n),
         radii=radii_,

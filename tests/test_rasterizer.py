@@ -21,7 +21,6 @@ def _single_splat(x, y, radius=4.0, opacity=0.9, color=(1.0, 0.0, 0.0), depth=1.
     return ProjectedGaussians(
         ids=np.array([gid], dtype=np.int64),
         means2d=np.array([[x, y]], dtype=np.float64),
-        cov2d=np.array([[[sigma2, 0.0], [0.0, sigma2]]]),
         conic=np.array([[1.0 / sigma2, 0.0, 1.0 / sigma2]]),
         depths=np.array([depth], dtype=np.float64),
         radii=np.array([radius], dtype=np.float64),
@@ -34,7 +33,6 @@ def _merge(*projs):
     return ProjectedGaussians(
         ids=np.concatenate([p.ids for p in projs]),
         means2d=np.concatenate([p.means2d for p in projs]),
-        cov2d=np.concatenate([p.cov2d for p in projs]),
         conic=np.concatenate([p.conic for p in projs]),
         depths=np.concatenate([p.depths for p in projs]),
         radii=np.concatenate([p.radii for p in projs]),

@@ -43,7 +43,6 @@ class TestSortTiles:
         proj = ProjectedGaussians(
             ids=np.array([7, 3, 9, 1]),
             means2d=np.full((n, 2), 8.0),
-            cov2d=np.tile(np.eye(2), (n, 1, 1)),
             conic=np.tile(np.array([1.0, 0.0, 1.0]), (n, 1)),
             depths=np.ones(n),
             radii=np.full(n, 2.0),

@@ -87,7 +87,6 @@ class TestFrameSimilarity:
                 means2d=np.column_stack(
                     [rng.uniform(-4, 100, n), rng.uniform(-4, 100, n)]
                 ),
-                cov2d=np.tile(np.eye(2), (n, 1, 1)),
                 conic=np.tile(np.array([1.0, 0.0, 1.0]), (n, 1)),
                 depths=rng.uniform(0.1, 10.0, n),
                 radii=rng.uniform(1.0, 10.0, n),
@@ -129,7 +128,6 @@ class TestLargeTileTermination:
         return ProjectedGaussians(
             ids=np.arange(m, dtype=np.int64),
             means2d=means,
-            cov2d=np.tile(np.eye(2), (m, 1, 1)),
             conic=np.column_stack([a, np.zeros(m), c]),
             depths=rng.uniform(0.1, 10.0, m),
             radii=rng.uniform(5.0, 7.0, m),

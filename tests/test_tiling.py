@@ -14,7 +14,6 @@ def _projected(means2d, radii, depths=None):
     return ProjectedGaussians(
         ids=np.arange(n, dtype=np.int64),
         means2d=np.asarray(means2d, dtype=np.float64),
-        cov2d=np.tile(np.eye(2), (n, 1, 1)),
         conic=np.tile(np.array([1.0, 0.0, 1.0]), (n, 1)),
         depths=np.asarray(depths, dtype=np.float64),
         radii=np.asarray(radii, dtype=np.float64),
