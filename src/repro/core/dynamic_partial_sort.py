@@ -26,9 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitonic import BitonicStats, bsu_sort_chunk
 from .gaussian_table import TABLE_ENTRY_BYTES
-from .merge_unit import MergeStats, merge_runs
 
 #: On-chip chunk capacity of a Sorting Core (paper section 4.3).
 DEFAULT_CHUNK_SIZE = 256
@@ -44,17 +42,14 @@ class PartialSortStats:
         Chunks processed (each = one DRAM read + one write of the chunk).
     entries_read / entries_written:
         Table entries moved across the off-chip interface.
-    bitonic:
-        BSU activity (only populated with ``use_hardware_units=True``).
-    merge:
-        MSU+ activity (only populated with ``use_hardware_units=True``).
+
+    The Sorting Core's cycles per entry (BSU network stages plus MSU+ merge
+    levels) are modelled in :func:`repro.hw.accelerator.sort_cycles_per_entry`.
     """
 
     chunks: int = 0
     entries_read: int = 0
     entries_written: int = 0
-    bitonic: BitonicStats | None = None
-    merge: MergeStats | None = None
 
     @property
     def bytes_read(self) -> int:
@@ -117,39 +112,12 @@ def chunk_ids(positions: np.ndarray, chunk_size: int, iteration: int) -> np.ndar
     return np.where(positions < half, 0, (positions - half) // chunk_size + 1)
 
 
-def _sort_chunk_in_place(
-    keys: np.ndarray,
-    values: np.ndarray,
-    start: int,
-    end: int,
-    use_hardware_units: bool,
-    stats: PartialSortStats,
-) -> None:
-    """Sort ``[start, end)`` of the table inside on-chip memory."""
-    if use_hardware_units:
-        if stats.bitonic is None:
-            stats.bitonic = BitonicStats()
-        if stats.merge is None:
-            stats.merge = MergeStats()
-        sub_keys, sub_vals, runs = bsu_sort_chunk(
-            keys[start:end], values[start:end], stats=stats.bitonic
-        )
-        merged_keys, merged_vals = merge_runs(sub_keys, sub_vals, runs, stats=stats.merge)
-        keys[start:end] = merged_keys
-        values[start:end] = merged_vals
-    else:
-        order = np.argsort(keys[start:end], kind="stable")
-        keys[start:end] = keys[start:end][order]
-        values[start:end] = values[start:end][order]
-
-
 def dynamic_partial_sort(
     keys: np.ndarray,
     values: np.ndarray,
     iteration: int,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     passes: int = 1,
-    use_hardware_units: bool = False,
     stats: PartialSortStats | None = None,
 ) -> tuple[np.ndarray, np.ndarray, PartialSortStats]:
     """Apply Dynamic Partial Sorting to a (keys, values) table.
@@ -169,9 +137,6 @@ def dynamic_partial_sort(
         Off-chip sorting passes.  The paper adopts a single pass (accuracy
         loss < 0.1 dB); more passes trade traffic for ordering accuracy
         (each extra pass re-runs the opposite boundary phase).
-    use_hardware_units:
-        Route each chunk through the BSU + MSU+ functional models instead of
-        ``np.sort`` (slower, but counts comparator/merge work exactly).
 
     Returns
     -------
@@ -192,7 +157,9 @@ def dynamic_partial_sort(
             stats.chunks += 1
             stats.entries_read += end - start
             stats.entries_written += end - start
-            _sort_chunk_in_place(keys, values, start, end, use_hardware_units, stats)
+            order = np.argsort(keys[start:end], kind="stable")
+            keys[start:end] = keys[start:end][order]
+            values[start:end] = values[start:end][order]
     return keys, values, stats
 
 
@@ -203,7 +170,6 @@ def segmented_partial_sort(
     iteration: int,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     passes: int = 1,
-    use_hardware_units: bool = False,
     stats: PartialSortStats | None = None,
 ) -> tuple[np.ndarray, np.ndarray, PartialSortStats]:
     """:func:`dynamic_partial_sort` of every table of a flat stream at once.
@@ -212,9 +178,7 @@ def segmented_partial_sort(
     partially sorted exactly as :func:`dynamic_partial_sort` would sort it
     alone.  A pass is one stable sort on ``(table, chunk, key)``: keys are
     ranked to integers once, so the pass sorts the integer
-    ``chunk_segment * span + rank``.  With ``use_hardware_units`` every chunk
-    still goes through the BSU/MSU+ models one by one, since their
-    comparator counts are the point.
+    ``chunk_segment * span + rank``.
     """
     if passes < 1:
         raise ValueError("passes must be >= 1")
@@ -235,15 +199,10 @@ def segmented_partial_sort(
         stats.chunks += int(np.count_nonzero(starts))
         stats.entries_read += n
         stats.entries_written += n
-        if use_hardware_units:
-            bounds = np.append(np.flatnonzero(starts), n).tolist()
-            for start, end in zip(bounds[:-1], bounds[1:]):
-                _sort_chunk_in_place(keys, values, start, end, True, stats)
-        else:
-            order = np.argsort(np.cumsum(starts) * span + rank, kind="stable")
-            keys = keys[order]
-            values = values[order]
-            rank = rank[order]
+        order = np.argsort(np.cumsum(starts) * span + rank, kind="stable")
+        keys = keys[order]
+        values = values[order]
+        rank = rank[order]
     return keys, values, stats
 
 

@@ -1,4 +1,4 @@
-"""Merge Sort Unit+ (MSU+) model.
+"""The MSU+ merge with lazy deletion, as a vectorized two-stream merge.
 
 The MSU+ is the second half of Neo's Sorting Core (paper section 5.3).  It
 merges two sorted streams one element per cycle and, *during the same merge
@@ -6,42 +6,17 @@ pass*, (a) filters out entries whose valid bit was cleared by the previous
 frame's rasterization (lazy deletion) and (b) admits newly incoming entries
 (insertion) — avoiding the entry-shifting cost an eager delete would incur.
 
-Functionally this is a k-way capable two-input merge with invalid-entry
-filters on both inputs (Figure 12's "Invalid Bit Filter" blocks).
+:func:`merge_sorted` computes what the unit emits, not how it gets there:
+a two-input merge with invalid-entry filters on both inputs (Figure 12's
+"Invalid Bit Filter" blocks).  The per-tile pin :mod:`repro.core.reference`
+merges each tile with it; the stream sorter merges every tile at once.  The
+unit's cycle cost is modelled only in
+:func:`repro.hw.accelerator.sort_cycles_per_entry`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class MergeStats:
-    """Work counters for MSU+ activity.
-
-    Attributes
-    ----------
-    merges:
-        Number of merge passes performed.
-    elements_in:
-        Total elements consumed across both inputs (one per cycle each).
-    elements_out:
-        Elements emitted (invalid entries are consumed but not emitted).
-    invalid_dropped:
-        Entries removed by the invalid-bit filter.
-    """
-
-    merges: int = 0
-    elements_in: int = 0
-    elements_out: int = 0
-    invalid_dropped: int = 0
-
-    @property
-    def cycles(self) -> int:
-        """Hardware cycles: the unit retires one input element per cycle."""
-        return self.elements_in
 
 
 def merge_sorted(
@@ -51,7 +26,6 @@ def merge_sorted(
     values_b: np.ndarray,
     valid_a: np.ndarray | None = None,
     valid_b: np.ndarray | None = None,
-    stats: MergeStats | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge two sorted (key, value) streams, dropping invalid entries.
 
@@ -78,23 +52,15 @@ def merge_sorted(
         raise ValueError("keys and values must align")
 
     na, nb = keys_a.shape[0], keys_b.shape[0]
-    if stats is not None:
-        stats.merges += 1
-        stats.elements_in += na + nb
-
     if valid_a is not None:
         valid_a = np.asarray(valid_a, dtype=bool)
         if valid_a.shape[0] != na:
             raise ValueError("valid_a must align with keys_a")
-        if stats is not None:
-            stats.invalid_dropped += int(np.count_nonzero(~valid_a))
         keys_a, values_a = keys_a[valid_a], values_a[valid_a]
     if valid_b is not None:
         valid_b = np.asarray(valid_b, dtype=bool)
         if valid_b.shape[0] != nb:
             raise ValueError("valid_b must align with keys_b")
-        if stats is not None:
-            stats.invalid_dropped += int(np.count_nonzero(~valid_b))
         keys_b, values_b = keys_b[valid_b], values_b[valid_b]
 
     # Stable two-way merge (a-side wins ties), vectorized with searchsorted:
@@ -114,35 +80,5 @@ def merge_sorted(
     out_vals[mask] = values_a
     out_keys[b_positions] = keys_b
     out_vals[b_positions] = values_b
-
-    if stats is not None:
-        stats.elements_out += out_n
     return out_keys, out_vals
 
-
-def merge_runs(
-    keys: np.ndarray,
-    values: np.ndarray,
-    runs: list[tuple[int, int]],
-    stats: MergeStats | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge adjacent sorted runs pairwise until one run remains.
-
-    Models the MSU+ tree-merging of the BSU's 16-entry sorted sub-chunks into
-    a fully sorted 256-entry chunk (log2(16) = 4 merge levels).
-    """
-    keys = np.asarray(keys, dtype=np.float64)
-    values = np.asarray(values)
-    segments = [(keys[s:e], values[s:e]) for s, e in runs]
-    if not segments:
-        return keys[:0], values[:0]
-    while len(segments) > 1:
-        merged: list[tuple[np.ndarray, np.ndarray]] = []
-        for i in range(0, len(segments) - 1, 2):
-            ka, va = segments[i]
-            kb, vb = segments[i + 1]
-            merged.append(merge_sorted(ka, va, kb, vb, stats=stats))
-        if len(segments) % 2:
-            merged.append(segments[-1])
-        segments = merged
-    return segments[0]

@@ -52,9 +52,6 @@ class ReuseUpdateSorter:
         rasterization and sorting uses one-frame-stale values.  If
         ``False`` (ablation), an explicit depth-refresh pass is charged
         before reordering.
-    use_hardware_units:
-        Route chunk sorts through the BSU/MSU+ functional models (exact
-        comparator counts, slower).
     """
 
     name = "neo"
@@ -64,14 +61,12 @@ class ReuseUpdateSorter:
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         passes: int = 1,
         defer_depth_update: bool = True,
-        use_hardware_units: bool = False,
     ) -> None:
         if chunk_size < 2:
             raise ValueError("chunk_size must be >= 2")
         self.chunk_size = chunk_size
         self.passes = passes
         self.defer_depth_update = defer_depth_update
-        self.use_hardware_units = use_hardware_units
         self.tables: dict[int, GaussianTable] = {}
         self.frame_stats: list[FrameSortStats] = []
         self._last_assignment: TileAssignment | None = None
@@ -198,12 +193,10 @@ class ReuseUpdateSorter:
             iteration=frame_index,
             chunk_size=self.chunk_size,
             passes=self.passes,
-            use_hardware_units=self.use_hardware_units,
             stats=stats.reorder,
         )
         sorted_ids = table.ids[perm]
         sorted_valid = table.valid[perm]
-        stats.entries_reordered += len(table)
         stats.traffic.table_read += len(table) * TABLE_ENTRY_BYTES
 
         # (2) Insertion: incoming = Gaussians in the tile now but absent
@@ -234,7 +227,6 @@ class ReuseUpdateSorter:
             incoming_depths,
             incoming_ids,
             valid_a=sorted_valid,
-            stats=stats.merge,
         )
         stats.deleted_entries += before_invalid
         stats.traffic.table_write += merged_ids.shape[0] * TABLE_ENTRY_BYTES

@@ -62,7 +62,6 @@ from .dynamic_partial_sort import (
     segmented_partial_sort,
 )
 from .gaussian_table import TABLE_ENTRY_BYTES
-from .merge_unit import MergeStats
 
 
 @dataclass
@@ -114,13 +113,11 @@ class FrameSortStats:
     frame_index: int
     tiles_reused: int = 0
     tiles_initialized: int = 0
-    entries_reordered: int = 0
     incoming_entries: int = 0
     deleted_entries: int = 0
     depth_updates: int = 0
     table_entries_after: int = 0
     reorder: PartialSortStats = field(default_factory=PartialSortStats)
-    merge: MergeStats = field(default_factory=MergeStats)
     traffic: SortTraffic = field(default_factory=SortTraffic)
 
     @property
@@ -230,9 +227,6 @@ class ReuseUpdateSorter:
         rasterization and sorting uses one-frame-stale values.  If
         ``False`` (ablation), an explicit depth-refresh pass is charged
         before reordering.
-    use_hardware_units:
-        Route chunk sorts through the BSU/MSU+ functional models (exact
-        comparator counts, slower).
     """
 
     name = "neo"
@@ -242,14 +236,12 @@ class ReuseUpdateSorter:
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         passes: int = 1,
         defer_depth_update: bool = True,
-        use_hardware_units: bool = False,
     ) -> None:
         if chunk_size < 2:
             raise ValueError("chunk_size must be >= 2")
         self.chunk_size = chunk_size
         self.passes = passes
         self.defer_depth_update = defer_depth_update
-        self.use_hardware_units = use_hardware_units
         self.table = TableStream.empty()
         self.frame_stats: list[FrameSortStats] = []
         self._projected_depths: np.ndarray | None = None
@@ -293,12 +285,10 @@ class ReuseUpdateSorter:
             iteration=frame_index,
             chunk_size=self.chunk_size,
             passes=self.passes,
-            use_hardware_units=self.use_hardware_units,
             stats=stats.reorder,
         )
         valid = old.valid[:n_table][perm]
         valid_table = head.with_values(head.values[perm]).compress(valid)
-        stats.entries_reordered += n_table
         stats.traffic.table_read += n_table * TABLE_ENTRY_BYTES
 
         # (2) Insertion: incoming = pairs in a tile now but absent from its
@@ -332,10 +322,6 @@ class ReuseUpdateSorter:
         # written back as part of the single off-chip pass.
         n_valid = valid_table.num_pairs
         stats.deleted_entries += n_table - n_valid
-        stats.merge.merges += stats.tiles_reused
-        stats.merge.elements_in += n_table + n_incoming
-        stats.merge.invalid_dropped += n_table - n_valid
-        stats.merge.elements_out += n_valid + n_incoming
         stats.traffic.table_write += (n_valid + n_incoming) * TABLE_ENTRY_BYTES
         merged, merged_depths = _merge_tables(
             valid_table, depths[valid], new_tiles[order], pair_ids[new_at], pair_depths[new_at]

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.bitonic import network_stages
 from .config import DramConfig, NeoConfig
 from .stages import (
     CULL_PROBE_BYTES,
@@ -86,6 +85,21 @@ _SERIAL_OVERHEAD_S = 0.8e-3
 
 #: Off-chip passes charged for a from-scratch sort on the first frame.
 _INIT_SORT_PASSES = 2
+
+
+def network_stages(width: int) -> int:
+    """Number of stages in a bitonic network over ``width = 2^k`` inputs.
+
+    The network has ``k(k+1)/2`` stages, and the BSU evaluates one stage per
+    cycle.
+
+    >>> network_stages(16)
+    10
+    """
+    if width < 1 or width & (width - 1):
+        raise ValueError(f"width must be a power of two, got {width}")
+    k = width.bit_length() - 1
+    return k * (k + 1) // 2
 
 
 def sort_cycles_per_entry(config: NeoConfig) -> float:

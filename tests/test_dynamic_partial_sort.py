@@ -87,17 +87,6 @@ class TestDynamicPartialSort:
         assert max_displacement(two) <= max_displacement(one)
         assert s2.entries_read == 4 * 512
 
-    def test_hardware_units_match_numpy_path(self, rng):
-        keys = rng.normal(size=80)
-        values = np.arange(80)
-        soft, soft_vals, _ = dynamic_partial_sort(keys, values, iteration=2, chunk_size=32)
-        hard, hard_vals, stats = dynamic_partial_sort(
-            keys, values, iteration=2, chunk_size=32, use_hardware_units=True
-        )
-        assert np.array_equal(soft, hard)
-        assert stats.bitonic is not None and stats.bitonic.invocations > 0
-        assert stats.merge is not None and stats.merge.merges > 0
-
     def test_rejects_bad_args(self, rng):
         with pytest.raises(ValueError):
             dynamic_partial_sort(np.zeros(4), np.zeros(3), iteration=1)

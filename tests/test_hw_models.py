@@ -10,6 +10,7 @@ from repro.hw.accelerator import (
     _DRAM_EFFICIENCY,
     _ENTRY_BYTES,
     NeoModel,
+    network_stages,
     sort_cycles_per_entry,
 )
 from repro.hw.config import EDGE_BANDWIDTH_GBPS, DramConfig, GSCoreConfig, NeoConfig
@@ -28,6 +29,20 @@ def workloads():
         "hd16": wm.sequence_workloads("hd", 16),
         "hd64": wm.sequence_workloads("hd", 64),
     }
+
+
+class TestNetworkStages:
+    def test_known_sizes(self):
+        assert network_stages(2) == 1
+        assert network_stages(4) == 3
+        assert network_stages(8) == 6
+        assert network_stages(16) == 10
+
+    def test_rejects_non_power_of_two(self):
+        with pytest.raises(ValueError):
+            network_stages(12)
+        with pytest.raises(ValueError):
+            network_stages(0)
 
 
 class TestStageTraffic:

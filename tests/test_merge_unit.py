@@ -1,9 +1,9 @@
-"""Unit tests for the Merge Sort Unit+ model."""
+"""Unit tests for the MSU+ merge with lazy deletion."""
 
 import numpy as np
 import pytest
 
-from repro.core.merge_unit import MergeStats, merge_runs, merge_sorted
+from repro.core.merge_unit import merge_sorted
 
 
 class TestMergeSorted:
@@ -62,20 +62,6 @@ class TestMergeSorted:
         )
         assert np.array_equal(keys, [1.0, 2.0])
 
-    def test_stats(self):
-        stats = MergeStats()
-        merge_sorted(
-            np.array([1.0, 2.0]), np.array([1, 2]),
-            np.array([3.0]), np.array([3]),
-            valid_a=np.array([True, False]),
-            stats=stats,
-        )
-        assert stats.merges == 1
-        assert stats.elements_in == 3
-        assert stats.elements_out == 2
-        assert stats.invalid_dropped == 1
-        assert stats.cycles == 3
-
     def test_rejects_misaligned(self):
         with pytest.raises(ValueError):
             merge_sorted(np.zeros(2), np.zeros(3), np.zeros(1), np.zeros(1))
@@ -92,29 +78,3 @@ class TestMergeSorted:
             keys, _ = merge_sorted(a, np.arange(a.size), b, np.arange(b.size))
             assert np.array_equal(keys, np.sort(np.concatenate([a, b])))
 
-
-class TestMergeRuns:
-    def test_merges_chunk_runs(self, rng):
-        keys = rng.normal(size=70)
-        values = np.arange(70)
-        runs = [(0, 16), (16, 32), (32, 48), (48, 64), (64, 70)]
-        staged = keys.copy()
-        for s, e in runs:
-            staged[s:e] = np.sort(staged[s:e])
-        out_keys, out_vals = merge_runs(staged, values, runs)
-        assert np.array_equal(out_keys, np.sort(keys))
-
-    def test_empty(self):
-        keys, vals = merge_runs(np.empty(0), np.empty(0, dtype=np.int64), [])
-        assert keys.shape == (0,)
-
-    def test_single_run(self):
-        keys, vals = merge_runs(np.array([1.0, 2.0]), np.array([1, 2]), [(0, 2)])
-        assert np.array_equal(keys, [1.0, 2.0])
-
-    def test_stats_accumulate(self, rng):
-        stats = MergeStats()
-        keys = np.sort(rng.normal(size=32).reshape(2, 16), axis=1).ravel()
-        merge_runs(keys, np.arange(32), [(0, 16), (16, 32)], stats=stats)
-        assert stats.merges == 1
-        assert stats.elements_in == 32

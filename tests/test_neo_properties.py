@@ -31,7 +31,7 @@ from repro.core.dynamic_partial_sort import (
     max_displacement,
     segmented_partial_sort,
 )
-from repro.core.merge_unit import MergeStats, merge_sorted
+from repro.core.merge_unit import merge_sorted
 from repro.core.reuse_update import ReuseUpdateSorter, lookup_rows
 from repro.pipeline import Renderer
 from repro.pipeline.sorting import sort_tiles
@@ -120,18 +120,14 @@ def test_merge_equals_streaming_merge(keys_a, keys_b, chunk_size, iteration, ran
     values_b = np.arange(keys_b.shape[0]) + 1000
     valid_a = np.array([random.random() < 0.8 for _ in keys_a], dtype=bool)
     valid_b = np.array([random.random() < 0.8 for _ in keys_b], dtype=bool)
-    stats = MergeStats()
     got_keys, got_values = merge_sorted(
-        keys_a, values_a, keys_b, values_b, valid_a=valid_a, valid_b=valid_b, stats=stats
+        keys_a, values_a, keys_b, values_b, valid_a=valid_a, valid_b=valid_b
     )
     want_keys, want_values = _streaming_merge(
         keys_a, values_a, valid_a, keys_b, values_b, valid_b
     )
     assert got_keys.tolist() == want_keys
     assert got_values.tolist() == want_values
-    assert stats.elements_in == keys_a.shape[0] + keys_b.shape[0]
-    assert stats.elements_out == len(want_keys)
-    assert stats.invalid_dropped == int((~valid_a).sum() + (~valid_b).sum())
 
 
 _SCENE = load_scene("family", num_gaussians=300)

@@ -5,7 +5,7 @@ reuse-and-update sorting once per frame over a flat table stream;
 :class:`repro.core.reference.ReuseUpdateSorter` is the per-tile loop it
 replaced.  Driven through the same frames, the two must agree bit for bit:
 the sorted ``rows``/``ids``/``depths`` streams, every ``FrameSortStats``
-field (reorder and merge counters and the traffic ledger included), the
+field (the reorder counters and the traffic ledger included), the
 rendered images, and the carried tables themselves.  The sequences cover
 chunk sizes, pass counts, eager and deferred depth updates, frames that see
 nothing, resolution changes that shrink and regrow the tile grid, and a
@@ -131,15 +131,6 @@ def test_fast_camera_matches_reference(scene):
 
 def test_neo_tile_size_matches_reference(scene):
     _run_lockstep(scene, _cameras(), tile_size=64, chunk_size=16)
-
-
-def test_hardware_units_match_reference(scene):
-    # The BSU/MSU+ models sort chunk by chunk; their comparator counts
-    # land in the reorder stats, which the lockstep compares too.
-    sorter = _run_lockstep(
-        scene, _cameras()[:5], chunk_size=32, passes=2, use_hardware_units=True
-    )
-    assert sorter.frame_stats[2].reorder.bitonic is not None
 
 
 def _synthetic_frame(rng, base_depth, home_tile, num_tiles):

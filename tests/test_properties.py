@@ -2,7 +2,6 @@
 
 Invariants checked:
 
-* the BSU bitonic network sorts any input and is a permutation;
 * the MSU+ merge of sorted inputs is sorted, complete, and respects filters;
 * Dynamic Partial Sorting is a permutation, chunk-locally sorted, and
   converges to a full sort under repeated alternating-boundary passes for
@@ -17,7 +16,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bitonic import bitonic_sort_16, bsu_sort_chunk
 from repro.core.dynamic_partial_sort import (
     chunk_ranges,
     dynamic_partial_sort,
@@ -25,39 +23,12 @@ from repro.core.dynamic_partial_sort import (
     sortedness,
 )
 from repro.core.gaussian_table import GaussianTable
-from repro.core.merge_unit import merge_runs, merge_sorted
+from repro.core.merge_unit import merge_sorted
 from repro.pipeline.sorting import kendall_tau_distance
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
-
-
-@given(st.lists(finite_floats, min_size=0, max_size=16))
-def test_bitonic_sorts_any_input(keys):
-    out, _ = bitonic_sort_16(np.asarray(keys))
-    assert np.array_equal(out, np.sort(np.asarray(keys)))
-
-
-@given(st.lists(finite_floats, min_size=1, max_size=16))
-def test_bitonic_values_form_permutation(keys):
-    keys = np.asarray(keys)
-    values = np.arange(keys.shape[0])
-    out_keys, out_vals = bitonic_sort_16(keys, values)
-    assert np.array_equal(np.sort(out_vals), values)
-    assert np.array_equal(keys[out_vals], out_keys)
-
-
-@given(st.lists(finite_floats, min_size=0, max_size=120))
-@settings(max_examples=30)
-def test_bsu_chunk_plus_merge_equals_sort(keys):
-    keys = np.asarray(keys)
-    values = np.arange(keys.shape[0])
-    sub_keys, sub_vals, runs = bsu_sort_chunk(keys, values)
-    merged_keys, merged_vals = merge_runs(sub_keys, sub_vals, runs)
-    assert np.array_equal(merged_keys, np.sort(keys))
-    if keys.shape[0]:
-        assert np.array_equal(keys[merged_vals], merged_keys)
 
 
 @given(
